@@ -7,15 +7,20 @@ test suite:
   in increasing order and pruning every prefix that already contains the
   pattern, so avoiders of any pattern stream out in lexicographic order.
 
-* The counting sweeps (:func:`count_tables`, :func:`iter_class_members`)
-  walk a generating tree instead: every 1324-avoider of size n+1 arises
-  exactly once by inserting the new maximum n+1 into an avoider of size n,
-  and the insertion position is legal iff the prefix strictly before it
-  avoids 132. Carrying the length L of the longest 132-free prefix along
-  the tree makes the child set {1, ..., L+1} and the child's own bound
-  computable in O(n), so visiting a node costs O(n) total. This is what
-  makes exact classification feasible at desk scale (n = 11 in seconds,
-  n = 12 opt-in).
+* The generating tree: every 1324-avoider of size n+1 arises exactly once
+  by inserting the new maximum n+1 into an avoider of size n, and the
+  insertion position is legal iff the prefix strictly before it avoids
+  132. Carrying the length L of the longest 132-free prefix along the tree
+  makes the child set {1, ..., L+1} and the child's own bound computable
+  in O(n), so visiting a node costs O(n) total. :func:`_walk` is the one
+  stack walk over the tree that streams members (with their class and
+  bound) for every caller: :func:`iter_class_members`,
+  :func:`count_ending_with_one`, the parallel seed list and the
+  verification suites. :func:`count_tables` counts the same tree with
+  :func:`_expand_count`, which never builds member tuples at the last
+  level. :func:`_fan_out` is the one helper that splits either sweep over
+  worker processes by subtree. This is what makes exact classification
+  feasible at desk scale (n = 11 in seconds, n = 12 opt-in).
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -28,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .permutations import (
     PATTERN_1324,
@@ -43,6 +48,7 @@ _BIG = 1 << 62
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
 _SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
+_ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
 
 
 class PositionalClass(NamedTuple):
@@ -207,33 +213,57 @@ def _expand_count(sig: list[int], L: int, size: int, max_n: int,
                       child_n, max_n, counts, totals)
 
 
-def _count_sweep(max_n: int) -> tuple[dict, list[int]]:
+def _count_subtrees(job: tuple[list[tuple[tuple[int, ...], int]], int]) -> tuple[dict, list[int]]:
+    """Class counts and per-size totals of the descendants of the given
+    roots up to size max_n; a _fan_out worker."""
+    roots, max_n = job
     counts: dict = {}
     totals = [0] * (max_n + 1)
-    if max_n >= 1:
-        totals[1] = 1
-        if max_n >= 2:
-            _expand_count([1], 1, 1, max_n, counts, totals)
+    for sig, L in roots:
+        if len(sig) < max_n:
+            _expand_count(list(sig), L, len(sig), max_n, counts, totals)
     return counts, totals
 
 
-def _collect_seeds(seed_n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All tree nodes of size seed_n together with their 132-prefix bound."""
-    seeds: list[tuple[tuple[int, ...], int]] = []
-    if seed_n == 1:
-        return [((1,), 1)]
-    stack: list[tuple[tuple[int, ...], int]] = [((1,), 1)]
+def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = None,
+          root: tuple[tuple[int, ...], int] = _ROOT
+          ) -> Iterator[tuple[int, Optional[int], Optional[int], tuple[int, ...], Optional[int]]]:
+    """Yield (n, a, k, values, L) for the descendants of ``root`` of size
+    min_n..max_n, in tree order (not lexicographic).
+
+    With a or k given, only members of a matching class are yielded, and
+    the filter runs before the member's tuple is built. Without filters,
+    the members that start with their maximum are yielded too, with a and k
+    None. L is the member's bound, or None at size max_n, below which
+    nothing is walked.
+    """
+    every = a is None and k is None
+    stack = [root] if len(root[0]) < max_n else []
     while stack:
         sig, L = stack.pop()
         size = len(sig)
         child_n = size + 1
-        out = seeds if child_n == seed_n else stack
-        out.append(((child_n,) + sig, L + 1 if L + 1 < child_n else child_n))
+        deeper = child_n < max_n
+        emit = child_n >= min_n
+        if deeper or (emit and every):
+            child = (child_n,) + sig
+            Lc = (L + 1 if L + 1 < child_n else child_n) if deeper else None
+            if emit and every:
+                yield child_n, None, None, child, Lc
+            if deeper:
+                stack.append((child, Lc))
         pm = sig[0]
+        pmpos = 1
         for p in range(2, L + 2):
             v = sig[p - 2]
             if v < pm:
                 pm = v
+                pmpos = p - 1
+            hit = emit and (a is None or pm == a) and (k is None or p - pmpos == k)
+            if not deeper:
+                if hit:
+                    yield child_n, pm, p - pmpos, sig[:p - 1] + (child_n,) + sig[p - 1:], None
+                continue
             if p <= size and sig[p - 1] > pm:
                 F = p
             else:
@@ -245,23 +275,46 @@ def _collect_seeds(seed_n: int) -> list[tuple[tuple[int, ...], int]]:
             Lc = L + 1 if L + 1 < F else F
             if Lc > child_n:
                 Lc = child_n
-            out.append((sig[:p - 1] + (child_n,) + sig[p - 1:], Lc))
-    return seeds
-
-
-def _count_subtrees(args: tuple[list[tuple[tuple[int, ...], int]], int]) -> tuple[dict, list[int]]:
-    chunk, max_n = args
-    counts: dict = {}
-    totals = [0] * (max_n + 1)
-    for sig, L in chunk:
-        _expand_count(list(sig), L, len(sig), max_n, counts, totals)
-    return counts, totals
+            child = sig[:p - 1] + (child_n,) + sig[p - 1:]
+            if hit:
+                yield child_n, pm, p - pmpos, child, Lc
+            stack.append((child, Lc))
 
 
 def _resolve_workers(workers: int) -> int:
     if workers < 0:
         raise ValueError("worker count must be >= 0")
     return workers if workers else (os.cpu_count() or 1)
+
+
+def _fan_out(subtrees: Callable[[tuple[list, int]], object], max_n: int,
+             workers: int) -> list:
+    """Run ``subtrees((roots, top))`` over the tree to size max_n and return
+    the parts; one call covers the descendants of its roots up to size top.
+
+    With one worker, or a tree no deeper than _SEED_SIZE + 1, that is one
+    call from the root. Otherwise it is one call from the root to size
+    _SEED_SIZE plus one call per chunk of the size-_SEED_SIZE nodes, run in
+    a Pool; ``subtrees`` must then be a module-level function. The parts
+    cover disjoint subtrees, so callers that merge them by addition get the
+    same result for every worker count.
+    """
+    workers = _resolve_workers(workers)
+    if workers <= 1 or max_n <= _SEED_SIZE + 1:
+        return [subtrees(([_ROOT], max_n))]
+    # walked one size deeper than the seeds so that each carries its bound
+    seeds = [(v, L) for n, _, _, v, L in _walk(_SEED_SIZE, _SEED_SIZE + 1) if n == _SEED_SIZE]
+    nchunks = min(len(seeds), workers * 4)
+    chunks = [(seeds[i::nchunks], max_n) for i in range(nchunks)]
+    parts = [subtrees(([_ROOT], _SEED_SIZE))]
+    with Pool(workers) as pool:
+        parts.extend(pool.imap_unordered(subtrees, chunks))
+    return parts
+
+
+def _add_counts(into: dict, part: dict) -> None:
+    for key, c in part.items():
+        into[key] = into.get(key, 0) + c
 
 
 # -- exact class-count tables ------------------------------------------------
@@ -340,21 +393,13 @@ def count_tables(max_n: int, workers: int = 1,
                 tables[n] = table
             return tables
 
-    workers = _resolve_workers(workers)
-    if workers <= 1 or max_n <= _SEED_SIZE + 1:
-        counts, totals = _count_sweep(max_n)
-    else:
-        counts, totals = _count_sweep(_SEED_SIZE)
-        totals += [0] * (max_n - _SEED_SIZE)
-        seeds = _collect_seeds(_SEED_SIZE)
-        nchunks = min(len(seeds), workers * 4)
-        chunks = [(seeds[i::nchunks], max_n) for i in range(nchunks)]
-        with Pool(workers) as pool:
-            for part_counts, part_totals in pool.imap_unordered(_count_subtrees, chunks):
-                for key, c in part_counts.items():
-                    counts[key] = counts.get(key, 0) + c
-                for n, t in enumerate(part_totals):
-                    totals[n] += t
+    counts: dict = {}
+    totals = [0] * (max_n + 1)
+    totals[1] = 1
+    for part_counts, part_totals in _fan_out(_count_subtrees, max_n, workers):
+        _add_counts(counts, part_counts)
+        for n, t in enumerate(part_totals):
+            totals[n] += t
 
     per_n: dict[int, dict[tuple[int, int], int]] = {n: {} for n in range(1, max_n + 1)}
     for (n, a, k), c in counts.items():
@@ -365,7 +410,15 @@ def count_tables(max_n: int, workers: int = 1,
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         for n, table in tables.items():
-            _cache_path(Path(cache_dir), n).write_text(table.to_jsonl())
+            # a file appears under its final name only once it is complete
+            path = _cache_path(Path(cache_dir), n)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            try:
+                tmp.write_text(table.to_jsonl())
+                os.replace(tmp, path)
+            except OSError:
+                tmp.unlink(missing_ok=True)
+                raise
     return tables
 
 
@@ -378,88 +431,13 @@ def count_table(n: int, workers: int = 1,
 # -- streaming class members -------------------------------------------------
 
 
-def _iter_tree_members(n: int, a: Optional[int] = None,
-                       k: Optional[int] = None) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Yield (a, k, values) over the size-n avoiders with a positional
-    class, filtered on a and k when given. Tree order, not lexicographic.
-    """
-    if n <= 1:
-        return
-    stack: list[tuple[tuple[int, ...], int]] = [((1,), 1)]
-    while stack:
-        sig, L = stack.pop()
-        size = len(sig)
-        child_n = size + 1
-        at_target = child_n == n
-        if not at_target:
-            stack.append(((child_n,) + sig, L + 1 if L + 1 < child_n else child_n))
-        pm = sig[0]
-        pmpos = 1
-        for p in range(2, L + 2):
-            v = sig[p - 2]
-            if v < pm:
-                pm = v
-                pmpos = p - 1
-            if at_target:
-                if (a is None or pm == a) and (k is None or p - pmpos == k):
-                    yield pm, p - pmpos, sig[:p - 1] + (child_n,) + sig[p - 1:]
-                continue
-            if p <= size and sig[p - 1] > pm:
-                F = p
-            else:
-                F = child_n
-                for q in range(p, size):
-                    if sig[q] > pm:
-                        F = q + 1
-                        break
-            Lc = L + 1 if L + 1 < F else F
-            if Lc > child_n:
-                Lc = child_n
-            stack.append((sig[:p - 1] + (child_n,) + sig[p - 1:], Lc))
-
-
-def _iter_subtree_members(seed: tuple[tuple[int, ...], int], max_n: int,
-                          a: Optional[int] = None) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """Yield (n, a, k, values) for every classified avoider of size
-    len(seed)+1 .. max_n inside the subtree rooted at ``seed``."""
-    stack = [seed]
-    while stack:
-        sig, L = stack.pop()
-        size = len(sig)
-        child_n = size + 1
-        deeper = child_n < max_n
-        if deeper:
-            stack.append(((child_n,) + sig, L + 1 if L + 1 < child_n else child_n))
-        pm = sig[0]
-        pmpos = 1
-        for p in range(2, L + 2):
-            v = sig[p - 2]
-            if v < pm:
-                pm = v
-                pmpos = p - 1
-            if a is None or pm == a:
-                yield child_n, pm, p - pmpos, sig[:p - 1] + (child_n,) + sig[p - 1:]
-            if deeper:
-                if p <= size and sig[p - 1] > pm:
-                    F = p
-                else:
-                    F = child_n
-                    for q in range(p, size):
-                        if sig[q] > pm:
-                            F = q + 1
-                            break
-                Lc = L + 1 if L + 1 < F else F
-                if Lc > child_n:
-                    Lc = child_n
-                stack.append((sig[:p - 1] + (child_n,) + sig[p - 1:], Lc))
-
-
 def iter_class_members(n: int, a: Optional[int] = None,
                        k: Optional[int] = None) -> Iterator[Permutation]:
     """All size-n avoiders with a positional class (optionally filtered to
     one a and one k), as Permutations. Order is the tree's, not lex."""
-    for _, _, values in _iter_tree_members(n, a, k):
-        yield Permutation(values, validate=False)
+    for _, cls_a, _, values, _ in _walk(n, n, a, k):
+        if cls_a is not None:
+            yield Permutation(values, validate=False)
 
 
 def count_ending_with_one(n: int, k: int) -> int:
@@ -467,4 +445,4 @@ def count_ending_with_one(n: int, k: int) -> int:
     counted by direct enumeration."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return sum(1 for _, _, vals in _iter_tree_members(n, 2, k) if vals[-1] == 1)
+    return sum(1 for _, _, _, vals, _ in _walk(n, n, 2, k) if vals[-1] == 1)

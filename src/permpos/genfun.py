@@ -34,7 +34,9 @@ Tables = dict[int, ClassCountTable]
 class IdentityReport:
     """Outcome of one identity check: pass iff the residual is identically
     zero. Residual entries are (n, k, coefficient); k is 0 for univariate
-    residuals. Only nonzero coefficients are listed."""
+    residuals. Only nonzero coefficients are listed. A suite that raised
+    is reported as one failing report with no residual, named after the
+    suite, with the exception in params."""
 
     identity: str
     params: dict

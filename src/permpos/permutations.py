@@ -231,10 +231,6 @@ def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     return _word_contains_generic(word, key)
 
 
-def word_avoids(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    return not word_contains(word, pattern)
-
-
 def contains_pattern(p: Permutation, pattern: Permutation) -> bool:
     """True iff some subsequence of ``p`` reduces to ``pattern``."""
     return word_contains(p.values, pattern.values)

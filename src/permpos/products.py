@@ -102,12 +102,17 @@ def _odot_mark(t1: Sequence[int], t2: Sequence[int], mark: int,
     return mark + pos1_left
 
 
-def _factorize_raw(t: Sequence[int]) -> list[tuple[int, ...]]:
+def _factorize_raw(t: Sequence[int], mark: int = 0) -> tuple[list[tuple[int, ...]], int, int]:
     """Primitive factors of an avoider with 1 left of its maximum, by
     repeatedly splitting off the values up to min(theta). Raises DomainError
     on structural violations (non-increasing theta, interleaved blocks),
-    which indicate the input is outside the class."""
+    which indicate the input is outside the class.
+
+    A 1-based ``mark`` on an entry of t is carried along: the result is
+    (factors, index of the factor holding the marked entry, its 1-based
+    position there), or (factors, -1, 0) without a mark."""
     factors: list[tuple[int, ...]] = []
+    marked = -1
     cur = tuple(t)
     while True:
         size = len(cur)
@@ -117,7 +122,9 @@ def _factorize_raw(t: Sequence[int]) -> list[tuple[int, ...]]:
             raise DomainError(f"{t}: maximum not right of 1")
         if j == i + 1:
             factors.append(cur)
-            return factors
+            if mark and marked < 0:
+                marked = len(factors) - 1
+            return factors, marked, mark
         theta = cur[i + 1:j]
         if any(a >= b for a, b in zip(theta, theta[1:])):
             raise DomainError(f"{t}: segment between 1 and the maximum not increasing")
@@ -135,6 +142,13 @@ def _factorize_raw(t: Sequence[int]) -> list[tuple[int, ...]]:
                 seen_small = True
             elif seen_small:
                 raise DomainError(f"{t}: suffix blocks interleave around {m}")
+        if mark and marked < 0:
+            # the marked entry leaves with this factor or moves on with the rest
+            if cur[mark - 1] < m:
+                marked = len(factors)
+                mark = sum(1 for v in cur[:mark] if v <= m)
+            else:
+                mark = sum(1 for v in cur[:mark] if v >= m)
         factors.append(tuple(v for v in cur if v <= m))
         cur = tuple(v - m + 1 for v in cur if v >= m)
 
@@ -149,37 +163,13 @@ def _recompose_raw(factors: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def _encode_raw(sig: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
     """Marked k-tuple (components, 0-based marked index) for a class-(2, k)
     avoider not ending in 1."""
-    mark = sig.index(1) + 1  # right neighbour slides into this slot
-    cur = tuple(v - 1 for v in sig if v != 1)
-    comps: list[tuple[int, ...]] = []
-    marked_idx = -1
-    in_mark = -1
-    while True:
-        size = len(cur)
-        i = cur.index(1)
-        j = cur.index(size)
-        if j == i + 1:
-            comps.append(cur)
-            if marked_idx < 0:
-                marked_idx = len(comps) - 1
-                in_mark = mark
-            break
-        theta = cur[i + 1:j]
-        if any(a >= b for a, b in zip(theta, theta[1:])):
-            raise DomainError(f"{tuple(sig)}: segment between 1 and the maximum not increasing")
-        m = theta[0]
-        if marked_idx < 0:
-            if cur[mark - 1] < m:
-                marked_idx = len(comps)
-                in_mark = sum(1 for v in cur[:mark] if v <= m)
-            else:
-                mark = sum(1 for v in cur[:mark] if v >= m)
-        comps.append(tuple(v for v in cur if v <= m))
-        cur = tuple(v - m + 1 for v in cur if v >= m)
-    f = comps[marked_idx]
-    comps[marked_idx] = (tuple(v + 1 for v in f[:in_mark - 1]) + (1,)
-                         + tuple(v + 1 for v in f[in_mark - 1:]))
-    return comps, marked_idx
+    # deleting the 1 slides its right neighbour into its slot, which is marked
+    comps, marked, pos = _factorize_raw(tuple(v - 1 for v in sig if v != 1),
+                                        sig.index(1) + 1)
+    f = comps[marked]
+    comps[marked] = (tuple(v + 1 for v in f[:pos - 1]) + (1,)
+                     + tuple(v + 1 for v in f[pos - 1:]))
+    return comps, marked
 
 
 def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int) -> tuple[int, ...]:
@@ -250,7 +240,7 @@ def factorize(p: Permutation) -> PrimitiveDecomposition:
     """Unique decomposition of an avoider with 1 left of its maximum into
     k = pos(max) - pos(1) primitives."""
     cls = _require_one_left_of_max(p, "factorize")
-    factors = _factorize_raw(p.values)
+    factors, _, _ = _factorize_raw(p.values)
     if len(factors) != cls.k:
         raise DomainError(
             f"factorize: {p!r} produced {len(factors)} factors, expected {cls.k}")

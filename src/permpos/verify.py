@@ -17,9 +17,13 @@ oracle and returns IdentityReports with exact residuals. Suites:
                 brute force, residuals reported in full.
 * gidentity  -- the total-count partition identity.
 
-The codec sweep at large n is the expensive part; it supports the same
-deterministic subtree partitioning as the counting sweep, so any worker
-count produces identical reports (timings aside).
+Every member-level check streams its members from the one generating-tree
+walk, ``enumeration._walk``. The codec sweep at large n is the expensive
+part; it walks every size in one pass and is split over workers by the same
+fan-out helper as the counting sweep, ``enumeration._fan_out``, so any
+worker count produces identical reports (timings aside). A suite that
+raises is reported as one failing report that names the suite and the
+exception, and the suites after it still run.
 """
 
 from __future__ import annotations
@@ -27,16 +31,13 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dominoes import enumerate_dominoes, from_domino, to_domino
 from .enumeration import (
-    _SEED_SIZE,
-    _collect_seeds,
-    _iter_subtree_members,
-    _iter_tree_members,
-    _resolve_workers,
+    _add_counts,
+    _fan_out,
+    _walk,
     Permutation,
     count_tables,
 )
@@ -116,7 +117,7 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
             gap_sum = 0
             ok = True
             for parent in (Permutation(v, validate=False)
-                           for _, _, v in _iter_tree_members(n - 1, 1, k)):
+                           for _, _, _, v, _ in _walk(n - 1, n - 1, 1, k)):
                 size = n - 1
                 i_stat = parent.values.index(1)
                 j_stat = size - 1 - parent.values.index(size)
@@ -144,19 +145,13 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
 # -- marked-tuple codec ---------------------------------------------------
 
 
-def _members_through(lo: int, hi: int, a: int) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    for n in range(lo, hi + 1):
-        for aa, k, v in _iter_tree_members(n, a):
-            yield n, aa, k, v
-
-
-def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...]]]):
+def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional[int]]]):
     """Roundtrip-check every a=2 member; returns ({(n,k): count not ending
     in 1}, {(n,k): count ending in 1}, failures)."""
     not1: dict[tuple[int, int], int] = {}
     last1: dict[tuple[int, int], int] = {}
     failures: list[tuple[int, ...]] = []
-    for n, _, k, values in members:
+    for n, _, k, values, _ in members:
         key = (n, k)
         if values[-1] == 1:
             last1[key] = last1.get(key, 0) + 1
@@ -172,11 +167,12 @@ def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...]]]):
     return not1, last1, failures
 
 
-def _codec_worker(args):
-    seeds, max_n = args
-    members = itertools.chain.from_iterable(
-        _iter_subtree_members(seed, max_n, a=2) for seed in seeds)
-    return _codec_scan(members)
+def _codec_worker(job):
+    """_codec_scan over the a = 2 members below the given roots up to size
+    top; a _fan_out worker."""
+    roots, top = job
+    return _codec_scan(itertools.chain.from_iterable(
+        _walk(3, top, 2, root=root) for root in roots))
 
 
 def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -195,10 +191,10 @@ def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]) -> 
     image is exactly the class members not ending in 1, with encode as a
     two-sided inverse."""
     prims: dict[int, list[Permutation]] = {
-        m: [Permutation(v, validate=False) for _, _, v in _iter_tree_members(m, 1, 1)]
+        m: [Permutation(v, validate=False) for _, _, _, v, _ in _walk(m, m, 1, 1)]
         for m in range(2, max_n)}
     marked: dict[int, list[Permutation]] = {
-        m: [Permutation(v, validate=False) for _, _, v in _iter_tree_members(m, 2, 1)
+        m: [Permutation(v, validate=False) for _, _, _, v, _ in _walk(m, m, 2, 1)
             if v[-1] != 1]
         for m in range(4, max_n + 1)}
     for (n, k), expected in sorted(not1_sets.items()):
@@ -249,21 +245,13 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
                            residual, start))
 
     start = time.monotonic()
-    workers = _resolve_workers(workers)
-    serial_top = min(max_n, _SEED_SIZE) if workers > 1 and max_n > _SEED_SIZE + 1 else max_n
-    not1, last1, failures = _codec_scan(_members_through(3, serial_top, a=2))
-    if serial_top < max_n:
-        seeds = _collect_seeds(_SEED_SIZE)
-        nchunks = min(len(seeds), workers * 4)
-        chunks = [(seeds[i::nchunks], max_n) for i in range(nchunks)]
-        with Pool(workers) as pool:
-            for part_not1, part_last1, part_failures in pool.imap_unordered(
-                    _codec_worker, chunks):
-                for key, c in part_not1.items():
-                    not1[key] = not1.get(key, 0) + c
-                for key, c in part_last1.items():
-                    last1[key] = last1.get(key, 0) + c
-                failures.extend(part_failures)
+    not1: dict[tuple[int, int], int] = {}
+    last1: dict[tuple[int, int], int] = {}
+    failures: list[tuple[int, ...]] = []
+    for part_not1, part_last1, part_failures in _fan_out(_codec_worker, max_n, workers):
+        _add_counts(not1, part_not1)
+        _add_counts(last1, part_last1)
+        failures.extend(part_failures)
 
     residual = []
     if failures:
@@ -294,10 +282,9 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
 
     explicit_top = min(max_n, _EXPLICIT_MAX_N)
     not1_sets: dict[tuple[int, int], set] = {}
-    for n in range(4, explicit_top + 1):
-        for a, k, v in _iter_tree_members(n, 2):
-            if v[-1] != 1:
-                not1_sets.setdefault((n, k), set()).add(v)
+    for n, _, k, v, _ in _walk(4, explicit_top, 2):
+        if v[-1] != 1:
+            not1_sets.setdefault((n, k), set()).add(v)
     if not _explicit_codec_check(explicit_top, not1_sets):
         residual.append((explicit_top, 0, Fraction(1)))
 
@@ -317,7 +304,7 @@ def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
         n = p + 2
         images = {}
         ok = True
-        for _, _, v in _iter_tree_members(n, 1, 1):
+        for _, _, _, v, _ in _walk(n, n, 1, 1):
             sigma = Permutation(v, validate=False)
             d = to_domino(sigma)
             key = d.to_text()
@@ -374,21 +361,26 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
     if tables is None:
         tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
     a_values = (3, 4) if conjecture_a is None else (conjecture_a,)
-    ordered = [s for s in SUITES if s in names]
+    calls = {
+        "thm1": lambda: suite_thm1(max_n, tables),
+        "thm2": lambda: suite_thm2(max_n, tables),
+        "thm3": lambda: suite_thm3(max_n, max_k, tables, workers=workers),
+        "prop1": lambda: suite_prop1(max_n, tables),
+        "conjecture": lambda: suite_conjecture(max_n, tables, a_values=a_values),
+        "gidentity": lambda: suite_gidentity(max_n, tables),
+    }
     reports: list[IdentityReport] = []
-    for name in ordered:
-        if name == "thm1":
-            batch = suite_thm1(max_n, tables)
-        elif name == "thm2":
-            batch = suite_thm2(max_n, tables)
-        elif name == "thm3":
-            batch = suite_thm3(max_n, max_k, tables, workers=workers)
-        elif name == "prop1":
-            batch = suite_prop1(max_n, tables)
-        elif name == "conjecture":
-            batch = suite_conjecture(max_n, tables, a_values=a_values)
-        else:
-            batch = suite_gidentity(max_n, tables)
+    for name in SUITES:
+        if name not in names:
+            continue
+        start = time.monotonic()
+        try:
+            batch = calls[name]()
+        except Exception as exc:  # a defect inside one suite is that suite's FAIL
+            batch = [IdentityReport(
+                identity=name, passed=False,
+                params={"error": type(exc).__name__, "message": str(exc)},
+                millis=(time.monotonic() - start) * 1000.0)]
         reports.extend(batch)
         if fail_fast and any(not r.passed for r in batch):
             break

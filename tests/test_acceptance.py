@@ -16,7 +16,7 @@ import pytest
 
 from permpos.cli import main
 from permpos.dominoes import enumerate_dominoes, from_domino, to_domino
-from permpos.enumeration import _iter_tree_members, classify, iter_class_members
+from permpos.enumeration import _walk, classify, iter_class_members
 from permpos.genfun import (
     a_nk_recurrence,
     conjecture_check,
@@ -125,7 +125,7 @@ def test_criterion_04_unique_factorization():
     start = time.monotonic()
     checked = 0
     for n in range(2, 11):
-        for a, k, values in _iter_tree_members(n, 1):
+        for _, a, k, values, _ in _walk(n, n, 1):
             p = Permutation(values, validate=False)
             decomp = factorize(p)
             assert decomp.k == p.position(n) - p.position(1)
@@ -169,7 +169,7 @@ def test_criterion_07_marked_tuple_codec(tables11):
         assert decode_tuple(t) == sigma
         assert encode_perm(sigma) == t
         decoded.add(sigma.values)
-    members = {v for _, _, v in _iter_tree_members(7, 2, 3) if v[-1] != 1}
+    members = {v for _, _, _, v, _ in _walk(7, 7, 2, 3) if v[-1] != 1}
     assert decoded == members and len(decoded) == 30
 
     # codec bijection for n <= 11, series formula, g2 assembly agreement

@@ -1,8 +1,13 @@
+import os
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from permpos.enumeration import (
+    _SEED_SIZE,
+    _fan_out,
+    _walk,
     ClassCountTable,
     PositionalClass,
     classify,
@@ -23,6 +28,25 @@ def filter_oracle(n, pat):
         if len(pat) > n or not word_contains(values, pat):
             out.append(values)
     return out
+
+
+def lex_members(sizes, a=None, k=None):
+    """(n, a, k, values) from the lexicographic generator and classify."""
+    out = Counter()
+    for n in sizes:
+        for p in generate_avoiders(n):
+            cls = classify(p, validate=False)
+            if a is None and k is None and cls is None:
+                out[(n, None, None, p.values)] += 1
+            elif cls is not None and (a is None or cls.a == a) and (k is None or cls.k == k):
+                out[(n, cls.a, cls.k, p.values)] += 1
+    return out
+
+
+def members_below(job):
+    """Every (n, a, k, values) below the given roots; a _fan_out worker."""
+    roots, top = job
+    return Counter((n, a, k, v) for root in roots for n, a, k, v, _ in _walk(2, top, root=root))
 
 
 class TestGenerateAvoiders:
@@ -154,6 +178,33 @@ class TestCache:
         assert lines[0] == '{"n": 3, "total": "6"}'
         assert lines[1] == '{"n": 3, "a": 1, "k": 1, "count": "2"}'
         assert ClassCountTable.from_jsonl(text) == table
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            count_tables(3, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWalk:
+    def test_one_pass_matches_lex_generator(self):
+        walked = Counter((n, a, k, v) for n, a, k, v, _ in _walk(2, 8))
+        assert walked == lex_members(range(2, 9))
+
+    @pytest.mark.parametrize("a,k", [(1, 1), (2, None), (2, 3)])
+    def test_filters_match_lex_generator(self, a, k):
+        walked = Counter((n, ca, ck, v) for n, ca, ck, v, _ in _walk(2, 8, a, k))
+        assert walked == lex_members(range(2, 9), a, k)
+
+    def test_fan_out_parts_cover_the_tree_once(self):
+        # n = 9 is past _SEED_SIZE + 1, so two workers split the tree
+        assert 9 > _SEED_SIZE + 1
+        parts = _fan_out(members_below, 9, 2)
+        assert len(parts) > 1
+        assert sum(parts, Counter()) == lex_members(range(2, 10))
 
 
 class TestMemberStreams:

@@ -234,6 +234,9 @@ class TestMarkedTupleCodec:
             encode_perm(perm("231"))  # ends with 1
         with pytest.raises(DomainError):
             encode_perm(perm("132"))  # a = 1
+        # not 1324-avoiding, so its suffix blocks interleave when factored
+        with pytest.raises(DomainError):
+            encode_perm(perm("246135"), validate=False)
 
     def test_roundtrip_small(self):
         for n in range(4, 8):

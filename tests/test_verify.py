@@ -1,7 +1,12 @@
 import copy
+import json
 
 import pytest
 
+import permpos.verify
+from permpos.cli import main
+from permpos.enumeration import count_tables
+from permpos.permutations import DomainError
 from permpos.verify import (
     SUITES,
     run_suites,
@@ -62,3 +67,22 @@ def test_codec_report_params(tables8):
     codec = next(r for r in reports if r.identity == "marked-tuple-codec")
     assert codec.params["explicit_max_n"] == 8
     assert codec.passed
+
+
+def test_suite_exception_is_a_failing_report(monkeypatch, capsys):
+    clean = [r.identity for r in suite_thm3(6, 9, count_tables(6))]
+
+    def broken(*args, **kwargs):
+        raise DomainError("simulated codec defect")
+
+    monkeypatch.setattr(permpos.verify, "encode_perm", broken)
+    assert main(["verify", "--suite", "all", "--max-n", "6", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    failed = [r for r in reports if not r["pass"]]
+    assert [r["identity"] for r in failed] == ["thm3"]
+    assert failed[0]["params"]["error"] == "DomainError"
+    assert failed[0]["params"]["message"] == "simulated codec defect"
+    # the suites after thm3 still ran
+    monkeypatch.undo()
+    others = [r.identity for r in run_suites(SUITES, max_n=6) if r.identity not in clean]
+    assert [r["identity"] for r in reports if r["pass"]] == others

@@ -25,7 +25,6 @@ from .permutations import (
     _word_contains_1324,
     _word_contains_213,
     parse_permutation,
-    reduce_word,
     inverse,
 )
 from .products import is_primitive
@@ -97,27 +96,23 @@ def parse_domino(text: str) -> GriddedDomino:
                          parse_permutation(parts[1][2:]))
 
 
-def to_domino(p: Permutation) -> GriddedDomino:
+def to_domino(p: Permutation, validate: bool = True) -> GriddedDomino:
     """Domino with n - 2 points for a primitive of size n.
 
-    With q the inverse permutation, i = q(1). The middle letters q(2..n-1)
-    split by value: below i to the bottom cell, above i + 1 to the top.
+    With q the inverse permutation, i = q(1) and q(n) = i + 1. The middle
+    letters q(2..n-1) split by value: 1..i-1, already reduced, to the
+    bottom cell, and i+2..n, lowered by i + 1, to the top.
+    ``validate=False`` skips the primitivity check, for callers whose p is
+    primitive by construction.
     """
-    if not is_primitive(p):
+    if validate and not is_primitive(p):
         raise DomainError(f"{p!r} is not primitive")
     q = inverse(p).values
     i = q[0]
-    cols = []
-    bottom = []
-    top = []
-    for v in q[1:-1]:
-        if v < i:
-            cols.append("b")
-            bottom.append(v)
-        else:
-            cols.append("t")
-            top.append(v)
-    return GriddedDomino(cols, reduce_word(bottom), reduce_word(top),
+    mid = q[1:-1]
+    return GriddedDomino(["b" if v < i else "t" for v in mid],
+                         Permutation([v for v in mid if v < i], validate=False),
+                         Permutation([v - i - 1 for v in mid if v > i], validate=False),
                          validate=False)
 
 

@@ -169,26 +169,31 @@ def _word_contains_213(w: Sequence[int]) -> bool:
 
 
 def _word_contains_1324(w: Sequence[int]) -> bool:
-    # m132 = smallest "3"-value over 132 occurrences in the scanned prefix;
-    # a new value above it completes a 1324. O(n^2) worst case.
-    big = 1 << 62
-    m132 = big
-    vals: list[int] = []
-    premins: list[int] = []
-    curmin = big
-    for v in w:
-        if v > m132:
-            return True
-        best = m132
-        for j in range(len(vals)):
-            x = vals[j]
-            if v < x < best and premins[j] < v:
-                best = x
-        m132 = best
-        vals.append(v)
-        premins.append(curmin)
-        if v < curmin:
-            curmin = v
+    # An occurrence is an inversion w[b] > w[c] (b < c) with a value below
+    # w[c] somewhere before b and a value above w[b] somewhere after c. The
+    # prefix minimum and the suffix maxima answer both; the suffix maxima
+    # fall as c moves right, so each b stops at the first c that has
+    # nothing above w[b] after it. O(n^2) worst case.
+    n = len(w)
+    if n < 4:
+        return False
+    sufmax = [0] * n  # sufmax[c] = max(w[c + 1:]) for 0 < c < n - 1
+    top = w[-1]
+    for c in range(n - 2, 0, -1):
+        sufmax[c] = top
+        if w[c] > top:
+            top = w[c]
+    lo = w[0]
+    for b in range(1, n - 2):
+        x = w[b]
+        if x < lo:
+            lo = x
+            continue
+        for c in range(b + 1, n - 1):
+            if sufmax[c] < x:
+                break
+            if lo < w[c] < x:
+                return True
     return False
 
 

@@ -16,14 +16,19 @@ so the innermost factor carries the global maximum.
 
 The marked-tuple codec encodes the class-(2, k) avoiders that do not end
 in 1: delete the 1 (marking its right neighbour), factor the reduction
-into k primitives, and re-insert the 1 at the transported mark. Marks are
-tracked as position indices, never by value, since values shift under the
-product.
+into k primitives, and re-insert the 1 at the transported mark. Both
+directions are flat: the cuts (the 1, theta and the maximum) split the
+values into one block per factor, so the raw codec slices blocks once
+instead of splicing one factor at a time, and finds the marked entry by
+its value within its block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from operator import ge
 from typing import Sequence
 
 from .enumeration import PositionalClass, classify
@@ -57,11 +62,11 @@ def is_marked_component(p: Permutation) -> bool:
     return classify(p, validate=False) == PositionalClass(2, 1)
 
 
-# -- raw helpers on value tuples ---------------------------------------------
+# -- raw helpers on value sequences ------------------------------------------
 #
 # The verification sweeps run these over hundreds of thousands of members,
-# so they work on bare tuples and assume class membership was established
-# by the caller (the public wrappers validate).
+# so they work on bare value sequences and assume class membership was
+# established by the caller (the public wrappers validate).
 
 
 def _split_primitive(t: Sequence[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -81,119 +86,99 @@ def _odot_raw(t1: Sequence[int], t2: Sequence[int]) -> tuple[int, ...]:
             + tuple(v + d for v in t2[jm + 1:]) + tau1)
 
 
-def _odot_mark(t1: Sequence[int], t2: Sequence[int], mark: int,
-               in_left: bool) -> int:
-    """New 1-based position of a marked entry of t1 (in_left) or t2 after
-    the product. The mark may not sit on either factor's 1, which the
-    product replaces."""
-    pos1_left = t1.index(1) + 1
-    total = len(t1) + len(t2) - 1
-    if in_left:
-        if mark == pos1_left:
-            raise DomainError("mark may not sit on the 1 of a factor")
-        if mark <= pos1_left + 1:
-            return t2.index(1) + mark
-        return total - (len(t1) - mark)
-    pos1_right = t2.index(1) + 1
-    if mark == pos1_right:
-        raise DomainError("mark may not sit on the 1 of a factor")
-    if mark < pos1_right:
-        return mark
-    return mark + pos1_left
+def _factorize_raw(t: Sequence[int], mark: int = 0) -> tuple[list[list[int]], int, int]:
+    """Primitive factors of an avoider with 1 left of its maximum.
 
-
-def _factorize_raw(t: Sequence[int], mark: int = 0) -> tuple[list[tuple[int, ...]], int, int]:
-    """Primitive factors of an avoider with 1 left of its maximum, by
-    repeatedly splitting off the values up to min(theta). Raises DomainError
-    on structural violations (non-increasing theta, interleaved blocks),
-    which indicate the input is outside the class.
+    The 1, the run theta between the 1 and the maximum, and the maximum are
+    the cuts; factor r holds the values from cut r to cut r + 1 in their
+    order in t, reduced. Raises DomainError on structural violations
+    (theta not increasing, interleaved blocks), which indicate the input is
+    outside the class.
 
     A 1-based ``mark`` on an entry of t is carried along: the result is
     (factors, index of the factor holding the marked entry, its 1-based
     position there), or (factors, -1, 0) without a mark."""
-    factors: list[tuple[int, ...]] = []
-    marked = -1
-    cur = tuple(t)
-    while True:
-        size = len(cur)
-        i = cur.index(1)
-        j = cur.index(size)
-        if j <= i:
-            raise DomainError(f"{t}: maximum not right of 1")
-        if j == i + 1:
-            factors.append(cur)
-            if mark and marked < 0:
-                marked = len(factors) - 1
-            return factors, marked, mark
-        theta = cur[i + 1:j]
-        if any(a >= b for a, b in zip(theta, theta[1:])):
-            raise DomainError(f"{t}: segment between 1 and the maximum not increasing")
-        m = theta[0]
-        # prefix must be big-values block then small-values block
-        seen_small = False
-        for v in cur[:i]:
-            if v < m:
-                seen_small = True
-            elif seen_small:
-                raise DomainError(f"{t}: prefix blocks interleave around {m}")
-        seen_small = False
-        for v in cur[j + 1:]:
-            if v < m:
-                seen_small = True
-            elif seen_small:
-                raise DomainError(f"{t}: suffix blocks interleave around {m}")
-        if mark and marked < 0:
-            # the marked entry leaves with this factor or moves on with the rest
-            if cur[mark - 1] < m:
-                marked = len(factors)
-                mark = sum(1 for v in cur[:mark] if v <= m)
-            else:
-                mark = sum(1 for v in cur[:mark] if v >= m)
-        factors.append(tuple(v for v in cur if v <= m))
-        cur = tuple(v - m + 1 for v in cur if v >= m)
+    n = len(t)
+    i = t.index(1)
+    j = t.index(n)
+    if j <= i:
+        raise DomainError(f"{tuple(t)}: maximum not right of 1")
+    if j == i + 1:
+        return [list(t)], (0 if mark else -1), mark
+    cuts = t[i:j + 1]
+    if any(map(ge, cuts, cuts[1:])):
+        raise DomainError(f"{tuple(t)}: segment between 1 and the maximum not increasing")
+    # Bands are the value ranges between consecutive cuts. Splitting off one
+    # factor per cut needs, at every cut, the larger values of the prefix
+    # (and of the suffix) before the smaller ones: the band index may not
+    # rise along either stretch.
+    band = partial(bisect_right, cuts)
+    for stretch in (t[:i], t[j + 1:]):
+        bands = list(map(band, stretch))
+        if bands != sorted(bands, reverse=True):
+            raise DomainError(f"{tuple(t)}: blocks interleave around a cut")
+    factors = [[v - lo + 1 for v in t if lo <= v <= hi] for lo, hi in zip(cuts, cuts[1:])]
+    if not mark:
+        return factors, -1, 0
+    # the marked entry goes with the first factor whose top cut exceeds it
+    mv = t[mark - 1]
+    r = min(band(mv), len(factors)) - 1
+    return factors, r, factors[r].index(mv - cuts[r] + 1) + 1
 
 
-def _recompose_raw(factors: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    acc = tuple(factors[-1])
-    for f in reversed(factors[:-1]):
-        acc = _odot_raw(tuple(f), acc)
-    return acc
-
-
-def _encode_raw(sig: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
+def _encode_raw(sig: Sequence[int]) -> tuple[list[list[int]], int]:
     """Marked k-tuple (components, 0-based marked index) for a class-(2, k)
     avoider not ending in 1."""
+    if sig.index(len(sig)) == sig.index(2) + 1:
+        return [list(sig)], 0  # k = 1: the member is its own marked component
     # deleting the 1 slides its right neighbour into its slot, which is marked
-    comps, marked, pos = _factorize_raw(tuple(v - 1 for v in sig if v != 1),
+    comps, marked, pos = _factorize_raw([v - 1 for v in sig if v != 1],
                                         sig.index(1) + 1)
-    f = comps[marked]
-    comps[marked] = (tuple(v + 1 for v in f[:pos - 1]) + (1,)
-                     + tuple(v + 1 for v in f[pos - 1:]))
+    f = [v + 1 for v in comps[marked]]
+    f.insert(pos - 1, 1)
+    comps[marked] = f
     return comps, marked
 
 
-def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int) -> tuple[int, ...]:
-    """Inverse of _encode_raw: strip the 1 from the marked component, fold
-    right-nested while transporting the mark, then re-insert the 1."""
-    marked = tuple(comps[marked_idx])
-    i1 = marked.index(1)
-    mark = i1 + 1
-    stripped = tuple(v - 1 for v in marked if v != 1)
-    k = len(comps)
-    if marked_idx == k - 1:
-        acc, acc_mark = stripped, mark
-    else:
-        acc, acc_mark = tuple(comps[k - 1]), -1
-    for j in range(k - 2, -1, -1):
-        if j == marked_idx:
-            left, new_mark = stripped, _odot_mark(stripped, acc, mark, True)
-        else:
-            left = tuple(comps[j])
-            new_mark = _odot_mark(left, acc, acc_mark, False) if acc_mark > 0 else -1
-        acc = _odot_raw(left, acc)
-        acc_mark = new_mark
-    return (tuple(v + 1 for v in acc[:acc_mark - 1]) + (1,)
-            + tuple(v + 1 for v in acc[acc_mark - 1:]))
+def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[int, ...]:
+    """Right-nested product comps[0] . (comps[1] . (...)) of primitives,
+    assembled in one pass. Raise each component by the sizes less one of
+    the components before it; the result is then every component's
+    entries left of its 1, last component first, the cuts (1 and each
+    raised maximum), and every component's entries right of its maximum,
+    last component first.
+
+    With ``marked_idx``, that component is a marked component, and the
+    result is the class-(2, k) avoider the marked tuple encodes (the
+    inverse of _encode_raw): the component takes part without its 1, and
+    the 1 goes back before its right neighbour, every other value raised
+    by one."""
+    if len(comps) == 1:
+        return tuple(comps[0])  # a lone component, marked or not, is the result
+    lift = 1 if marked_idx >= 0 else 0
+    hi = sum(map(len, comps)) - len(comps) + 1 - lift  # top cut before the lift
+    pre: list[int] = []
+    cuts = [hi + lift]
+    suf: list[int] = []
+    for r in range(len(comps) - 1, -1, -1):
+        c = comps[r]
+        size = len(c)
+        marked = r == marked_idx
+        i = c.index(2 if marked else 1)
+        if c.index(size) != i + 1:
+            raise DomainError(f"component {tuple(c)} has no "
+                              f"{2 if marked else 1} adjacent-left of its maximum")
+        lo = hi - size + 1 + marked  # a marked component's 1 is not counted
+        shift = lo - 1 + lift - marked
+        pre += [v + shift for v in c[:i]]
+        tail = [v + shift for v in c[i + 2:]]
+        if marked:
+            tail[c.index(1) - i - 2] = 1
+        suf += tail
+        cuts.append(lo + lift)
+        hi = lo
+    cuts.reverse()
+    return tuple(pre + cuts + suf)
 
 
 # -- public surface -----------------------------------------------------------
@@ -232,7 +217,7 @@ class PrimitiveDecomposition:
         return tuple(len(f) for f in self.factors)
 
     def recompose(self) -> Permutation:
-        return Permutation(_recompose_raw([f.values for f in self.factors]),
+        return Permutation(_decode_raw([f.values for f in self.factors]),
                            validate=False)
 
 

@@ -16,6 +16,7 @@ from permpos.permutations import (
     reverse_complement,
     skew_sum_one,
     word_contains,
+    _word_contains_1324,
 )
 
 
@@ -141,6 +142,29 @@ class TestContainment:
                 for pat in pats:
                     assert word_contains(values, pat) == naive_contains(values, pat), \
                         (values, pat)
+
+    def test_1324_scan_edge_cases(self):
+        # short words, including the empty word enumerate_dominoes(0) passes
+        for n in range(4):
+            for values in permutations(range(1, n + 1)):
+                assert not _word_contains_1324(values)
+        assert not _word_contains_1324([])
+        # values need not be contiguous, and the scan must not stop early
+        cases = {
+            (10, 30, 20, 40): True,
+            (5, 50, 7, 60): True,
+            (2, 9, 4, 11, 1): True,
+            (30, 50, 10, 40, 20): False,
+            (40, 30, 20, 10): False,
+            (100, 1, 3, 2, 4): True,
+            (7, 3, 9, 8, 1, 6, 2, 5, 10): True,
+            (61, 2, 45, 17, 3, 1): False,
+            (20, 10, 40, 30): False,
+        }
+        for word, expected in cases.items():
+            assert naive_contains(word, (1, 3, 2, 4)) == expected, word
+            assert _word_contains_1324(word) == expected, word
+            assert _word_contains_1324(list(word)) == expected, word
 
     @given(distinct_words)
     def test_checkers_on_words(self, word):

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -13,6 +14,9 @@ from permpos.permutations import (
 )
 from permpos.products import (
     MarkedTuple,
+    _decode_raw,
+    _encode_raw,
+    _factorize_raw,
     contract_one,
     decode_tuple,
     encode_perm,
@@ -246,3 +250,152 @@ class TestMarkedTupleCodec:
                 t = encode_perm(p)
                 assert t.target_size == n
                 assert decode_tuple(t) == p
+
+
+# -- the step-by-step codec, kept as the reference for the flat one --------
+#
+# A copy of the codec as it stood before the flat rewrite: split off one
+# primitive per element of theta, re-checking theta and both interleave
+# conditions at every split, and decode by one splice product at a time
+# while carrying the mark as a position.
+
+
+def _ref_factorize(t, mark=0):
+    factors = []
+    marked = -1
+    cur = tuple(t)
+    while True:
+        size = len(cur)
+        i = cur.index(1)
+        j = cur.index(size)
+        if j <= i:
+            raise DomainError("maximum not right of 1")
+        if j == i + 1:
+            factors.append(cur)
+            if mark and marked < 0:
+                marked = len(factors) - 1
+            return factors, marked, mark
+        theta = cur[i + 1:j]
+        if any(a >= b for a, b in zip(theta, theta[1:])):
+            raise DomainError("theta not increasing")
+        m = theta[0]
+        for block in (cur[:i], cur[j + 1:]):
+            seen_small = False
+            for v in block:
+                if v < m:
+                    seen_small = True
+                elif seen_small:
+                    raise DomainError("blocks interleave")
+        if mark and marked < 0:
+            if cur[mark - 1] < m:
+                marked = len(factors)
+                mark = sum(1 for v in cur[:mark] if v <= m)
+            else:
+                mark = sum(1 for v in cur[:mark] if v >= m)
+        factors.append(tuple(v for v in cur if v <= m))
+        cur = tuple(v - m + 1 for v in cur if v >= m)
+
+
+def _ref_encode(sig):
+    comps, marked, pos = _ref_factorize(tuple(v - 1 for v in sig if v != 1),
+                                        sig.index(1) + 1)
+    f = comps[marked]
+    comps[marked] = (tuple(v + 1 for v in f[:pos - 1]) + (1,)
+                     + tuple(v + 1 for v in f[pos - 1:]))
+    return comps, marked
+
+
+def _ref_odot(t1, t2):
+    i = t1.index(1)
+    if t1.index(len(t1)) != i + 1:
+        raise DomainError("left factor not primitive")
+    m = len(t1)
+    j = t2.index(1)
+    jm = t2.index(len(t2))
+    d = m - 1
+    return (tuple(v + d for v in t2[:j]) + tuple(t1[:i]) + (1, m)
+            + tuple(v + d for v in t2[j + 1:jm]) + (len(t2) + d,)
+            + tuple(v + d for v in t2[jm + 1:]) + tuple(t1[i + 2:]))
+
+
+def _ref_odot_mark(t1, t2, mark, in_left):
+    pos1_left = t1.index(1) + 1
+    total = len(t1) + len(t2) - 1
+    if in_left:
+        if mark == pos1_left:
+            raise DomainError("mark on the 1 of a factor")
+        if mark <= pos1_left + 1:
+            return t2.index(1) + mark
+        return total - (len(t1) - mark)
+    pos1_right = t2.index(1) + 1
+    if mark == pos1_right:
+        raise DomainError("mark on the 1 of a factor")
+    if mark < pos1_right:
+        return mark
+    return mark + pos1_left
+
+
+def _ref_decode(comps, marked_idx):
+    marked = tuple(comps[marked_idx])
+    mark = marked.index(1) + 1
+    stripped = tuple(v - 1 for v in marked if v != 1)
+    k = len(comps)
+    if marked_idx == k - 1:
+        acc, acc_mark = stripped, mark
+    else:
+        acc, acc_mark = tuple(comps[k - 1]), -1
+    for j in range(k - 2, -1, -1):
+        if j == marked_idx:
+            left, new_mark = stripped, _ref_odot_mark(stripped, acc, mark, True)
+        else:
+            left = tuple(comps[j])
+            new_mark = _ref_odot_mark(left, acc, acc_mark, False) if acc_mark > 0 else -1
+        acc = _ref_odot(left, acc)
+        acc_mark = new_mark
+    return (tuple(v + 1 for v in acc[:acc_mark - 1]) + (1,)
+            + tuple(v + 1 for v in acc[acc_mark - 1:]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+class TestFlatCodecMatchesStepByStep:
+    def test_encode_and_decode_on_every_candidate(self):
+        # every permutation of size <= 8 with 2 left of its maximum and 1
+        # right of it, not ending in 1, avoiders or not
+        seen = raised = 0
+        for n in range(4, 9):
+            for sig in permutations(range(1, n + 1)):
+                top = sig.index(n)
+                if not sig.index(2) < top < sig.index(1) < n - 1:
+                    continue
+                seen += 1
+                ref = _outcome(_ref_encode, sig)
+                got = _outcome(_encode_raw, sig)
+                if ref is DomainError:
+                    assert got is DomainError, sig
+                    raised += 1
+                    continue
+                comps, marked = got
+                assert ([tuple(c) for c in comps], marked) == ref, sig
+                assert _decode_raw(comps, marked) == _ref_decode(*ref) == sig
+        assert seen and 0 < raised < seen
+
+    def test_factorize_and_recompose_on_every_candidate(self):
+        # every permutation of size <= 8 with 1 left of its maximum
+        for n in range(2, 9):
+            for t in permutations(range(1, n + 1)):
+                if t.index(1) > t.index(n):
+                    continue
+                ref = _outcome(_ref_factorize, t)
+                got = _outcome(_factorize_raw, t)
+                if ref is DomainError:
+                    assert got is DomainError, t
+                    continue
+                factors, marked, pos = got
+                assert ([tuple(f) for f in factors], marked, pos) == ref, t
+                assert _decode_raw(factors) == t

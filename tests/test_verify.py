@@ -1,14 +1,16 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
 import permpos.verify
 from permpos.cli import main
-from permpos.enumeration import count_tables
+from permpos.enumeration import _walk, count_tables
 from permpos.permutations import DomainError
 from permpos.verify import (
     SUITES,
+    _explicit_codec_check,
     run_suites,
     suite_gidentity,
     suite_prop1,
@@ -86,3 +88,59 @@ def test_suite_exception_is_a_failing_report(monkeypatch, capsys):
     monkeypatch.undo()
     others = [r.identity for r in run_suites(SUITES, max_n=6) if r.identity not in clean]
     assert [r["identity"] for r in reports if r["pass"]] == others
+
+
+def _codec_report(reports):
+    return next(r for r in reports if r.identity == "marked-tuple-codec")
+
+
+def test_codec_failures_do_not_depend_on_worker_count(monkeypatch):
+    # with every roundtrip broken, far more than ten members fail; each part
+    # keeps its smallest failures, so one worker and two (the tree split at
+    # n = 9; the forked workers see the patch) report the same ten members,
+    # smallest first
+    def mismatch(comps, idx):
+        return ()
+
+    monkeypatch.setattr(permpos.verify, "_decode_raw", mismatch)
+    tables = count_tables(9)
+    runs = []
+    for workers in (1, 2):
+        codec = _codec_report(suite_thm3(9, 9, tables, workers=workers))
+        assert not codec.passed
+        runs.append({k: v for k, v in codec.to_json_dict().items() if k != "millis"})
+    assert runs[0] == runs[1]
+    smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
+                      key=lambda v: (len(v), v))[:10]
+    assert runs[0]["residual"] == [[len(v), 0, "1"] for v in smallest]
+
+
+def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tables8):
+    not1_sets = {}
+    for n, _, k, v, _ in _walk(4, 8, 2):
+        if v[-1] != 1:
+            not1_sets.setdefault((n, k), set()).add(v)
+    assert _explicit_codec_check(8, not1_sets) is None
+
+    # a decoder that sends every tuple of size 7 with three components to
+    # the image of the first one
+    real = permpos.verify.decode_tuple
+    first = {}
+
+    def broken(t, validate=True):
+        sigma = real(t, validate)
+        if t.k == 3 and t.target_size == 7:
+            return first.setdefault("image", sigma)
+        return sigma
+
+    monkeypatch.setattr(permpos.verify, "decode_tuple", broken)
+    assert _explicit_codec_check(8, not1_sets) == (7, 3)
+    codec = _codec_report(suite_thm3(8, 8, tables8))
+    assert not codec.passed
+    assert codec.residual == [(7, 3, Fraction(1))]
+
+    # a member the walk produced but no tuple decodes to
+    monkeypatch.undo()
+    missing = {key: set(members) for key, members in not1_sets.items()}
+    missing[(6, 2)].add((6, 5, 4, 3, 2, 1))
+    assert _explicit_codec_check(8, missing) == (6, 2)

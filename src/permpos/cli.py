@@ -13,7 +13,7 @@ import json
 import sys
 
 from .dominoes import enumerate_dominoes, to_domino
-from .enumeration import DESK_MAX_N, DESK_OPT_IN_MAX_N, count_tables
+from .enumeration import COUNT_MAX_N, DESK_MAX_N, DESK_OPT_IN_MAX_N, count_tables
 from .genfun import (
     f_series,
     g1_series,
@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="persist/reuse count tables (opt-in)")
         p.add_argument("--threads", type=int, default=1, metavar="T",
-                       help="worker count for enumeration sweeps (0 = auto)")
+                       help="worker count for the thm3 codec scan (0 = auto); "
+                            "count tables are always built in one process")
 
     p = sub.add_parser("count", help="class counts and totals")
     p.add_argument("--n", type=int, required=True)
@@ -84,18 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_max_n(parser: argparse.ArgumentParser, max_n: int) -> None:
-    if not 1 <= max_n <= DESK_OPT_IN_MAX_N:
-        parser.error(f"--max-n must be in 1..{DESK_OPT_IN_MAX_N} "
-                     f"({DESK_OPT_IN_MAX_N} is opt-in desk scale)")
+def _check_max_n(parser: argparse.ArgumentParser, flag: str, value: int,
+                 top: int) -> None:
+    if not 1 <= value <= top:
+        parser.error(f"{flag} must be in 1..{top}")
 
 
 def _cmd_count(args, parser) -> int:
-    if args.n < 1:
-        parser.error("--n must be >= 1")
+    _check_max_n(parser, "--n", args.n, COUNT_MAX_N)
     if (args.a is None) != (args.k is None):
         parser.error("--a and --k must be given together")
-    _check_max_n(parser, args.n)
     tables = count_tables(args.n, workers=args.threads, cache_dir=args.cache_dir)
     table = tables[args.n]
     if args.a is not None:
@@ -189,9 +188,7 @@ def _print_bivariate(b: BivariateSeries, fmt: str | None) -> None:
 
 
 def _cmd_series(args, parser) -> int:
-    if args.order < 1:
-        parser.error("--order must be >= 1")
-    _check_max_n(parser, args.order)
+    _check_max_n(parser, "--order", args.order, COUNT_MAX_N)
     if args.which == "f":
         _print_series(f_series(args.order), args.format)
         return 0
@@ -216,7 +213,7 @@ def _cmd_series(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    _check_max_n(parser, args.max_n)
+    _check_max_n(parser, "--max-n", args.max_n, DESK_OPT_IN_MAX_N)
     if args.a is not None and args.a < 1:
         parser.error("--a must be >= 1")
     names = SUITES if args.suite == "all" else (args.suite,)

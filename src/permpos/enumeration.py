@@ -1,7 +1,7 @@
 """Brute-force enumeration oracles for 1324-avoiding permutations.
 
-Two independent generation routes are provided and cross-checked in the
-test suite:
+Two independent generation routes and one counting route are provided and
+cross-checked in the test suite:
 
 * :func:`generate_avoiders` backtracks position by position, trying values
   in increasing order and pruning every prefix that already contains the
@@ -16,11 +16,13 @@ test suite:
   stack walk over the tree that streams members (with their class and
   bound) for every caller: :func:`iter_class_members`,
   :func:`count_ending_with_one`, the parallel seed list and the
-  verification suites. :func:`count_tables` counts the same tree with
-  :func:`_expand_count`, which never builds member tuples at the last
-  level. :func:`_fan_out` is the one helper that splits either sweep over
-  worker processes by subtree. This is what makes exact classification
-  feasible at desk scale (n = 11 in seconds, n = 12 opt-in).
+  verification suites. :func:`_fan_out` splits a walk over worker
+  processes by subtree; only the thm3 codec scan uses it.
+
+* :func:`count_tables` counts the tree in one process without visiting it
+  node by node: nodes with alike subtrees merge into one state with a
+  multiplicity (Marinov & Radoicic, "Counting 1324-avoiding permutations",
+  EJC 2003), so exact tables to n = 13 take seconds.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -47,6 +49,7 @@ _BIG = 1 << 62
 
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
+COUNT_MAX_N = 13  # count tables alone, without walking the members
 _SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
 _ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
 
@@ -170,61 +173,6 @@ def _generate_generic(n: int, pattern: Permutation) -> Iterator[Permutation]:
 #     smaller entry turns any later larger entry into a 132.
 
 
-def _expand_count(sig: list[int], L: int, size: int, max_n: int,
-                  counts: dict, totals: list[int]) -> None:
-    child_n = size + 1
-    totals[child_n] += L + 1
-    if child_n == max_n:
-        cget = counts.get
-        pm = sig[0]
-        pmpos = 1
-        for p in range(2, L + 2):
-            v = sig[p - 2]
-            if v < pm:
-                pm = v
-                pmpos = p - 1
-            key = (child_n, pm, p - pmpos)
-            counts[key] = cget(key, 0) + 1
-        return
-    _expand_count([child_n] + sig, L + 1 if L + 1 < child_n else child_n,
-                  child_n, max_n, counts, totals)
-    cget = counts.get
-    pm = sig[0]
-    pmpos = 1
-    for p in range(2, L + 2):
-        v = sig[p - 2]
-        if v < pm:
-            pm = v
-            pmpos = p - 1
-        key = (child_n, pm, p - pmpos)
-        counts[key] = cget(key, 0) + 1
-        if p <= size and sig[p - 1] > pm:
-            F = p
-        else:
-            F = child_n
-            for q in range(p, size):
-                if sig[q] > pm:
-                    F = q + 1
-                    break
-        Lc = L + 1 if L + 1 < F else F
-        if Lc > child_n:
-            Lc = child_n
-        _expand_count(sig[:p - 1] + [child_n] + sig[p - 1:], Lc,
-                      child_n, max_n, counts, totals)
-
-
-def _count_subtrees(job: tuple[list[tuple[tuple[int, ...], int]], int]) -> tuple[dict, list[int]]:
-    """Class counts and per-size totals of the descendants of the given
-    roots up to size max_n; a _fan_out worker."""
-    roots, max_n = job
-    counts: dict = {}
-    totals = [0] * (max_n + 1)
-    for sig, L in roots:
-        if len(sig) < max_n:
-            _expand_count(list(sig), L, len(sig), max_n, counts, totals)
-    return counts, totals
-
-
 def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = None,
           root: tuple[tuple[int, ...], int] = _ROOT
           ) -> Iterator[tuple[int, Optional[int], Optional[int], tuple[int, ...], Optional[int]]]:
@@ -317,6 +265,58 @@ def _add_counts(into: dict, part: dict) -> None:
         into[key] = into.get(key, 0) + c
 
 
+# -- state-merged counting ---------------------------------------------------
+#
+# A node's subtree depends only on its size, its bound L and its first
+# min(L+1, size) entries, since no child reads past entry L+1. Of those the
+# rule above reads each prefix minimum's value and, for any other entry x,
+# which prefix minima lie below x. A state is the bytes L, then the entries:
+# a prefix minimum as its value, any other x as _ABOVE + the largest earlier
+# prefix minimum below x. So pm is the running minimum of the codes, x is
+# above pm iff its code is >= _ABOVE + pm, and the maximum inserted at
+# p >= 2 is coded _ABOVE + entry 1. Equal states merge, with a multiplicity.
+
+_ABOVE = 128  # above every value, so sizes stay below it
+
+
+def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
+                  totals: list[int], merged: Optional[dict]) -> None:
+    """Count the children of a state of the given size, ``mult`` times each:
+    into ``totals``, and into ``runs[n][a][K]`` once per prefix minimum a
+    followed by K children of class a. Below size max_n, file each child in
+    ``merged``, or expand it depth-first when that is None."""
+    L = state[0]
+    child_n = size + 1
+    totals[child_n] += (L + 1) * mult
+    row = runs[child_n]
+    pm, pmpos = state[1], 1
+    for q in range(2, L + 1):
+        if state[q] < pm:
+            row[pm][q - pmpos] += mult
+            pm, pmpos = state[q], q
+    row[pm][L + 1 - pmpos] += mult
+    if child_n == max_n:
+        return
+    new_max = bytes((_ABOVE + state[1],))
+    children = [bytes((L + 1, child_n)) + state[1:]]
+    pm = state[1]
+    for p in range(2, L + 2):
+        if state[p - 1] < pm:
+            pm = state[p - 1]
+        above = _ABOVE + pm
+        Lc = L + 1
+        for q in range(p, len(state)):
+            if state[q] >= above:
+                Lc = q
+                break
+        children.append(bytes((Lc,)) + state[1:p] + new_max + state[p:Lc + 1])
+    for child in children:
+        if merged is None:
+            _expand_state(child, child_n, mult, max_n, runs, totals, None)
+        else:
+            merged[child] = merged.get(child, 0) + mult
+
+
 # -- exact class-count tables ------------------------------------------------
 
 
@@ -371,17 +371,18 @@ def _cache_path(cache_dir: Path, n: int) -> Path:
 
 def count_tables(max_n: int, workers: int = 1,
                  cache_dir: str | os.PathLike | None = None) -> dict[int, ClassCountTable]:
-    """Exact class-count tables for every 1 <= n <= max_n, from one sweep
-    of the generating tree.
+    """Exact class-count tables for every 1 <= n <= max_n, from one
+    state-merged count of the generating tree in this process.
 
-    workers=0 means one per CPU; any worker count yields identical tables
-    (merging is plain integer addition over disjoint subtrees). With a
-    cache directory, tables are loaded when every size is present and
-    persisted after recomputation; cache files are byte-identical to a
-    fresh recomputation.
+    The count runs in one process whatever ``workers`` is; the argument is
+    still validated (0 means one per CPU), since callers pass the worker
+    count they give the thm3 codec scan. With a cache directory, tables are
+    loaded when every size is present and persisted after recomputation;
+    cache files are byte-identical to a fresh recomputation.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    if not 1 <= max_n < _ABOVE:
+        raise ValueError(f"max_n must be in 1..{_ABOVE - 1}")
+    _resolve_workers(workers)
     if cache_dir is not None:
         paths = [_cache_path(Path(cache_dir), n) for n in range(1, max_n + 1)]
         if all(p.is_file() for p in paths):
@@ -393,19 +394,25 @@ def count_tables(max_n: int, workers: int = 1,
                 tables[n] = table
             return tables
 
-    counts: dict = {}
-    totals = [0] * (max_n + 1)
-    totals[1] = 1
-    for part_counts, part_totals in _fan_out(_count_subtrees, max_n, workers):
-        _add_counts(counts, part_counts)
-        for n, t in enumerate(part_totals):
-            totals[n] += t
-
-    per_n: dict[int, dict[tuple[int, int], int]] = {n: {} for n in range(1, max_n + 1)}
-    for (n, a, k), c in counts.items():
-        per_n[n][(a, k)] = c
-    tables = {n: ClassCountTable(n=n, total=totals[n], counts=per_n[n])
-              for n in range(1, max_n + 1)}
+    runs = [[[0] * (max_n + 2) for _ in range(max_n + 1)] for _ in range(max_n + 1)]
+    totals = [0, 1] + [0] * (max_n - 1)
+    # states are merged level by level up to size max_n - 3 and each of those
+    # is expanded depth-first, so no level of size max_n - 2 or more is held
+    level = {bytes((1, 1)): 1}  # the root: L = 1, the entry 1
+    top = min(max(1, max_n - 3), max_n - 1)
+    for size in range(1, top + 1):
+        merged = {} if size < top else None
+        for state, mult in level.items():
+            _expand_state(state, size, mult, max_n, runs, totals, merged)
+        level = merged
+    tables = {}
+    for n in range(1, max_n + 1):
+        counts = {}
+        for a, row in enumerate(runs[n]):
+            for k in range(max_n, 0, -1):  # class k: every run of length >= k
+                row[k] += row[k + 1]
+            counts.update(((a, k), c) for k, c in enumerate(row) if c and k)
+        tables[n] = ClassCountTable(n=n, total=totals[n], counts=counts)
 
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)

@@ -70,9 +70,6 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return TruncatedSeries(order, self.coeffs[:order + 1])
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         return TruncatedSeries(order, tuple(
@@ -190,13 +187,6 @@ class BivariateSeries:
     def from_univariate(cls, s: TruncatedSeries, torder: int) -> "BivariateSeries":
         return cls.from_rows([[c] for c in s.coeffs], s.order, torder)
 
-    @classmethod
-    def t_monomial(cls, exponent: int, xorder: int, torder: int) -> "BivariateSeries":
-        rows = [[0] * (torder + 1) for _ in range(xorder + 1)]
-        if exponent <= torder:
-            rows[0][exponent] = 1
-        return cls.from_rows(rows, xorder, torder)
-
     def coeff(self, n: int, k: int) -> Fraction:
         if not (0 <= n <= self.xorder and 0 <= k <= self.torder):
             raise ValueError(f"coefficient ({n},{k}) beyond truncation "
@@ -208,9 +198,6 @@ class BivariateSeries:
             raise ValueError("cannot extend truncation orders")
         return BivariateSeries(xorder, torder, tuple(
             row[:torder + 1] for row in self.coeffs[:xorder + 1]))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
 
     def _common(self, other: "BivariateSeries") -> tuple[int, int]:
         return min(self.xorder, other.xorder), min(self.torder, other.torder)

@@ -15,20 +15,21 @@ oracle and returns IdentityReports with exact residuals. Suites:
                 generator).
 * conjecture -- the three expansion forms for a in {3, 4}, inputs from
                 brute force, residuals reported in full.
-* gidentity  -- the total-count partition identity.
+* gidentity  -- the total-count partition identity and OEIS A061552 totals.
 
 Every member-level check streams its members from the one generating-tree
 walk, ``enumeration._walk``. The codec sweep at large n is the expensive
-part; it walks every size in one pass and is split over workers by the same
-fan-out helper as the counting sweep, ``enumeration._fan_out``, so any
-worker count produces identical reports (timings aside). Members the walk
-produced are not validated again: the codec and the domino map run with
-``validate=False``, and the checks compare their images with the walk and
-the domino oracle. At n = 11 on one worker the codec check takes about
-7.9 s and the domino check about 3.0 s of a 14 s ``verify --suite all``
-run (medians of six runs on a shared 2-core Linux machine, Python
-3.11.7). A suite that raises is reported as one failing report that names
-the suite and the exception, and the suites after it still run.
+part; it walks every size in one pass and is the one step split over
+workers (by ``enumeration._fan_out``; count tables are built in one
+process), so any worker count produces identical reports (timings aside).
+Members the walk produced are not validated again: the codec and the
+domino map run with ``validate=False``, and the checks compare their
+images with the walk and the domino oracle. At n = 11 on one worker the
+codec check took about 7.9 s and the domino check about 3.0 s of
+``verify --suite all`` (medians of six runs on a shared 2-core Linux
+machine, Python 3.11.7). A suite that raises is reported as one failing
+report that names the suite and the exception, and the suites after it
+still run.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .genfun import (
     t2k_series,
     t_ak_bruteforce,
 )
-from .permutations import reverse_complement
+from .permutations import DomainError, reverse_complement
 from .products import (
     MarkedTuple,
     _decode_raw,
@@ -203,7 +204,8 @@ def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]
                           ) -> Optional[tuple[int, int]]:
     """Decode every valid marked tuple of target size <= max_n and check the
     image is exactly the class members not ending in 1, with encode as a
-    two-sided inverse. Returns the first (n, k) that disagrees, or None.
+    two-sided inverse. Returns the first (n, k) that disagrees, or None; a
+    roundtrip that raises DomainError is a disagreement too.
 
     The components come from the tree walk, so they are valid by
     construction and the codec runs without re-validating them; the set
@@ -225,8 +227,11 @@ def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]
                          for i, s in enumerate(sizes)]
                 for combo in itertools.product(*pools):
                     t = MarkedTuple(tuple(combo), slot + 1)
-                    sigma = decode_tuple(t, validate=False)
-                    if sigma.values in decoded or encode_perm(sigma, validate=False) != t:
+                    try:
+                        sigma = decode_tuple(t, validate=False)
+                        if sigma.values in decoded or encode_perm(sigma, validate=False) != t:
+                            return n, k
+                    except DomainError:  # an image outside the domain disagrees
                         return n, k
                     decoded.add(sigma.values)
         if decoded != expected:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import permpos.cli
 from permpos.cli import build_parser, main
 
 
@@ -58,6 +59,28 @@ class TestCount:
         code, out2, _ = run_cli(capsys, "count", "--n", "6",
                                 "--cache-dir", str(tmp_path), "--format", "csv")
         assert out1 == out2
+
+
+def test_count_and_series_accept_thirteen(capsys, monkeypatch):
+    # verify keeps its cap of 12 (see TestVerify); the table-only commands
+    # take 13, here with stand-in tables so that nothing is counted
+    from permpos.enumeration import ClassCountTable
+
+    def fake_tables(max_n, workers=1, cache_dir=None):
+        return {n: ClassCountTable(n=n, total=n, counts={(3, 3): 7 * n})
+                for n in range(1, max_n + 1)}
+
+    monkeypatch.setattr(permpos.cli, "count_tables", fake_tables)
+    assert run_cli(capsys, "count", "--n", "13")[1].strip() == "13"
+    assert run_cli(capsys, "count", "--n", "13", "--a", "3", "--k", "3")[1].strip() == "91"
+    code, out, _ = run_cli(capsys, "series", "--which", "t", "--a", "3", "--k", "3",
+                           "--order", "13", "--format", "json")
+    assert code == 0 and json.loads(out)["coeffs"][13] == "91"
+    for argv in (["count", "--n", "14"], ["series", "--which", "f", "--order", "14"],
+                 ["count", "--n", "0"], ["series", "--which", "f", "--order", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestFactor:

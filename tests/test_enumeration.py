@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from permpos import enumeration
 from permpos.enumeration import (
     _SEED_SIZE,
     _fan_out,
@@ -143,6 +144,51 @@ class TestCountTables:
         for n in range(1, 12):
             assert redo[n].total == tables11[n].total
             assert redo[n].counts == tables11[n].counts
+
+    def test_states_match_the_walk(self):
+        # the node-by-node walk, tallied by class, is the oracle for n <= 10
+        totals = Counter({1: 1})
+        classes = Counter()
+        for n, a, k, _, _ in _walk(2, 10):
+            totals[n] += 1
+            if a is not None:
+                classes[(n, a, k)] += 1
+        for max_n in range(1, 11):
+            tables = count_tables(max_n)
+            assert sorted(tables) == list(range(1, max_n + 1))
+            for n, table in tables.items():
+                assert table.n == n and table.total == totals[n]
+                assert table.counts == {(a, k): c for (m, a, k), c in classes.items()
+                                        if m == n}
+
+    def test_states_match_the_lex_generator(self):
+        tables = count_tables(9)
+        for n in range(1, 10):
+            avoiders = list(generate_avoiders(n))
+            assert tables[n].total == len(avoiders)
+            assert tables[n].counts == Counter(
+                classify(p, validate=False) for p in avoiders if p.values[0] != n)
+
+    def test_totals_to_twelve_are_oeis_a061552(self):
+        a061552 = [1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112,
+                   25431452]
+        tables = count_tables(12)
+        assert [tables[n].total for n in range(1, 13)] == a061552
+
+    def test_no_level_past_max_n_minus_3_is_held(self, monkeypatch):
+        # states are merged only up to size max_n - 3; below that every
+        # state is expanded depth-first without a merged level
+        filed = []
+        real = enumeration._expand_state
+
+        def spy(state, size, mult, max_n, runs, totals, merged):
+            if merged is not None:
+                filed.append(size + 1)
+            real(state, size, mult, max_n, runs, totals, merged)
+
+        monkeypatch.setattr(enumeration, "_expand_state", spy)
+        assert count_tables(10)[10].total == 591950
+        assert max(filed) == 7
 
     def test_key_bounds(self, tables8):
         for n in range(1, 9):

@@ -180,6 +180,24 @@ class TestConjectureAndGIdentity:
         assert r.passed
         assert g_identity_check(4, tables8).passed
 
+    def test_g_identity_catches_a_total_the_partition_misses(self, tables8):
+        # the top total and one class count off by one together keep the
+        # partition identity; only the OEIS A061552 comparison sees it
+        import copy
+        from fractions import Fraction
+        bad = copy.deepcopy(tables8)
+        bad[8].total += 1
+        bad[8].counts[(1, 1)] += 1
+        r = g_identity_check(8, bad)
+        assert not r.passed
+        assert r.residual == [(8, 1, Fraction(1))]
+        assert r.to_json_dict()["params"] == {"order": 8}
+        # a total off by one alone also breaks the partition at n and n + 1
+        bad = copy.deepcopy(tables8)
+        bad[6].total += 1
+        assert g_identity_check(8, bad).residual == [
+            (6, 0, Fraction(1)), (7, 0, Fraction(-1)), (6, 1, Fraction(1))]
+
 
 class TestIntegrality:
     def test_assembled_series_are_integral(self):

@@ -7,7 +7,7 @@ import pytest
 import permpos.verify
 from permpos.cli import main
 from permpos.enumeration import _walk, count_tables
-from permpos.permutations import DomainError
+from permpos.permutations import Permutation
 from permpos.verify import (
     SUITES,
     _explicit_codec_check,
@@ -75,14 +75,14 @@ def test_suite_exception_is_a_failing_report(monkeypatch, capsys):
     clean = [r.identity for r in suite_thm3(6, 9, count_tables(6))]
 
     def broken(*args, **kwargs):
-        raise DomainError("simulated codec defect")
+        raise RuntimeError("simulated codec defect")
 
-    monkeypatch.setattr(permpos.verify, "encode_perm", broken)
+    monkeypatch.setattr(permpos.verify, "_codec_scan", broken)
     assert main(["verify", "--suite", "all", "--max-n", "6", "--format", "json"]) == 1
     reports = json.loads(capsys.readouterr().out)
     failed = [r for r in reports if not r["pass"]]
     assert [r["identity"] for r in failed] == ["thm3"]
-    assert failed[0]["params"]["error"] == "DomainError"
+    assert failed[0]["params"]["error"] == "RuntimeError"
     assert failed[0]["params"]["message"] == "simulated codec defect"
     # the suites after thm3 still ran
     monkeypatch.undo()
@@ -144,3 +144,22 @@ def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tab
     missing = {key: set(members) for key, members in not1_sets.items()}
     missing[(6, 2)].add((6, 5, 4, 3, 2, 1))
     assert _explicit_codec_check(8, missing) == (6, 2)
+
+
+def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
+    # reversing every size-7, k = 3 image gives permutations encode rejects;
+    # that is a codec disagreement at (7, 3), not a thm3 crash
+    real = permpos.verify.decode_tuple
+
+    def reversed_image(t, validate=True):
+        sigma = real(t, validate)
+        if t.k == 3 and t.target_size == 7:
+            return Permutation(sigma.values[::-1], validate=False)
+        return sigma
+
+    monkeypatch.setattr(permpos.verify, "decode_tuple", reversed_image)
+    reports = run_suites(["thm3"], max_n=8, max_k=8)
+    assert [r.identity for r in reports] == [
+        "a2-series-expansion", "g2-two-routes", "marked-tuple-codec"]
+    assert reports[0].passed and reports[1].passed
+    assert _codec_report(reports).residual == [(7, 3, Fraction(1))]

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: count, factor, domino, series, verify. Output is plain text
-by default, with --format json/csv for machine-readable payloads. Counts
-are emitted as decimal strings to avoid width limits. Exit codes: 0 ok,
-1 a verification suite failed, 2 usage error.
+Subcommands: count, factor, domino, series, verify; each takes only the
+flags it reads. Output is plain text by default; --format json (and csv on
+count, factor and series) is machine-readable, with counts as decimal
+strings. --cache-dir goes with the commands that build count tables and
+--threads with verify's thm3 codec scan, the one step split over workers.
+Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,31 +38,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default=None,
+    def add_output(p: argparse.ArgumentParser, *formats: str,
+                   cache_dir: bool = False) -> None:
+        p.add_argument("--format", choices=formats, default=None,
                        help="machine-readable output format")
-        p.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="persist/reuse count tables (opt-in)")
-        p.add_argument("--threads", type=int, default=1, metavar="T",
-                       help="worker count for the thm3 codec scan (0 = auto); "
-                            "count tables are always built in one process")
+        if cache_dir:
+            p.add_argument("--cache-dir", default=None, metavar="PATH",
+                           help="persist/reuse count tables (opt-in)")
 
     p = sub.add_parser("count", help="class counts and totals")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    add_common(p)
+    add_output(p, "json", "csv", cache_dir=True)
 
     p = sub.add_parser("factor", help="primitive factorization")
     p.add_argument("perm", help="permutation, e.g. 1243 or 1,2,4,3")
-    add_common(p)
+    add_output(p, "json", "csv")
 
     p = sub.add_parser("domino", help="domino correspondence")
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--count", action="store_true",
                    help="print only the number of dominoes")
     p.add_argument("--perm", default=None, help="primitive to convert")
-    add_common(p)
+    add_output(p, "json")
 
     p = sub.add_parser("series", help="generating-function coefficients")
     p.add_argument("--which", type=str.lower, required=True,
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--order", type=int, default=DESK_MAX_N)
     p.add_argument("--max-k", type=int, default=9, dest="max_k")
-    add_common(p)
+    add_output(p, "json", "csv", cache_dir=True)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
@@ -80,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the conjecture suite to one a")
     p.add_argument("--strict", action="store_true",
                    help="stop at the first failing identity")
-    add_common(p)
+    p.add_argument("--threads", type=int, default=1, metavar="T",
+                   help="worker count for the thm3 codec scan (0 = auto)")
+    add_output(p, "json", cache_dir=True)
 
     return parser
 
@@ -95,7 +98,7 @@ def _cmd_count(args, parser) -> int:
     _check_max_n(parser, "--n", args.n, COUNT_MAX_N)
     if (args.a is None) != (args.k is None):
         parser.error("--a and --k must be given together")
-    tables = count_tables(args.n, workers=args.threads, cache_dir=args.cache_dir)
+    tables = count_tables(args.n, cache_dir=args.cache_dir)
     table = tables[args.n]
     if args.a is not None:
         c = table.count(args.a, args.k)
@@ -205,8 +208,7 @@ def _cmd_series(args, parser) -> int:
     elif args.a == 2:
         s = t2k_series(args.k, args.order)
     else:
-        tables = count_tables(args.order, workers=args.threads,
-                              cache_dir=args.cache_dir)
+        tables = count_tables(args.order, cache_dir=args.cache_dir)
         s = t_ak_bruteforce(args.a, args.k, args.order, tables)
     _print_series(s, args.format)
     return 0
@@ -214,8 +216,6 @@ def _cmd_series(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     _check_max_n(parser, "--max-n", args.max_n, DESK_OPT_IN_MAX_N)
-    if args.a is not None and args.a < 1:
-        parser.error("--a must be >= 1")
     names = SUITES if args.suite == "all" else (args.suite,)
     reports = run_suites(names, max_n=args.max_n, max_k=args.max_k,
                          workers=args.threads, cache_dir=args.cache_dir,
@@ -241,16 +241,10 @@ def _cmd_verify(args, parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"count": _cmd_count, "factor": _cmd_factor, "domino": _cmd_domino,
+                "series": _cmd_series, "verify": _cmd_verify}
     try:
-        if args.command == "count":
-            return _cmd_count(args, parser)
-        if args.command == "factor":
-            return _cmd_factor(args, parser)
-        if args.command == "domino":
-            return _cmd_domino(args, parser)
-        if args.command == "series":
-            return _cmd_series(args, parser)
-        return _cmd_verify(args, parser)
+        return commands[args.command](args, parser)
     except (DomainError, InvalidWordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

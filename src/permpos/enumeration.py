@@ -374,11 +374,12 @@ def count_tables(max_n: int, workers: int = 1,
     """Exact class-count tables for every 1 <= n <= max_n, from one
     state-merged count of the generating tree in this process.
 
-    The count runs in one process whatever ``workers`` is; the argument is
-    still validated (0 means one per CPU), since callers pass the worker
-    count they give the thm3 codec scan. With a cache directory, tables are
-    loaded when every size is present and persisted after recomputation;
-    cache files are byte-identical to a fresh recomputation.
+    The count runs in one process whatever ``workers`` is. The argument is
+    unused but still validated (0 means one per CPU), because the benchmark
+    harness perfbench/run.py passes it; the CLI and run_suites do not.
+    With a cache directory, tables are loaded when every size is present
+    and persisted after recomputation; cache files are byte-identical to a
+    fresh recomputation.
     """
     if not 1 <= max_n < _ABOVE:
         raise ValueError(f"max_n must be in 1..{_ABOVE - 1}")

@@ -133,11 +133,6 @@ def skew_sum_one(p: Permutation) -> Permutation:
 # test suite.
 
 
-def _word_contains_21(w: Sequence[int]) -> bool:
-    # an inversion exists iff an adjacent descent exists
-    return any(a > b for a, b in zip(w, w[1:]))
-
-
 def _word_contains_132(w: Sequence[int]) -> bool:
     # right-to-left scan; `third` is the largest value popped below a later
     # (i.e. further-left) larger value, hence a valid "2" of an occurrence.
@@ -210,7 +205,6 @@ def _word_contains_generic(w: Sequence[int], pat: Sequence[int]) -> bool:
 
 
 _SPECIALIZED = {
-    (2, 1): _word_contains_21,
     (1, 3, 2): _word_contains_132,
     (2, 1, 3): _word_contains_213,
     (1, 3, 2, 4): _word_contains_1324,
@@ -229,10 +223,6 @@ def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     fast = _SPECIALIZED.get(key)
     if fast is not None:
         return fast(word)
-    if key == (1, 2):
-        return any(a < b for a, b in zip(word, word[1:]))
-    if len(key) == 1:
-        return len(word) > 0
     return _word_contains_generic(word, key)
 
 

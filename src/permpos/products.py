@@ -12,7 +12,8 @@ where hatted blocks have every entry raised by m - 1. Every avoider with 1
 left of its maximum factors uniquely into primitives under this product;
 the number of factors equals the position distance from 1 to the maximum.
 Recomposition is right-nested -- sigma_1 . (sigma_2 . (... . sigma_k)) --
-so the innermost factor carries the global maximum.
+so the innermost factor carries the global maximum. ``odot`` factors its
+right operand and recomposes in the one pass that ``recompose`` uses.
 
 The marked-tuple codec encodes the class-(2, k) avoiders that do not end
 in 1: delete the 1 (marking its right neighbour), factor the reduction
@@ -67,23 +68,6 @@ def is_marked_component(p: Permutation) -> bool:
 # The verification sweeps run these over hundreds of thousands of members,
 # so they work on bare value sequences and assume class membership was
 # established by the caller (the public wrappers validate).
-
-
-def _split_primitive(t: Sequence[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    i = t.index(1)
-    if t.index(len(t)) != i + 1:
-        raise DomainError(f"{t} is not primitive: 1 not adjacent-left of the maximum")
-    return tuple(t[:i]), len(t), tuple(t[i + 2:])
-
-
-def _odot_raw(t1: Sequence[int], t2: Sequence[int]) -> tuple[int, ...]:
-    pi1, m, tau1 = _split_primitive(t1)
-    j = t2.index(1)
-    jm = t2.index(len(t2))
-    d = m - 1
-    return (tuple(v + d for v in t2[:j]) + pi1 + (1, m)
-            + tuple(v + d for v in t2[j + 1:jm]) + (len(t2) + d,)
-            + tuple(v + d for v in t2[jm + 1:]) + tau1)
 
 
 def _factorize_raw(t: Sequence[int], mark: int = 0) -> tuple[list[list[int]], int, int]:
@@ -193,12 +177,16 @@ def _require_one_left_of_max(p: Permutation, who: str) -> PositionalClass:
 
 def odot(p1: Permutation, p2: Permutation, validate: bool = True) -> Permutation:
     """Splice product of a primitive p1 with an avoider p2 whose 1 is left
-    of its maximum. If p2 is in class (1, k), the result is in (1, k+1)."""
+    of its maximum. If p2 is in class (1, k), the result is in (1, k+1).
+
+    Computed as the right-nested product of p1 and p2's factors, so even
+    without validation an operand of the wrong shape raises DomainError."""
     if validate:
         if not is_primitive(p1):
             raise DomainError(f"left factor {p1!r} is not primitive")
         _require_one_left_of_max(p2, "right factor")
-    return Permutation(_odot_raw(p1.values, p2.values), validate=False)
+    return Permutation(_decode_raw([p1.values] + _factorize_raw(p2.values)[0]),
+                       validate=False)
 
 
 @dataclass(frozen=True)

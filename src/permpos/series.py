@@ -80,9 +80,6 @@ class TruncatedSeries:
         return TruncatedSeries(order, tuple(
             self.coeffs[i] - other.coeffs[i] for i in range(order + 1)))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return self.scale(-1)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
@@ -99,11 +96,6 @@ class TruncatedSeries:
     def scale(self, c: Scalar) -> "TruncatedSeries":
         c = _frac(c)
         return TruncatedSeries(self.order, tuple(c * x for x in self.coeffs))
-
-    def __rmul__(self, c: Scalar) -> "TruncatedSeries":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:

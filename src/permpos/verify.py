@@ -43,6 +43,7 @@ from .dominoes import enumerate_dominoes, from_domino, to_domino
 from .enumeration import (
     _add_counts,
     _fan_out,
+    _resolve_workers,
     _walk,
     Permutation,
     count_tables,
@@ -79,6 +80,7 @@ _ACCOUNTING_MAX_N = 9   # exhaustive insert-a-1 accounting
 _EXPLICIT_MAX_N = 9     # exhaustive two-sided codec enumeration
 _DOMINO_MAX_POINTS = 8
 _MAX_WITNESSES = 10     # failing members a codec report names
+_CONJECTURE_K_MAX = 6   # the conjecture suite checks a <= k <= 6
 
 
 def _witness_order(values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -124,13 +126,12 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
     residual = []
     for n in range(3, acc_max + 1):
         for k in range(1, n - 1):
-            seen: dict[tuple[int, ...], Permutation] = {}
+            seen: set[tuple[int, ...]] = set()
             gap_sum = 0
             ok = True
             for parent in (Permutation(v, validate=False)
                            for _, _, _, v, _ in _walk(n - 1, n - 1, 1, k)):
                 size = n - 1
-                i_stat = parent.values.index(1)
                 j_stat = size - 1 - parent.values.index(size)
                 rc = reverse_complement(parent)
                 if rc.values.index(1) != j_stat:
@@ -142,7 +143,7 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
                 for child in children:
                     if child.values in seen:
                         ok = False
-                    seen[child.values] = parent
+                    seen.add(child.values)
                     if contract_one(child, validate=False) != parent:
                         ok = False
             if not ok or gap_sum != tables[n].count(2, k) or len(seen) != gap_sum:
@@ -213,9 +214,9 @@ def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]
     prims: dict[int, list[Permutation]] = {
         m: [Permutation(v, validate=False) for _, _, _, v, _ in _walk(m, m, 1, 1)]
         for m in range(2, max_n)}
+    # the marked components: class-(2, 1) members not ending in 1
     marked: dict[int, list[Permutation]] = {
-        m: [Permutation(v, validate=False) for _, _, _, v, _ in _walk(m, m, 2, 1)
-            if v[-1] != 1]
+        m: [Permutation(v, validate=False) for v in not1_sets.get((m, 1), ())]
         for m in range(4, max_n + 1)}
     for (n, k), expected in sorted(not1_sets.items()):
         decoded: set[tuple[int, ...]] = set()
@@ -363,7 +364,7 @@ def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
 
 
 def suite_conjecture(max_n: int, tables: Tables, a_values: Sequence[int] = (3, 4),
-                     k_max: int = 6) -> list[IdentityReport]:
+                     k_max: int = _CONJECTURE_K_MAX) -> list[IdentityReport]:
     return [conjecture_check(a, k, max_n, tables)
             for a in a_values for k in range(a, k_max + 1)]
 
@@ -377,12 +378,18 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
                fail_fast: bool = False,
                conjecture_a: Optional[int] = None,
                tables: Optional[Tables] = None) -> list[IdentityReport]:
-    """Run the named suites in a fixed order and return all reports."""
+    """Run the named suites in a fixed order and return all reports. A bad
+    argument raises ValueError before any suite runs."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if max_k < 0:
+        raise ValueError("max_k must be >= 0")
+    if conjecture_a is not None and not 1 <= conjecture_a <= _CONJECTURE_K_MAX:
+        raise ValueError(f"conjecture a must be in 1..{_CONJECTURE_K_MAX}")
+    _resolve_workers(workers)
     if tables is None:
-        tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
+        tables = count_tables(max_n, cache_dir=cache_dir)
     a_values = (3, 4) if conjecture_a is None else (conjecture_a,)
     calls = {
         "thm1": lambda: suite_thm1(max_n, tables),

@@ -35,15 +35,6 @@ class TestCount:
         assert payload["total"] == "23"
         assert {"a": 1, "k": 3, "count": "1"} in payload["counts"]
 
-    def test_determinism_across_workers(self, capsys):
-        outs = []
-        for threads in ("1", "2"):
-            code, out, _ = run_cli(capsys, "count", "--n", "8",
-                                   "--format", "csv", "--threads", threads)
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
-
     def test_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "0"])
@@ -199,3 +190,37 @@ class TestVerify:
     def test_strict_flag_parses(self):
         args = build_parser().parse_args(["verify", "--strict", "--suite", "thm2"])
         assert args.strict is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-k", "-1"],
+        ["--suite", "conjecture", "--a", "9"],
+        ["--suite", "conjecture", "--a", "0"],
+        ["--threads", "-1"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        # checked before any suite runs: no report is printed
+        code, out, err = run_cli(capsys, "verify", "--max-n", "5", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["factor", "12", "--threads", "1"],
+        ["factor", "12", "--cache-dir", "X"],
+        ["domino", "--points", "2", "--cache-dir", "X"],
+        ["domino", "--points", "2", "--threads", "1"],
+        ["domino", "--points", "2", "--format", "csv"],
+        ["verify", "--format", "csv"],
+        ["count", "--n", "4", "--threads", "2"],
+        ["series", "--which", "f", "--threads", "2"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_benchmark_verify_argv_parses(self):
+        args = build_parser().parse_args(["verify", "--suite", "all", "--max-n", "11",
+                                          "--threads", "0", "--format", "json"])
+        assert (args.suite, args.max_n, args.threads, args.format) == \
+            ("all", 11, 0, "json")

@@ -78,6 +78,12 @@ class TestOdot:
         with pytest.raises(DomainError):
             odot(perm("12"), perm("1324"))  # right factor not an avoider
 
+    def test_unvalidated_right_factor_outside_class(self):
+        # the product factors its right operand, so a wrong shape raises
+        # instead of splicing a word that is not a permutation
+        with pytest.raises(DomainError):
+            odot(perm("12"), perm("21"), validate=False)
+
     def test_closure_exhaustive(self):
         # primitives of size <= 6 against class members of size <= 6
         prims = [p for m in range(2, 7) for p in iter_class_members(m, 1, 1)]

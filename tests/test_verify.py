@@ -39,6 +39,13 @@ def test_unknown_suite_rejected(tables8):
         run_suites(("nope",), max_n=6, tables=tables8)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_k": -1}, {"conjecture_a": 7}, {"conjecture_a": 0}, {"workers": -1}])
+def test_bad_arguments_raise_before_any_suite(tables8, kwargs):
+    with pytest.raises(ValueError):
+        run_suites(SUITES, max_n=8, tables=tables8, **kwargs)
+
+
 def test_corrupted_counts_are_detected(broken_tables):
     r1 = suite_thm1(8, broken_tables)
     assert not all(r.passed for r in r1)

@@ -4,7 +4,8 @@ Subcommands: count, factor, domino, series, verify; each takes only the
 flags it reads. Output is plain text by default; --format json (and csv on
 count, factor and series) is machine-readable, with counts as decimal
 strings. --cache-dir goes with the commands that build count tables and
---threads with verify's thm3 codec scan, the one step split over workers.
+--threads with verify, whose count tables, thm3 codec scan and prop1
+domino map are split over workers.
 Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
 """
 
@@ -78,11 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=DESK_MAX_N, dest="max_n")
     p.add_argument("--max-k", type=int, default=9, dest="max_k")
     p.add_argument("--a", type=int, default=None,
-                   help="restrict the conjecture suite to one a")
+                   help="restrict the conjecture suite to one a (only with "
+                        "--suite all or conjecture)")
     p.add_argument("--strict", action="store_true",
                    help="stop at the first failing identity")
     p.add_argument("--threads", type=int, default=1, metavar="T",
-                   help="worker count for the thm3 codec scan (0 = auto)")
+                   help="worker count for the count tables, the thm3 codec "
+                        "scan and the prop1 domino map (0 = auto)")
     add_output(p, "json", cache_dir=True)
 
     return parser

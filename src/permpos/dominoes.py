@@ -16,6 +16,7 @@ the oracle side for verifying the correspondence.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .permutations import (
@@ -131,24 +132,28 @@ def from_domino(d: GriddedDomino) -> Permutation:
     return result
 
 
+@lru_cache(maxsize=None)
+def _cell_words(size: int) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
+    """The 132-avoiding bottom words and 213-avoiding top words of one
+    size, built once per size for every enumerate_dominoes call."""
+    from .enumeration import generate_avoiders
+
+    return (tuple(generate_avoiders(size, Permutation((1, 3, 2)))),
+            tuple(generate_avoiders(size, Permutation((2, 1, 3)))))
+
+
 def enumerate_dominoes(p: int) -> Iterator[GriddedDomino]:
     """All valid dominoes with p points, each once, generated directly from
     the definition (tag vectors x avoiding cell words, filtered on the
     underlying permutation) -- independent of to_domino/from_domino.
     """
-    from .enumeration import generate_avoiders
-
     if p < 0:
         raise ValueError("p must be >= 0")
-    pat132 = Permutation((1, 3, 2))
-    pat213 = Permutation((2, 1, 3))
-    bottoms = {size: list(generate_avoiders(size, pat132)) for size in range(p + 1)}
-    tops = {size: list(generate_avoiders(size, pat213)) for size in range(p + 1)}
     for mask in range(1 << p):
         cols = tuple("b" if mask & (1 << c) else "t" for c in range(p))
         b = cols.count("b")
-        for bw in bottoms[b]:
-            for tw in tops[p - b]:
+        for bw in _cell_words(b)[0]:
+            for tw in _cell_words(p - b)[1]:
                 d = GriddedDomino(cols, bw, tw, validate=False)
                 if not _word_contains_1324(d._underlying_values()):
                     yield d

@@ -16,13 +16,18 @@ cross-checked in the test suite:
   stack walk over the tree that streams members (with their class and
   bound) for every caller: :func:`iter_class_members`,
   :func:`count_ending_with_one`, the parallel seed list and the
-  verification suites. :func:`_fan_out` splits a walk over worker
-  processes by subtree; only the thm3 codec scan uses it.
+  verification suites.
 
-* :func:`count_tables` counts the tree in one process without visiting it
-  node by node: nodes with alike subtrees merge into one state with a
-  multiplicity (Marinov & Radoicic, "Counting 1324-avoiding permutations",
-  EJC 2003), so exact tables to n = 13 take seconds.
+* :func:`count_tables` counts the tree without visiting it node by node:
+  nodes with alike subtrees merge into one state with a multiplicity
+  (Marinov & Radoicic, "Counting 1324-avoiding permutations", EJC 2003),
+  so exact tables to n = 13 take seconds.
+
+:func:`_fan_out` is the one parallel helper: it runs a module-level worker
+over chunks of roots in one Pool, a root being a subtree seed (the thm3
+codec scan and the domino map walk below theirs) or a merged count state
+(the count expands those depth-first). Parts merge by addition, so every
+worker count gives the same result.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -33,16 +38,17 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .permutations import (
     PATTERN_1324,
     DomainError,
     Permutation,
+    _containment_scan,
     _word_contains_1324,
-    word_contains,
 )
 
 _BIG = 1 << 62
@@ -51,6 +57,7 @@ DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
 COUNT_MAX_N = 13  # count tables alone, without walking the members
 _SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
+_CHUNKS_PER_WORKER = 16  # fan-out chunks per worker, to shorten the idle tail
 _ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
 
 
@@ -139,6 +146,8 @@ def _generate_1324(n: int) -> Iterator[Permutation]:
 
 def _generate_generic(n: int, pattern: Permutation) -> Iterator[Permutation]:
     pat = pattern.values
+    # a prefix has distinct values, so the pattern's scan applies directly
+    contains = _containment_scan(pat)
     prefix: list[int] = []
     used = [False] * (n + 1)
 
@@ -150,7 +159,7 @@ def _generate_generic(n: int, pattern: Permutation) -> Iterator[Permutation]:
             if used[v]:
                 continue
             prefix.append(v)
-            if len(prefix) < len(pat) or not word_contains(prefix, pat):
+            if len(prefix) < len(pat) or not contains(prefix):
                 used[v] = True
                 yield from rec(depth + 1)
                 used[v] = False
@@ -235,29 +244,62 @@ def _resolve_workers(workers: int) -> int:
     return workers if workers else (os.cpu_count() or 1)
 
 
-def _fan_out(subtrees: Callable[[tuple[list, int]], object], max_n: int,
-             workers: int) -> list:
-    """Run ``subtrees((roots, top))`` over the tree to size max_n and return
-    the parts; one call covers the descendants of its roots up to size top.
-
-    With one worker, or a tree no deeper than _SEED_SIZE + 1, that is one
-    call from the root. Otherwise it is one call from the root to size
-    _SEED_SIZE plus one call per chunk of the size-_SEED_SIZE nodes, run in
-    a Pool; ``subtrees`` must then be a module-level function. The parts
-    cover disjoint subtrees, so callers that merge them by addition get the
-    same result for every worker count.
-    """
+def _split_workers(workers: int, max_n: int) -> int:
+    """Resolved worker count for a stage over the tree to size max_n: one
+    when the tree is no deeper than _SEED_SIZE + 1, too small for a Pool to
+    pay off."""
     workers = _resolve_workers(workers)
-    if workers <= 1 or max_n <= _SEED_SIZE + 1:
-        return [subtrees(([_ROOT], max_n))]
+    return workers if max_n > _SEED_SIZE + 1 else 1
+
+
+def _tree_roots(max_n: int, workers: int) -> list:
+    """(node, top) roots whose walks to size top together cover the tree to
+    size max_n, each member once: the root alone for one worker, otherwise
+    the root down to size _SEED_SIZE plus every size-_SEED_SIZE node, in a
+    fixed order."""
+    if workers <= 1:
+        return [(_ROOT, max_n)]
     # walked one size deeper than the seeds so that each carries its bound
-    seeds = [(v, L) for n, _, _, v, L in _walk(_SEED_SIZE, _SEED_SIZE + 1) if n == _SEED_SIZE]
-    nchunks = min(len(seeds), workers * 4)
-    chunks = [(seeds[i::nchunks], max_n) for i in range(nchunks)]
-    parts = [subtrees(([_ROOT], _SEED_SIZE))]
-    with Pool(workers) as pool:
-        parts.extend(pool.imap_unordered(subtrees, chunks))
-    return parts
+    return [(_ROOT, _SEED_SIZE)] + [((v, L), max_n) for n, _, _, v, L
+                                    in _walk(_SEED_SIZE, _SEED_SIZE + 1) if n == _SEED_SIZE]
+
+
+# The Pool initializer stores the stage's context here, once in each worker
+# process; the parent passes it to the worker as an argument instead.
+_worker_context = None
+
+
+def _set_worker_context(context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _run_chunk(worker: Callable, roots: list):
+    return worker(roots, _worker_context)
+
+
+def _fan_out(worker: Callable[[Iterable, object], object], roots: Iterable,
+             workers: int, context=None) -> list:
+    """Run ``worker(chunk, context)`` over chunks of ``roots`` and return
+    the parts, one per chunk, in completion order.
+
+    A root is whatever the worker expands: a (node, top) generating-tree
+    seed from _tree_roots, or a merged count state. With one worker that is
+    a single call in this process on ``roots`` as given, so an iterable is
+    never listed. Otherwise the roots are listed and dealt round-robin
+    into about _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a
+    long tail, and run in one Pool; ``worker`` must then be a module-level
+    function, and the Pool initializer hands ``context`` to each worker
+    process once. Chunks are disjoint, so callers that merge the parts by
+    addition get the same result for every worker count.
+    """
+    if workers <= 1:
+        return [worker(roots, context)]
+    roots = list(roots)
+    nchunks = min(len(roots), workers * _CHUNKS_PER_WORKER)
+    chunks = [roots[i::nchunks] for i in range(nchunks)]
+    with Pool(workers, initializer=_set_worker_context, initargs=(context,)) as pool:
+        return list(pool.imap_unordered(partial(_run_chunk, worker), chunks))
 
 
 def _add_counts(into: dict, part: dict) -> None:
@@ -317,6 +359,23 @@ def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
             merged[child] = merged.get(child, 0) + mult
 
 
+def _count_arrays(max_n: int) -> tuple[list, list[int]]:
+    """Zeroed ``runs[n][a][K]`` and ``totals[n]`` for sizes up to max_n."""
+    return ([[[0] * (max_n + 2) for _ in range(max_n + 1)] for _ in range(max_n + 1)],
+            [0] * (max_n + 1))
+
+
+def _count_worker(roots: Iterable, context: tuple[int, int]) -> tuple[list, list[int]]:
+    """Expand (state, multiplicity) roots of one size depth-first to size
+    max_n, for context (size, max_n); a _fan_out worker. Returns the
+    chunk's runs and totals."""
+    size, max_n = context
+    runs, totals = _count_arrays(max_n)
+    for state, mult in roots:
+        _expand_state(state, size, mult, max_n, runs, totals, None)
+    return runs, totals
+
+
 # -- exact class-count tables ------------------------------------------------
 
 
@@ -372,18 +431,18 @@ def _cache_path(cache_dir: Path, n: int) -> Path:
 def count_tables(max_n: int, workers: int = 1,
                  cache_dir: str | os.PathLike | None = None) -> dict[int, ClassCountTable]:
     """Exact class-count tables for every 1 <= n <= max_n, from one
-    state-merged count of the generating tree in this process.
+    state-merged count of the generating tree.
 
-    The count runs in one process whatever ``workers`` is. The argument is
-    unused but still validated (0 means one per CPU), because the benchmark
-    harness perfbench/run.py passes it; the CLI and run_suites do not.
-    With a cache directory, tables are loaded when every size is present
-    and persisted after recomputation; cache files are byte-identical to a
-    fresh recomputation.
+    The merged level of size max_n - 3 is split over ``workers`` processes
+    (0 means one per CPU) when max_n > _SEED_SIZE + 1; with one worker, or
+    on a cache hit, everything runs in this process. Every worker count
+    gives the same tables. With a cache directory, tables are loaded when
+    every size is present and persisted after recomputation; cache files
+    are byte-identical to a fresh recomputation.
     """
     if not 1 <= max_n < _ABOVE:
         raise ValueError(f"max_n must be in 1..{_ABOVE - 1}")
-    _resolve_workers(workers)
+    workers = _split_workers(workers, max_n)
     if cache_dir is not None:
         paths = [_cache_path(Path(cache_dir), n) for n in range(1, max_n + 1)]
         if all(p.is_file() for p in paths):
@@ -395,17 +454,25 @@ def count_tables(max_n: int, workers: int = 1,
                 tables[n] = table
             return tables
 
-    runs = [[[0] * (max_n + 2) for _ in range(max_n + 1)] for _ in range(max_n + 1)]
-    totals = [0, 1] + [0] * (max_n - 1)
-    # states are merged level by level up to size max_n - 3 and each of those
-    # is expanded depth-first, so no level of size max_n - 2 or more is held
+    runs, totals = _count_arrays(max_n)
+    totals[1] = 1
+    # states are merged level by level up to size top = max_n - 3 and each
+    # of those is expanded depth-first, so no level of size max_n - 2 or more
+    # is held
     level = {bytes((1, 1)): 1}  # the root: L = 1, the entry 1
     top = min(max(1, max_n - 3), max_n - 1)
-    for size in range(1, top + 1):
-        merged = {} if size < top else None
+    for size in range(1, top):
+        merged: dict = {}
         for state, mult in level.items():
             _expand_state(state, size, mult, max_n, runs, totals, merged)
         level = merged
+    if top >= 1:
+        for part_runs, part_totals in _fan_out(_count_worker, level.items(),
+                                               workers, (top, max_n)):
+            for n in range(top + 1, max_n + 1):
+                totals[n] += part_totals[n]
+                runs[n] = [[x + y for x, y in zip(row, part_row)]
+                           for row, part_row in zip(runs[n], part_runs[n])]
     tables = {}
     for n in range(1, max_n + 1):
         counts = {}

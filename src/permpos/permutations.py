@@ -13,8 +13,9 @@ permutations with :func:`reduce_word`.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InvalidWordError(ValueError):
@@ -211,6 +212,12 @@ _SPECIALIZED = {
 }
 
 
+def _containment_scan(pattern: tuple[int, ...]) -> Callable[[Sequence[int]], bool]:
+    """The scan that tests words of distinct integers for a reduced,
+    non-empty pattern."""
+    return _SPECIALIZED.get(pattern) or partial(_word_contains_generic, pat=pattern)
+
+
 def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of ``word`` has the relative order of
     ``pattern``. Both arguments are words of distinct integers.
@@ -220,10 +227,7 @@ def word_contains(word: Sequence[int], pattern: Sequence[int]) -> bool:
     key = reduce_word(pattern).values
     if len(set(word)) != len(word):
         raise InvalidWordError(f"word has duplicate values: {tuple(word)}")
-    fast = _SPECIALIZED.get(key)
-    if fast is not None:
-        return fast(word)
-    return _word_contains_generic(word, key)
+    return _containment_scan(key)(word)
 
 
 def contains_pattern(p: Permutation, pattern: Permutation) -> bool:

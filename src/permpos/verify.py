@@ -19,17 +19,17 @@ oracle and returns IdentityReports with exact residuals. Suites:
 
 Every member-level check streams its members from the one generating-tree
 walk, ``enumeration._walk``. The codec sweep at large n is the expensive
-part; it walks every size in one pass and is the one step split over
-workers (by ``enumeration._fan_out``; count tables are built in one
-process), so any worker count produces identical reports (timings aside).
-Members the walk produced are not validated again: the codec and the
-domino map run with ``validate=False``, and the checks compare their
-images with the walk and the domino oracle. At n = 11 on one worker the
-codec check took about 7.9 s and the domino check about 3.0 s of
-``verify --suite all`` (medians of six runs on a shared 2-core Linux
-machine, Python 3.11.7). A suite that raises is reported as one failing
-report that names the suite and the exception, and the suites after it
-still run.
+part; it walks every size in one pass. It, the domino map and the count
+tables are split over workers by ``enumeration._fan_out``, whose parts
+merge by addition, so any worker count produces identical reports
+(timings aside). Members the walk produced are not validated again: the
+codec and the domino map run with ``validate=False``, and the checks
+compare their images with the walk and the domino oracle. At n = 11 on a
+shared 2-core Linux machine (Python 3.11.7) the codec check took a median
+6.0 s at one worker and 4.0 s at two in three ``verify --suite all``
+runs, and ``suite_prop1`` 1.8 s and 1.3 s in four calls. A suite that
+raises is reported as one failing report that names the suite and the
+exception, and the suites after it still run.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .enumeration import (
     _add_counts,
     _fan_out,
     _resolve_workers,
+    _split_workers,
+    _tree_roots,
     _walk,
     Permutation,
     count_tables,
@@ -172,9 +174,10 @@ def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional
         not1[key] = not1.get(key, 0) + 1
         try:
             comps, idx = _encode_raw(values)
-            if _decode_raw(comps, idx) != values:
-                raise ValueError("roundtrip mismatch")
-        except Exception:
+            ok = _decode_raw(comps, idx) == values
+        except DomainError:  # a codec that rejects a member fails on it
+            ok = False
+        if not ok:
             # keep the smallest failures, whatever order the walk visits them
             failures.append(values)
             if len(failures) > _MAX_WITNESSES:
@@ -182,12 +185,11 @@ def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional
     return not1, last1, failures
 
 
-def _codec_worker(job):
-    """_codec_scan over the a = 2 members below the given roots up to size
-    top; a _fan_out worker."""
-    roots, top = job
+def _codec_worker(roots, context):
+    """_codec_scan over the a = 2 members below each (node, top) root; a
+    _fan_out worker."""
     return _codec_scan(itertools.chain.from_iterable(
-        _walk(3, top, 2, root=root) for root in roots))
+        _walk(3, top, 2, root=node) for node, top in roots))
 
 
 def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -270,7 +272,9 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     not1: dict[tuple[int, int], int] = {}
     last1: dict[tuple[int, int], int] = {}
     failures: list[tuple[int, ...]] = []
-    for part_not1, part_last1, part_failures in _fan_out(_codec_worker, max_n, workers):
+    workers = _split_workers(workers, max_n)
+    for part_not1, part_last1, part_failures in _fan_out(
+            _codec_worker, _tree_roots(max_n, workers), workers):
         _add_counts(not1, part_not1)
         _add_counts(last1, part_last1)
         failures.extend(part_failures)
@@ -319,28 +323,43 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     return reports
 
 
-def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
-    start = time.monotonic()
-    max_points = min(max_n - 2, _DOMINO_MAX_POINTS)
-    residual = []
-    domino_counts: dict[int, int] = {}
-    for p in range(0, max_points + 1):
-        n = p + 2
-        images: set[str] = set()
-        ok = True
-        for _, _, _, v, _ in _walk(n, n, 1, 1):
+def _domino_worker(roots, oracle: dict[int, frozenset]):
+    """Map every primitive below each (node, top) root to its domino; a
+    _fan_out worker. Returns ({p: primitives mapped}, {p: some primitive
+    with p + 2 points fails from_domino(to_domino) or maps outside
+    ``oracle[p]``})."""
+    mapped: dict[int, int] = {}
+    bad: set[int] = set()
+    for node, top in roots:
+        for n, _, _, v, _ in _walk(2, top, 1, 1, root=node):
             # primitive by construction; from_domino's primitivity check on
             # the way back is the assertion
             sigma = Permutation(v, validate=False)
             d = to_domino(sigma, validate=False)
-            key = d.to_text()
-            if key in images or from_domino(d) != sigma:
-                ok = False
-            images.add(key)
-        generated = {d.to_text() for d in enumerate_dominoes(p)}
-        domino_counts[p] = len(generated)
-        if not ok or images != generated:
-            residual.append((p, 0, Fraction(1)))
+            p = n - 2
+            mapped[p] = mapped.get(p, 0) + 1
+            if from_domino(d) != sigma or d.to_text() not in oracle[p]:
+                bad.add(p)
+    return mapped, bad
+
+
+def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityReport]:
+    start = time.monotonic()
+    max_points = min(max_n - 2, _DOMINO_MAX_POINTS)
+    # from_domino as a left inverse makes the map injective, so images
+    # inside the oracle that are as many as the oracle are all of it
+    oracle = {p: frozenset(d.to_text() for d in enumerate_dominoes(p))
+              for p in range(max_points + 1)}
+    mapped: dict[int, int] = {}
+    bad: set[int] = set()
+    workers = _split_workers(workers, max_points + 2)
+    for part_mapped, part_bad in _fan_out(
+            _domino_worker, _tree_roots(max_points + 2, workers), workers, oracle):
+        _add_counts(mapped, part_mapped)
+        bad |= part_bad
+    domino_counts = {p: len(images) for p, images in oracle.items()}
+    residual = [(p, 0, Fraction(1)) for p in range(max_points + 1)
+                if p in bad or mapped.get(p, 0) != domino_counts[p]]
     reports = [_report("primitive-domino-bijection",
                        {"max_points": max_points}, residual, start)]
 
@@ -387,15 +406,17 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
         raise ValueError("max_k must be >= 0")
     if conjecture_a is not None and not 1 <= conjecture_a <= _CONJECTURE_K_MAX:
         raise ValueError(f"conjecture a must be in 1..{_CONJECTURE_K_MAX}")
+    if conjecture_a is not None and "conjecture" not in names:
+        raise ValueError("conjecture a is read only by the conjecture suite")
     _resolve_workers(workers)
     if tables is None:
-        tables = count_tables(max_n, cache_dir=cache_dir)
+        tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
     a_values = (3, 4) if conjecture_a is None else (conjecture_a,)
     calls = {
         "thm1": lambda: suite_thm1(max_n, tables),
         "thm2": lambda: suite_thm2(max_n, tables),
         "thm3": lambda: suite_thm3(max_n, max_k, tables, workers=workers),
-        "prop1": lambda: suite_prop1(max_n, tables),
+        "prop1": lambda: suite_prop1(max_n, tables, workers=workers),
         "conjecture": lambda: suite_conjecture(max_n, tables, a_values=a_values),
         "gidentity": lambda: suite_gidentity(max_n, tables),
     }

@@ -196,6 +196,7 @@ class TestVerify:
         ["--suite", "conjecture", "--a", "9"],
         ["--suite", "conjecture", "--a", "0"],
         ["--threads", "-1"],
+        ["--suite", "thm1", "--a", "3"],
     ])
     def test_bad_arguments_are_usage_errors(self, capsys, argv):
         # checked before any suite runs: no report is printed

@@ -8,6 +8,7 @@ from permpos import enumeration
 from permpos.enumeration import (
     _SEED_SIZE,
     _fan_out,
+    _tree_roots,
     _walk,
     ClassCountTable,
     PositionalClass,
@@ -44,10 +45,11 @@ def lex_members(sizes, a=None, k=None):
     return out
 
 
-def members_below(job):
-    """Every (n, a, k, values) below the given roots; a _fan_out worker."""
-    roots, top = job
-    return Counter((n, a, k, v) for root in roots for n, a, k, v, _ in _walk(2, top, root=root))
+def members_below(roots, context):
+    """Every (n, a, k, values) below the given (node, top) roots; a _fan_out
+    worker."""
+    return Counter((n, a, k, v) for node, top in roots
+                   for n, a, k, v, _ in _walk(2, top, root=node))
 
 
 class TestGenerateAvoiders:
@@ -144,6 +146,25 @@ class TestCountTables:
         for n in range(1, 12):
             assert redo[n].total == tables11[n].total
             assert redo[n].counts == tables11[n].counts
+
+    def test_split_count_is_byte_identical(self, monkeypatch):
+        # n = 10 is past _SEED_SIZE + 1, so more than one worker splits the
+        # merged level; the spy shows the Pool path ran
+        real = enumeration._fan_out
+        parts = []
+
+        def spy(worker, roots, workers, context=None):
+            out = real(worker, roots, workers, context)
+            parts.append(len(out))
+            return out
+
+        monkeypatch.setattr(enumeration, "_fan_out", spy)
+        texts = []
+        for workers in (1, 2, 3):
+            tables = count_tables(10, workers=workers)
+            texts.append([tables[n].to_jsonl() for n in range(1, 11)])
+        assert texts[0] == texts[1] == texts[2]
+        assert parts[0] == 1 and parts[1] > 1 and parts[2] > 1
 
     def test_states_match_the_walk(self):
         # the node-by-node walk, tallied by class, is the oracle for n <= 10
@@ -248,7 +269,7 @@ class TestWalk:
     def test_fan_out_parts_cover_the_tree_once(self):
         # n = 9 is past _SEED_SIZE + 1, so two workers split the tree
         assert 9 > _SEED_SIZE + 1
-        parts = _fan_out(members_below, 9, 2)
+        parts = _fan_out(members_below, _tree_roots(9, 2), 2)
         assert len(parts) > 1
         assert sum(parts, Counter()) == lex_members(range(2, 10))
 

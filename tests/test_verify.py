@@ -6,6 +6,7 @@ import pytest
 
 import permpos.verify
 from permpos.cli import main
+from permpos.dominoes import to_domino
 from permpos.enumeration import _walk, count_tables
 from permpos.permutations import Permutation
 from permpos.verify import (
@@ -44,6 +45,13 @@ def test_unknown_suite_rejected(tables8):
 def test_bad_arguments_raise_before_any_suite(tables8, kwargs):
     with pytest.raises(ValueError):
         run_suites(SUITES, max_n=8, tables=tables8, **kwargs)
+
+
+def test_conjecture_a_needs_the_conjecture_suite(tables8):
+    with pytest.raises(ValueError):
+        run_suites(("thm1",), max_n=8, tables=tables8, conjecture_a=3)
+    reports = run_suites(("thm1", "conjecture"), max_n=8, tables=tables8, conjecture_a=3)
+    assert all(r.passed for r in reports)
 
 
 def test_corrupted_counts_are_detected(broken_tables):
@@ -170,3 +178,87 @@ def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
         "a2-series-expansion", "g2-two-routes", "marked-tuple-codec"]
     assert reports[0].passed and reports[1].passed
     assert _codec_report(reports).residual == [(7, 3, Fraction(1))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
+    # only DomainError counts as a codec disagreement; any other exception
+    # in the scan (here raised in the forked workers at two) fails thm3 as a
+    # whole, named by its type
+    def broken(values):
+        raise RuntimeError("simulated scan defect")
+
+    monkeypatch.setattr(permpos.verify, "_encode_raw", broken)
+    reports = run_suites(["thm3"], max_n=9, workers=workers, tables=count_tables(9))
+    assert [(r.identity, r.passed) for r in reports] == [("thm3", False)]
+    assert reports[0].params == {"error": "RuntimeError", "message": "simulated scan defect"}
+
+
+def _size9_primitives():
+    walk = _walk(9, 9, 1, 1)
+    return [Permutation(next(walk)[3], validate=False) for _ in range(2)]
+
+
+def _collide(monkeypatch):
+    # two size-9 primitives (p = 7) sent to one domino
+    real = permpos.verify.to_domino
+    first, second = _size9_primitives()
+    monkeypatch.setattr(permpos.verify, "to_domino", lambda sigma, validate=True: real(
+        first if sigma == second else sigma, validate))
+
+
+def _outside(monkeypatch):
+    # one size-9 primitive sent to a domino with 8 points, outside oracle[7]
+    real = permpos.verify.to_domino
+    first, _ = _size9_primitives()
+    other = Permutation(next(_walk(10, 10, 1, 1))[3], validate=False)
+    monkeypatch.setattr(permpos.verify, "to_domino", lambda sigma, validate=True: real(
+        other if sigma == first else sigma, validate))
+
+
+def _oracle_swap(monkeypatch):
+    # the oracle trades the image of one size-9 primitive for a domino no
+    # primitive maps to, so only the oracle-membership check can see it
+    real = permpos.verify.enumerate_dominoes
+    first, _ = _size9_primitives()
+    image = to_domino(first).to_text()
+    # an 8-point domino is never the image of a size-9 primitive
+    stranger = next(real(8))
+
+    def swapped(p):
+        for d in real(p):
+            yield stranger if d.to_text() == image else d
+
+    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", swapped)
+
+
+def _oracle_extra(monkeypatch):
+    # the oracle gains a domino no primitive maps to, so only the count
+    # comparison can see it
+    real = permpos.verify.enumerate_dominoes
+    stranger = next(real(8))
+
+    def extended(p):
+        yield from real(p)
+        if p == 7:
+            yield stranger
+
+    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", extended)
+
+
+@pytest.mark.parametrize("fault", [None, _collide, _outside, _oracle_swap, _oracle_extra])
+def test_domino_map_reports_do_not_depend_on_worker_count(monkeypatch, fault):
+    # max_n = 10 maps primitives of size <= 10, past _SEED_SIZE + 1, so two
+    # workers split the walk (the forked workers see the patch)
+    tables = count_tables(10)
+    if fault is not None:
+        fault(monkeypatch)
+    runs = []
+    for workers in (1, 2):
+        reports = suite_prop1(10, tables, workers=workers)
+        runs.append([{k: v for k, v in r.to_json_dict().items() if k != "millis"}
+                     for r in reports])
+    assert runs[0] == runs[1]
+    bijection = runs[0][0]
+    assert bijection["identity"] == "primitive-domino-bijection"
+    assert bijection["residual"] == ([] if fault is None else [[7, 0, "1"]])

@@ -17,14 +17,12 @@ from .permutations import (
     parse_permutation,
     reduce_word,
     reverse_complement,
-    skew_sum_one,
 )
 from .enumeration import (
     ClassCountTable,
     PositionalClass,
     classify,
     count_ending_with_one,
-    count_table,
     count_tables,
     generate_avoiders,
     iter_class_members,
@@ -82,7 +80,6 @@ __all__ = [
     "contains_pattern",
     "contract_one",
     "count_ending_with_one",
-    "count_table",
     "count_tables",
     "decode_tuple",
     "encode_perm",
@@ -107,7 +104,6 @@ __all__ = [
     "reduce_word",
     "reverse_complement",
     "run_suites",
-    "skew_sum_one",
     "t1k_series",
     "t2k_series",
     "t_ak_bruteforce",

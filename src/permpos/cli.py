@@ -4,8 +4,8 @@ Subcommands: count, factor, domino, series, verify; each takes only the
 flags it reads. Output is plain text by default; --format json (and csv on
 count, factor and series) is machine-readable, with counts as decimal
 strings. --cache-dir goes with the commands that build count tables and
---threads with verify, whose count tables, thm3 codec scan and prop1
-domino map are split over workers.
+--threads with verify, whose count tables and thm3 codec scan are split
+over workers. series rejects the flags its --which does not read.
 Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
 """
 
@@ -67,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating-function coefficients")
     p.add_argument("--which", type=str.lower, required=True,
                    choices=("f", "t", "g1", "g2"))
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--a", type=int, default=None, help="only with --which t")
+    p.add_argument("--k", type=int, default=None, help="only with --which t")
     p.add_argument("--order", type=int, default=DESK_MAX_N)
-    p.add_argument("--max-k", type=int, default=9, dest="max_k")
+    p.add_argument("--max-k", type=int, default=None, dest="max_k",
+                   help="only with --which g1 or g2 (default 9)")
     add_output(p, "json", "csv", cache_dir=True)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -84,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="stop at the first failing identity")
     p.add_argument("--threads", type=int, default=1, metavar="T",
-                   help="worker count for the count tables, the thm3 codec "
-                        "scan and the prop1 domino map (0 = auto)")
+                   help="worker count for the count tables and the thm3 "
+                        "codec scan (0 = auto)")
     add_output(p, "json", cache_dir=True)
 
     return parser
@@ -193,16 +194,26 @@ def _print_bivariate(b: BivariateSeries, fmt: str | None) -> None:
         sys.stdout.write(b.to_csv())
 
 
+_SERIES_FLAGS = {"f": (), "t": ("--a", "--k", "--cache-dir"),
+                 "g1": ("--max-k",), "g2": ("--max-k",)}
+
+
 def _cmd_series(args, parser) -> int:
     _check_max_n(parser, "--order", args.order, COUNT_MAX_N)
+    given = {"--a": args.a, "--k": args.k, "--max-k": args.max_k,
+             "--cache-dir": args.cache_dir}
+    for flag, value in given.items():
+        if value is not None and flag not in _SERIES_FLAGS[args.which]:
+            parser.error(f"--which {args.which} does not read {flag}")
+    max_k = 9 if args.max_k is None else args.max_k
     if args.which == "f":
         _print_series(f_series(args.order), args.format)
         return 0
     if args.which == "g1":
-        _print_bivariate(g1_series(args.order, args.max_k), args.format)
+        _print_bivariate(g1_series(args.order, max_k), args.format)
         return 0
     if args.which == "g2":
-        _print_bivariate(g2_series(args.order, args.max_k), args.format)
+        _print_bivariate(g2_series(args.order, max_k), args.format)
         return 0
     if args.a is None or args.k is None:
         parser.error("--which t needs --a and --k")

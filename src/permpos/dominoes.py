@@ -11,7 +11,7 @@ A primitive of size n maps to a domino with n - 2 points through its
 inverse: the first letter i of the inverse becomes a separator, middle
 letters below i form the bottom cell and letters above i + 1 the top
 cell. An independent exhaustive generator (enumerate_dominoes) provides
-the oracle side for verifying the correspondence.
+the side the correspondence is verified from.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ cross-checked in the test suite:
 
 :func:`_fan_out` is the one parallel helper: it runs a module-level worker
 over chunks of roots in one Pool, a root being a subtree seed (the thm3
-codec scan and the domino map walk below theirs) or a merged count state
-(the count expands those depth-first). Parts merge by addition, so every
-worker count gives the same result.
+codec scan walks below its seeds) or a merged count state (the count
+expands those depth-first). Parts merge by addition, so every worker count
+gives the same result.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -50,8 +50,6 @@ from .permutations import (
     _containment_scan,
     _word_contains_1324,
 )
-
-_BIG = 1 << 62
 
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
@@ -99,52 +97,8 @@ def generate_avoiders(n: int, pattern: Permutation = PATTERN_1324) -> Iterator[P
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    key = tuple(pattern.values)
-    if len(key) == 0:
+    if len(pattern) == 0:
         raise ValueError("empty pattern")
-    if n == 0:
-        yield Permutation(())
-        return
-    if key == (1, 3, 2, 4):
-        yield from _generate_1324(n)
-    else:
-        yield from _generate_generic(n, pattern)
-
-
-def _generate_1324(n: int) -> Iterator[Permutation]:
-    # m132 = smallest "3"-value over the 132 occurrences inside the prefix;
-    # appending v creates a 1324 iff v > m132, so candidate values above the
-    # threshold are pruned wholesale.
-    prefix: list[int] = []
-    premins: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(depth: int, m132: int, curmin: int) -> Iterator[Permutation]:
-        if depth == n:
-            yield Permutation(tuple(prefix), validate=False)
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if v > m132:
-                break
-            new_m132 = m132
-            for j in range(depth):
-                x = prefix[j]
-                if v < x < new_m132 and premins[j] < v:
-                    new_m132 = x
-            used[v] = True
-            prefix.append(v)
-            premins.append(curmin)
-            yield from rec(depth + 1, new_m132, v if v < curmin else curmin)
-            premins.pop()
-            prefix.pop()
-            used[v] = False
-
-    yield from rec(0, _BIG, _BIG)
-
-
-def _generate_generic(n: int, pattern: Permutation) -> Iterator[Permutation]:
     pat = pattern.values
     # a prefix has distinct values, so the pattern's scan applies directly
     contains = _containment_scan(pat)
@@ -264,42 +218,28 @@ def _tree_roots(max_n: int, workers: int) -> list:
                                     in _walk(_SEED_SIZE, _SEED_SIZE + 1) if n == _SEED_SIZE]
 
 
-# The Pool initializer stores the stage's context here, once in each worker
-# process; the parent passes it to the worker as an argument instead.
-_worker_context = None
-
-
-def _set_worker_context(context) -> None:
-    global _worker_context
-    _worker_context = context
-
-
-def _run_chunk(worker: Callable, roots: list):
-    return worker(roots, _worker_context)
-
-
-def _fan_out(worker: Callable[[Iterable, object], object], roots: Iterable,
-             workers: int, context=None) -> list:
-    """Run ``worker(chunk, context)`` over chunks of ``roots`` and return
-    the parts, one per chunk, in completion order.
+def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
+             workers: int) -> list:
+    """Run ``worker(chunk)`` over chunks of ``roots`` and return the parts,
+    one per chunk, in completion order.
 
     A root is whatever the worker expands: a (node, top) generating-tree
     seed from _tree_roots, or a merged count state. With one worker that is
     a single call in this process on ``roots`` as given, so an iterable is
     never listed. Otherwise the roots are listed and dealt round-robin
     into about _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a
-    long tail, and run in one Pool; ``worker`` must then be a module-level
-    function, and the Pool initializer hands ``context`` to each worker
-    process once. Chunks are disjoint, so callers that merge the parts by
-    addition get the same result for every worker count.
+    long tail, and run in one Pool; ``worker`` must then pickle, as a
+    module-level function or a partial of one. Chunks are disjoint, so
+    callers that merge the parts by addition get the same result for every
+    worker count.
     """
     if workers <= 1:
-        return [worker(roots, context)]
+        return [worker(roots)]
     roots = list(roots)
     nchunks = min(len(roots), workers * _CHUNKS_PER_WORKER)
     chunks = [roots[i::nchunks] for i in range(nchunks)]
-    with Pool(workers, initializer=_set_worker_context, initargs=(context,)) as pool:
-        return list(pool.imap_unordered(partial(_run_chunk, worker), chunks))
+    with Pool(workers) as pool:
+        return list(pool.imap_unordered(worker, chunks))
 
 
 def _add_counts(into: dict, part: dict) -> None:
@@ -365,11 +305,10 @@ def _count_arrays(max_n: int) -> tuple[list, list[int]]:
             [0] * (max_n + 1))
 
 
-def _count_worker(roots: Iterable, context: tuple[int, int]) -> tuple[list, list[int]]:
-    """Expand (state, multiplicity) roots of one size depth-first to size
-    max_n, for context (size, max_n); a _fan_out worker. Returns the
-    chunk's runs and totals."""
-    size, max_n = context
+def _count_worker(size: int, max_n: int, roots: Iterable) -> tuple[list, list[int]]:
+    """Expand (state, multiplicity) roots of the given size depth-first to
+    size max_n; a _fan_out worker once size and max_n are bound. Returns
+    the chunk's runs and totals."""
     runs, totals = _count_arrays(max_n)
     for state, mult in roots:
         _expand_state(state, size, mult, max_n, runs, totals, None)
@@ -467,8 +406,8 @@ def count_tables(max_n: int, workers: int = 1,
             _expand_state(state, size, mult, max_n, runs, totals, merged)
         level = merged
     if top >= 1:
-        for part_runs, part_totals in _fan_out(_count_worker, level.items(),
-                                               workers, (top, max_n)):
+        for part_runs, part_totals in _fan_out(partial(_count_worker, top, max_n),
+                                               level.items(), workers):
             for n in range(top + 1, max_n + 1):
                 totals[n] += part_totals[n]
                 runs[n] = [[x + y for x, y in zip(row, part_row)]
@@ -495,12 +434,6 @@ def count_tables(max_n: int, workers: int = 1,
                 tmp.unlink(missing_ok=True)
                 raise
     return tables
-
-
-def count_table(n: int, workers: int = 1,
-                cache_dir: str | os.PathLike | None = None) -> ClassCountTable:
-    """Exact counts for all (a, k) plus the total |S_n(1324)|."""
-    return count_tables(n, workers=workers, cache_dir=cache_dir)[n]
 
 
 # -- streaming class members -------------------------------------------------

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Optional
 
-from .enumeration import ClassCountTable, count_tables
+from .enumeration import ClassCountTable
 from .series import BivariateSeries, TruncatedSeries
 
 Tables = dict[int, ClassCountTable]
@@ -142,15 +141,12 @@ def t2k_series(k: int, order: int) -> TruncatedSeries:
     return (f ** k) * t20 + (f ** (k - 1)) * (t21 - f * t20).scale(k)
 
 
-def t_ak_bruteforce(a: int, k: int, order: int,
-                    tables: Optional[Tables] = None) -> TruncatedSeries:
+def t_ak_bruteforce(a: int, k: int, order: int, tables: Tables) -> TruncatedSeries:
     """Class-(a, k) size series straight from the enumeration tables; the
     k = 0 convention counts the size-a permutations that start with a,
     i.e. |S_{a-1}(1324)| x^a."""
     if a < 1 or k < 0:
         raise ValueError("need a >= 1 and k >= 0")
-    if tables is None:
-        tables = count_tables(order)
     if k == 0:
         coeff = 1 if a <= 1 else tables[a - 1].total
         return TruncatedSeries.monomial(a, order, coeff)
@@ -158,8 +154,7 @@ def t_ak_bruteforce(a: int, k: int, order: int,
         [tables[n].count(a, k) if n >= 1 else 0 for n in range(order + 1)])
 
 
-def conjecture_check(a: int, k: int, order: int = 11,
-                     tables: Optional[Tables] = None) -> IdentityReport:
+def conjecture_check(a: int, k: int, order: int, tables: Tables) -> IdentityReport:
     """Evaluate the three conjectured expansions of the class-(a, k) series
     in powers of f, with every T_{a,j} input taken from brute force.
 
@@ -173,8 +168,6 @@ def conjecture_check(a: int, k: int, order: int = 11,
     if k < a:
         raise ValueError(f"conjecture scope is k >= a, got a={a}, k={k}")
     start = time.monotonic()
-    if tables is None:
-        tables = count_tables(order)
     f = f_series(order)
     T = {j: t_ak_bruteforce(a, j, order, tables) for j in range(k + 1)}
 
@@ -207,15 +200,13 @@ _A061552 = (1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112,
             25431452, 173453058)
 
 
-def g_identity_check(order: int = 11, tables: Optional[Tables] = None) -> IdentityReport:
+def g_identity_check(order: int, tables: Tables) -> IdentityReport:
     """Coefficientwise total-count identity: for 2 <= n <= order,
     |S_n(1324)| = |S_{n-1}(1324)| + sum of all class counts at n (the
     permutations starting with n are counted by the size-(n-1) total).
     Any count of the tree meets it by construction, so each total up to
     n = 13 is also compared with A061552, as residual (n, 1, difference)."""
     start = time.monotonic()
-    if tables is None:
-        tables = count_tables(order)
     residual = []
     for n in range(2, order + 1):
         diff = tables[n].total - tables[n - 1].total - tables[n].classified_total()

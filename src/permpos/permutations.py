@@ -121,11 +121,6 @@ def reverse_complement(p: Permutation) -> Permutation:
     return Permutation((n + 1 - v for v in reversed(p.values)), validate=False)
 
 
-def skew_sum_one(p: Permutation) -> Permutation:
-    """Shift every value up by one and append a final 1."""
-    return Permutation(tuple(v + 1 for v in p.values) + (1,), validate=False)
-
-
 # -- containment checks on words -------------------------------------------
 #
 # All _word_contains_* helpers take sequences of distinct integers; only the

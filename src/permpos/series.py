@@ -264,11 +264,6 @@ class BivariateSeries:
             result = one + self * result
         return result
 
-    def eval_t_one(self) -> TruncatedSeries:
-        """Substitute t = 1: c_n = sum_k c_{n,k}."""
-        return TruncatedSeries(self.xorder, tuple(
-            sum(row, Fraction(0)) for row in self.coeffs))
-
     def integer_coeffs(self) -> tuple[tuple[int, ...], ...]:
         out = []
         for n, row in enumerate(self.coeffs):

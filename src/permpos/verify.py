@@ -10,26 +10,26 @@ oracle and returns IdentityReports with exact residuals. Suites:
                 reverse-complement gap mirror, gap sums).
 * thm3       -- a = 2 series expansion vs brute force, agreement of the two
                 g2 assemblies, and the marked-tuple codec bijection.
-* prop1      -- primitive/domino correspondence and the three-way count
-                check (enumeration, closed form, independent domino
-                generator).
+* prop1      -- primitive/domino correspondence, checked from the domino
+                side, and the three-way count check (enumeration, closed
+                form, independent domino generator).
 * conjecture -- the three expansion forms for a in {3, 4}, inputs from
                 brute force, residuals reported in full.
 * gidentity  -- the total-count partition identity and OEIS A061552 totals.
 
 Every member-level check streams its members from the one generating-tree
 walk, ``enumeration._walk``. The codec sweep at large n is the expensive
-part; it walks every size in one pass. It, the domino map and the count
-tables are split over workers by ``enumeration._fan_out``, whose parts
-merge by addition, so any worker count produces identical reports
-(timings aside). Members the walk produced are not validated again: the
-codec and the domino map run with ``validate=False``, and the checks
-compare their images with the walk and the domino oracle. At n = 11 on a
-shared 2-core Linux machine (Python 3.11.7) the codec check took a median
-6.0 s at one worker and 4.0 s at two in three ``verify --suite all``
-runs, and ``suite_prop1`` 1.8 s and 1.3 s in four calls. A suite that
-raises is reported as one failing report that names the suite and the
-exception, and the suites after it still run.
+part; it walks every size in one pass. It and the count tables are split
+over workers by ``enumeration._fan_out``, whose parts merge by addition,
+so any worker count produces identical reports (timings aside). Members
+the walk produced are not validated again: the codec runs with
+``validate=False``, and the checks compare its images with the walk. The
+domino map walks no tree: it maps every generated domino to its primitive
+and back, in one process. At n = 11 on a shared 2-core Linux machine
+(Python 3.11.7) the codec check took a median 6.0 s at one worker and
+4.0 s at two in three ``verify --suite all`` runs, and ``suite_prop1``
+about 2 s. A suite that raises is reported as one failing report that
+names the suite and the exception, and the suites after it still run.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional
     return not1, last1, failures
 
 
-def _codec_worker(roots, context):
+def _codec_worker(roots):
     """_codec_scan over the a = 2 members below each (node, top) root; a
     _fan_out worker."""
     return _codec_scan(itertools.chain.from_iterable(
@@ -323,43 +323,29 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     return reports
 
 
-def _domino_worker(roots, oracle: dict[int, frozenset]):
-    """Map every primitive below each (node, top) root to its domino; a
-    _fan_out worker. Returns ({p: primitives mapped}, {p: some primitive
-    with p + 2 points fails from_domino(to_domino) or maps outside
-    ``oracle[p]``})."""
-    mapped: dict[int, int] = {}
-    bad: set[int] = set()
-    for node, top in roots:
-        for n, _, _, v, _ in _walk(2, top, 1, 1, root=node):
-            # primitive by construction; from_domino's primitivity check on
-            # the way back is the assertion
-            sigma = Permutation(v, validate=False)
-            d = to_domino(sigma, validate=False)
-            p = n - 2
-            mapped[p] = mapped.get(p, 0) + 1
-            if from_domino(d) != sigma or d.to_text() not in oracle[p]:
-                bad.add(p)
-    return mapped, bad
-
-
-def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityReport]:
+def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
     start = time.monotonic()
     max_points = min(max_n - 2, _DOMINO_MAX_POINTS)
-    # from_domino as a left inverse makes the map injective, so images
-    # inside the oracle that are as many as the oracle are all of it
-    oracle = {p: frozenset(d.to_text() for d in enumerate_dominoes(p))
-              for p in range(max_points + 1)}
-    mapped: dict[int, int] = {}
-    bad: set[int] = set()
-    workers = _split_workers(workers, max_points + 2)
-    for part_mapped, part_bad in _fan_out(
-            _domino_worker, _tree_roots(max_points + 2, workers), workers, oracle):
-        _add_counts(mapped, part_mapped)
-        bad |= part_bad
-    domino_counts = {p: len(images) for p, images in oracle.items()}
-    residual = [(p, 0, Fraction(1)) for p in range(max_points + 1)
-                if p in bad or mapped.get(p, 0) != domino_counts[p]]
+    # to_domino as a left inverse of from_domino makes the map injective, so
+    # distinct primitive images as many as the primitives are all of them
+    domino_counts: dict[int, int] = {}
+    residual = []
+    for p in range(max_points + 1):
+        images: set[bytes] = set()
+        count = 0
+        for d in enumerate_dominoes(p):
+            count += 1
+            try:
+                sigma = from_domino(d)  # raises unless the image is primitive
+            except DomainError:
+                continue
+            # a domino that adds no image, or a repeated one, leaves the
+            # images short of the dominoes
+            if len(sigma) == p + 2 and to_domino(sigma, validate=False) == d:
+                images.add(bytes(sigma.values))
+        domino_counts[p] = count
+        if len(images) != count or count != tables[p + 2].count(1, 1):
+            residual.append((p, 0, Fraction(1)))
     reports = [_report("primitive-domino-bijection",
                        {"max_points": max_points}, residual, start)]
 
@@ -416,7 +402,7 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
         "thm1": lambda: suite_thm1(max_n, tables),
         "thm2": lambda: suite_thm2(max_n, tables),
         "thm3": lambda: suite_thm3(max_n, max_k, tables, workers=workers),
-        "prop1": lambda: suite_prop1(max_n, tables, workers=workers),
+        "prop1": lambda: suite_prop1(max_n, tables),
         "conjecture": lambda: suite_conjecture(max_n, tables, a_values=a_values),
         "gidentity": lambda: suite_gidentity(max_n, tables),
     }

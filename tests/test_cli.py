@@ -214,10 +214,18 @@ class TestParser:
         ["verify", "--format", "csv"],
         ["count", "--n", "4", "--threads", "2"],
         ["series", "--which", "f", "--threads", "2"],
+        # series reads --a and --k only with t, --max-k only with g1 and g2,
+        # and --cache-dir only with t
+        ["series", "--which", "f", "--a", "2"],
+        ["series", "--which", "g1", "--k", "1"],
+        ["series", "--which", "t", "--a", "3", "--k", "3", "--max-k", "4"],
+        ["series", "--which", "f", "--max-k", "9"],
+        ["series", "--which", "g2", "--cache-dir", "X"],
+        ["series", "--which", "f", "--cache-dir", "X"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            main(argv)
         assert exc.value.code == 2
 
     def test_benchmark_verify_argv_parses(self):

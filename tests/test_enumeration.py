@@ -14,7 +14,6 @@ from permpos.enumeration import (
     PositionalClass,
     classify,
     count_ending_with_one,
-    count_table,
     count_tables,
     generate_avoiders,
     iter_class_members,
@@ -45,7 +44,7 @@ def lex_members(sizes, a=None, k=None):
     return out
 
 
-def members_below(roots, context):
+def members_below(roots):
     """Every (n, a, k, values) below the given (node, top) roots; a _fan_out
     worker."""
     return Counter((n, a, k, v) for node, top in roots
@@ -153,8 +152,8 @@ class TestCountTables:
         real = enumeration._fan_out
         parts = []
 
-        def spy(worker, roots, workers, context=None):
-            out = real(worker, roots, workers, context)
+        def spy(worker, roots, workers):
+            out = real(worker, roots, workers)
             parts.append(len(out))
             return out
 
@@ -218,7 +217,7 @@ class TestCountTables:
 
     def test_bad_argument(self):
         with pytest.raises(ValueError):
-            count_table(0)
+            count_tables(0)
         with pytest.raises(ValueError):
             count_tables(5, workers=-1)
 

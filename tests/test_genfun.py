@@ -82,12 +82,6 @@ class TestG1:
             for k in range(1, 9):
                 assert g1.coeff(n, k) == tables8[n].count(1, k)
 
-    def test_eval_t_one(self, tables8):
-        sums = g1_series(8, 8).eval_t_one()
-        for n in range(2, 9):
-            assert sums.coeff(n) == sum(
-                c for (a, k), c in tables8[n].counts.items() if a == 1)
-
 
 class TestG2AndT2k:
     def test_examples(self, tables8):

@@ -14,7 +14,6 @@ from permpos.permutations import (
     parse_permutation,
     reduce_word,
     reverse_complement,
-    skew_sum_one,
     word_contains,
     _word_contains_1324,
 )
@@ -96,11 +95,6 @@ class TestUnaryOps:
     def test_reverse_complement_examples(self):
         assert reverse_complement(perm(1, 3, 2, 4)) == perm(1, 3, 2, 4)
         assert reverse_complement(perm(2, 3, 1)) == perm(3, 1, 2)
-
-    def test_skew_sum_one(self):
-        assert skew_sum_one(perm(1, 2)) == perm(2, 3, 1)
-        assert skew_sum_one(Permutation(())) == perm(1)
-        assert skew_sum_one(perm(2, 1, 4, 3)) == perm(3, 2, 5, 4, 1)
 
     @given(st.permutations(list(range(1, 9))))
     def test_involutions(self, values):

@@ -195,13 +195,11 @@ class TestTrailingOneMembers:
     def test_skew_sum_one_parametrizes_them(self, tables8):
         # appending a 1 below a class-(1, k) member of size n-1 yields
         # exactly the class-(2, k) members of size n that end in 1
-        from permpos.permutations import skew_sum_one
-
         for n in range(3, 9):
             for k in range(1, n - 1):
                 image = set()
                 for parent in iter_class_members(n - 1, 1, k):
-                    child = skew_sum_one(parent)
+                    child = Permutation(tuple(v + 1 for v in parent.values) + (1,))
                     assert classify(child) == PositionalClass(2, k)
                     assert child.values[-1] == 1
                     image.add(child.values)

@@ -95,12 +95,6 @@ class TestUnivariate:
 
 
 class TestBivariate:
-    def test_eval_t_one(self):
-        b = BivariateSeries.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1]], 2, 2)
-        assert b.eval_t_one().coeffs == (F(0), F(1), F(1))  # tx + t^2 x^2
-        flat = BivariateSeries.from_univariate(series([1, 2, 3], 2), 0)
-        assert flat.eval_t_one() == series([1, 2, 3], 2)
-
     def test_dt_and_shifts(self):
         b = BivariateSeries.from_rows([[0, 0, 2]], 0, 2)  # 2 t^2
         assert b.dt().coeff(0, 1) == 4

@@ -6,7 +6,7 @@ import pytest
 
 import permpos.verify
 from permpos.cli import main
-from permpos.dominoes import to_domino
+from permpos.dominoes import GriddedDomino, to_domino
 from permpos.enumeration import _walk, count_tables
 from permpos.permutations import Permutation
 from permpos.verify import (
@@ -200,7 +200,8 @@ def _size9_primitives():
 
 
 def _collide(monkeypatch):
-    # two size-9 primitives (p = 7) sent to one domino
+    # two size-9 primitives (p = 7) sent to one domino, so the second one's
+    # domino does not map back to itself
     real = permpos.verify.to_domino
     first, second = _size9_primitives()
     monkeypatch.setattr(permpos.verify, "to_domino", lambda sigma, validate=True: real(
@@ -208,7 +209,8 @@ def _collide(monkeypatch):
 
 
 def _outside(monkeypatch):
-    # one size-9 primitive sent to a domino with 8 points, outside oracle[7]
+    # one size-9 primitive sent to a domino with 8 points, so its own domino
+    # does not map back to itself
     real = permpos.verify.to_domino
     first, _ = _size9_primitives()
     other = Permutation(next(_walk(10, 10, 1, 1))[3], validate=False)
@@ -217,8 +219,9 @@ def _outside(monkeypatch):
 
 
 def _oracle_swap(monkeypatch):
-    # the oracle trades the image of one size-9 primitive for a domino no
-    # primitive maps to, so only the oracle-membership check can see it
+    # the generator trades the domino of one size-9 primitive for an 8-point
+    # domino; every count still agrees, so only the size check on its
+    # size-10 image can see it
     real = permpos.verify.enumerate_dominoes
     first, _ = _size9_primitives()
     image = to_domino(first).to_text()
@@ -233,8 +236,8 @@ def _oracle_swap(monkeypatch):
 
 
 def _oracle_extra(monkeypatch):
-    # the oracle gains a domino no primitive maps to, so only the count
-    # comparison can see it
+    # the generator gains an 8-point domino at p = 7: its image has the wrong
+    # size, and the dominoes outnumber the primitives
     real = permpos.verify.enumerate_dominoes
     stranger = next(real(8))
 
@@ -246,19 +249,53 @@ def _oracle_extra(monkeypatch):
     monkeypatch.setattr(permpos.verify, "enumerate_dominoes", extended)
 
 
-@pytest.mark.parametrize("fault", [None, _collide, _outside, _oracle_swap, _oracle_extra])
-def test_domino_map_reports_do_not_depend_on_worker_count(monkeypatch, fault):
-    # max_n = 10 maps primitives of size <= 10, past _SEED_SIZE + 1, so two
-    # workers split the walk (the forked workers see the patch)
+def _oracle_repeat(monkeypatch):
+    # the generator yields one 7-point domino twice in place of another; the
+    # count still agrees, so only the distinct images can see it
+    real = permpos.verify.enumerate_dominoes
+    first, second = (to_domino(sigma) for sigma in _size9_primitives())
+
+    def repeated(p):
+        for d in real(p):
+            yield first if d == second else d
+
+    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", repeated)
+
+
+def _oracle_drop(monkeypatch):
+    # the generator drops one 7-point domino; every other image is good, so
+    # only the comparison with the table's primitive count can see it
+    real = permpos.verify.enumerate_dominoes
+    first, _ = _size9_primitives()
+    image = to_domino(first)
+
+    def dropped(p):
+        return (d for d in real(p) if d != image)
+
+    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", dropped)
+
+
+def _oracle_invalid(monkeypatch):
+    # the generator trades one 7-point domino for one whose bottom cell
+    # contains 132, so from_domino raises on it instead of giving a primitive
+    real = permpos.verify.enumerate_dominoes
+    first, _ = _size9_primitives()
+    image = to_domino(first)
+    invalid = GriddedDomino(("b",) * 7, Permutation((1, 2, 3, 4, 5, 7, 6)),
+                            Permutation(()), validate=False)
+
+    def traded(p):
+        return (invalid if d == image else d for d in real(p))
+
+    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", traded)
+
+
+@pytest.mark.parametrize("fault", [None, _collide, _outside, _oracle_swap, _oracle_extra,
+                                   _oracle_repeat, _oracle_drop, _oracle_invalid])
+def test_domino_map_names_the_faulty_point_count(monkeypatch, fault):
     tables = count_tables(10)
     if fault is not None:
         fault(monkeypatch)
-    runs = []
-    for workers in (1, 2):
-        reports = suite_prop1(10, tables, workers=workers)
-        runs.append([{k: v for k, v in r.to_json_dict().items() if k != "millis"}
-                     for r in reports])
-    assert runs[0] == runs[1]
-    bijection = runs[0][0]
+    bijection = suite_prop1(10, tables)[0].to_json_dict()
     assert bijection["identity"] == "primitive-domino-bijection"
     assert bijection["residual"] == ([] if fault is None else [[7, 0, "1"]])

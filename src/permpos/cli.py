@@ -217,10 +217,10 @@ def _cmd_series(args, parser) -> int:
         return 0
     if args.a is None or args.k is None:
         parser.error("--which t needs --a and --k")
-    if args.a == 1 and args.k >= 1:
-        s = t1k_series(args.k, args.order)
-    elif args.a == 2:
-        s = t2k_series(args.k, args.order)
+    if args.a == 2 or (args.a == 1 and args.k >= 1):
+        if args.cache_dir is not None:  # a closed form builds no tables
+            parser.error(f"--which t --a {args.a} --k {args.k} does not read --cache-dir")
+        s = (t1k_series if args.a == 1 else t2k_series)(args.k, args.order)
     else:
         tables = count_tables(args.order, cache_dir=args.cache_dir)
         s = t_ak_bruteforce(args.a, args.k, args.order, tables)

@@ -147,9 +147,19 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
     the members that start with their maximum are yielded too, with a and k
     None. L is the member's bound, or None at size max_n, below which
     nothing is walked.
+
+    With a given, only subtrees that can hold class a are walked. A class-a
+    member has a before every smaller value, and inserting a maximum keeps
+    the order of the values below it, so each of its ancestors of size a or
+    more has a before every smaller value too. The size-a ancestor is then
+    the child that starts with a, the only size-a child pushed; a root of
+    size a or more with a smaller value before a is not walked at all.
     """
     every = a is None and k is None
-    stack = [root] if len(root[0]) < max_n else []
+    sig = root[0]
+    if a is not None and len(sig) >= a and min(sig[:sig.index(a) + 1]) < a:
+        return
+    stack = [root] if len(sig) < max_n else []
     while stack:
         sig, L = stack.pop()
         size = len(sig)
@@ -163,6 +173,8 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
                 yield child_n, None, None, child, Lc
             if deeper:
                 stack.append((child, Lc))
+        if child_n == a:
+            continue
         pm = sig[0]
         pmpos = 1
         for p in range(2, L + 2):

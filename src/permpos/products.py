@@ -19,16 +19,20 @@ The marked-tuple codec encodes the class-(2, k) avoiders that do not end
 in 1: delete the 1 (marking its right neighbour), factor the reduction
 into k primitives, and re-insert the 1 at the transported mark. Both
 directions are flat: the cuts (the 1, theta and the maximum) split the
-values into one block per factor, so the raw codec slices blocks once
-instead of splicing one factor at a time, and finds the marked entry by
-its value within its block.
+values into one band per factor, and each side of the cuts lists the
+bands in falling order. So ``_factorize_raw`` makes one pass over the
+entries with one pointer per side, placing each entry in its factor and
+rejecting a rising band as interleaved blocks; ``factorize``, ``odot`` and
+the encoder all run that loop. The encoder runs it on the member itself,
+cut from its 2, so no reduced copy is made: the 1 goes to the factor of
+its right neighbour, whose other entries are raised by one. The decoder
+assembles every component in one pass too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from operator import ge
 from typing import Sequence
 
@@ -70,58 +74,71 @@ def is_marked_component(p: Permutation) -> bool:
 # established by the caller (the public wrappers validate).
 
 
-def _factorize_raw(t: Sequence[int], mark: int = 0) -> tuple[list[list[int]], int, int]:
-    """Primitive factors of an avoider with 1 left of its maximum.
+def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int]:
+    """Primitive factors of an avoider with ``low`` left of its maximum.
 
-    The 1, the run theta between the 1 and the maximum, and the maximum are
-    the cuts; factor r holds the values from cut r to cut r + 1 in their
-    order in t, reduced. Raises DomainError on structural violations
-    (theta not increasing, interleaved blocks), which indicate the input is
-    outside the class.
+    ``low``, the run theta after it and the maximum are the cuts; factor r
+    holds the values from cut r to cut r + 1 in their order in t, reduced.
+    The band of an entry is the factor it joins. Left and right of the
+    cuts the bands may only fall, or blocks interleave, so one pass with a
+    falling pointer per side places every entry. Raises DomainError when
+    the maximum is not right of ``low``, theta is not increasing or blocks
+    interleave: the input is outside the class.
 
-    A 1-based ``mark`` on an entry of t is carried along: the result is
-    (factors, index of the factor holding the marked entry, its 1-based
-    position there), or (factors, -1, 0) without a mark."""
+    With low = 2, t's 1 is a mark and not a cut (the marked-tuple encoding
+    of a class-(2, k) avoider): it joins the factor of its right neighbour,
+    just before it, and the rest of that factor is raised by one. Returns
+    (factors, index of the factor holding the 1), or (factors, -1)."""
     n = len(t)
-    i = t.index(1)
+    i = t.index(low)
     j = t.index(n)
     if j <= i:
-        raise DomainError(f"{tuple(t)}: maximum not right of 1")
+        raise DomainError(f"{tuple(t)}: maximum not right of {low}")
+    if low > 1 and t[-1] == 1:
+        raise DomainError(f"{tuple(t)}: the marked 1 is last")
     if j == i + 1:
-        return [list(t)], (0 if mark else -1), mark
-    cuts = t[i:j + 1]
+        return [list(t)], (0 if low > 1 else -1)  # t is its own single factor
+    one = t.index(1) if low > 1 else -1
+    cuts = list(t[i:j + 1])
+    if i < one < j:
+        del cuts[one - i]
     if any(map(ge, cuts, cuts[1:])):
-        raise DomainError(f"{tuple(t)}: segment between 1 and the maximum not increasing")
-    # Bands are the value ranges between consecutive cuts. Splitting off one
-    # factor per cut needs, at every cut, the larger values of the prefix
-    # (and of the suffix) before the smaller ones: the band index may not
-    # rise along either stretch.
-    band = partial(bisect_right, cuts)
-    for stretch in (t[:i], t[j + 1:]):
-        bands = list(map(band, stretch))
-        if bands != sorted(bands, reverse=True):
-            raise DomainError(f"{tuple(t)}: blocks interleave around a cut")
-    factors = [[v - lo + 1 for v in t if lo <= v <= hi] for lo, hi in zip(cuts, cuts[1:])]
-    if not mark:
-        return factors, -1, 0
-    # the marked entry goes with the first factor whose top cut exceeds it
-    mv = t[mark - 1]
-    r = min(band(mv), len(factors)) - 1
-    return factors, r, factors[r].index(mv - cuts[r] + 1) + 1
+        raise DomainError(f"{tuple(t)}: segment between {low} and the maximum not increasing")
+    k = len(cuts) - 1
+    base = [c - 1 for c in cuts]  # factor r holds v - base[r]
+    marked = -1
+    if one >= 0:
+        marked = min(bisect_right(cuts, t[one + 1]), k) - 1
+        base[marked] -= 1
+    factors: list[list[int]] = [[] for _ in range(k)]
+
+    def place(stretch: Sequence[int]) -> None:
+        r = k - 1
+        for v in stretch:
+            if v < low:
+                factors[marked].append(1)
+                continue
+            while v < cuts[r]:
+                r -= 1
+            if v > cuts[r + 1]:
+                raise DomainError(f"{tuple(t)}: blocks interleave around a cut")
+            factors[r].append(v - base[r])
+
+    place(t[:i])
+    for r in range(k):
+        factors[r] += (cuts[r] - base[r], cuts[r + 1] - base[r])
+    if i < one < j:  # a 1 among the cuts goes before its neighbour, a cut
+        f = factors[marked]
+        f.insert(len(f) - (1 if one == j - 1 else 2), 1)
+    place(t[j + 1:])
+    return factors, marked
 
 
 def _encode_raw(sig: Sequence[int]) -> tuple[list[list[int]], int]:
     """Marked k-tuple (components, 0-based marked index) for a class-(2, k)
-    avoider not ending in 1."""
-    if sig.index(len(sig)) == sig.index(2) + 1:
-        return [list(sig)], 0  # k = 1: the member is its own marked component
-    # deleting the 1 slides its right neighbour into its slot, which is marked
-    comps, marked, pos = _factorize_raw([v - 1 for v in sig if v != 1],
-                                        sig.index(1) + 1)
-    f = [v + 1 for v in comps[marked]]
-    f.insert(pos - 1, 1)
-    comps[marked] = f
-    return comps, marked
+    avoider not ending in 1: its factors cut from its 2, the 1 marking its
+    right neighbour (see _factorize_raw)."""
+    return _factorize_raw(sig, 2)
 
 
 def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[int, ...]:
@@ -138,7 +155,11 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
     the 1 goes back before its right neighbour, every other value raised
     by one."""
     if len(comps) == 1:
-        return tuple(comps[0])  # a lone component, marked or not, is the result
+        c = comps[0]
+        if marked_idx == 0 and not c.index(len(c)) < c.index(1) < len(c) - 1:
+            raise DomainError(f"marked component {tuple(c)}: 1 not right of its "
+                              "maximum, or last")
+        return tuple(c)  # a lone component, marked or not, is the result
     lift = 1 if marked_idx >= 0 else 0
     hi = sum(map(len, comps)) - len(comps) + 1 - lift  # top cut before the lift
     pre: list[int] = []
@@ -157,7 +178,11 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
         pre += [v + shift for v in c[:i]]
         tail = [v + shift for v in c[i + 2:]]
         if marked:
-            tail[c.index(1) - i - 2] = 1
+            one = c.index(1) - i - 2  # the 1's place in the tail
+            if not 0 <= one < len(tail) - 1:
+                raise DomainError(f"marked component {tuple(c)}: 1 not right of its "
+                                  "maximum, or last")
+            tail[one] = 1
         suf += tail
         cuts.append(lo + lift)
         hi = lo
@@ -213,7 +238,7 @@ def factorize(p: Permutation) -> PrimitiveDecomposition:
     """Unique decomposition of an avoider with 1 left of its maximum into
     k = pos(max) - pos(1) primitives."""
     cls = _require_one_left_of_max(p, "factorize")
-    factors, _, _ = _factorize_raw(p.values)
+    factors, _ = _factorize_raw(p.values)
     if len(factors) != cls.k:
         raise DomainError(
             f"factorize: {p!r} produced {len(factors)} factors, expected {cls.k}")

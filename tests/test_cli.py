@@ -115,7 +115,7 @@ class TestSeries:
         code, out, _ = run_cli(capsys, "series", "--which", "f", "--order", "4")
         assert out.strip() == "0 + 1*x + 2*x^2 + 6*x^3 + 22*x^4"
 
-    def test_t_variants(self, capsys):
+    def test_t_variants(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "series", "--which", "T", "--a", "2",
                                "--k", "0", "--order", "4")
         assert out.strip() == "0 + 0*x + 1*x^2 + 0*x^3 + 0*x^4"
@@ -126,6 +126,10 @@ class TestSeries:
         code, out, _ = run_cli(capsys, "series", "--which", "t", "--a", "3",
                                "--k", "1", "--order", "6")
         assert out.strip() == "0 + 0*x + 0*x^2 + 0*x^3 + 2*x^4 + 8*x^5 + 39*x^6"
+        # a t that counts tables reads --cache-dir
+        code, cached, _ = run_cli(capsys, "series", "--which", "t", "--a", "3",
+                                  "--k", "1", "--order", "6", "--cache-dir", str(tmp_path))
+        assert code == 0 and cached == out and any(tmp_path.iterdir())
 
     def test_csv_and_json(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--which", "f", "--order", "3",
@@ -222,6 +226,12 @@ class TestParser:
         ["series", "--which", "f", "--max-k", "9"],
         ["series", "--which", "g2", "--cache-dir", "X"],
         ["series", "--which", "f", "--cache-dir", "X"],
+        # t takes the closed form, with no tables, for a = 1 with k >= 1 and
+        # for a = 2
+        ["series", "--which", "t", "--a", "2", "--k", "3", "--order", "6",
+         "--cache-dir", "X"],
+        ["series", "--which", "t", "--a", "2", "--k", "0", "--cache-dir", "X"],
+        ["series", "--which", "t", "--a", "1", "--k", "2", "--cache-dir", "X"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

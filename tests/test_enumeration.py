@@ -265,6 +265,22 @@ class TestWalk:
         walked = Counter((n, ca, ck, v) for n, ca, ck, v, _ in _walk(2, 8, a, k))
         assert walked == lex_members(range(2, 9), a, k)
 
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_class_prune_keeps_the_filtered_walk(self, chained):
+        # a given prunes the walk to the subtrees that can hold class a; the
+        # members and their order must be those of the unfiltered walk, also
+        # below the size-7 roots of the parallel split
+        def walk(max_n, a=None, k=None):
+            roots = _tree_roots(max_n, 2) if chained else [(enumeration._ROOT, max_n)]
+            return [m for node, top in roots for m in _walk(2, top, a, k, root=node)]
+
+        for n in ((9,) if chained else range(2, 10)):
+            every = walk(n)
+            for a in range(1, n):
+                for k in (None, *range(1, n)):
+                    assert walk(n, a, k) == [m for m in every if m[1] == a and
+                                             (k is None or m[2] == k)], (n, a, k)
+
     def test_fan_out_parts_cover_the_tree_once(self):
         # n = 9 is past _SEED_SIZE + 1, so two workers split the tree
         assert 9 > _SEED_SIZE + 1

@@ -390,7 +390,10 @@ class TestFlatCodecMatchesStepByStep:
         assert seen and 0 < raised < seen
 
     def test_factorize_and_recompose_on_every_candidate(self):
-        # every permutation of size <= 8 with 1 left of its maximum
+        # every permutation of size <= 8 with 1 left of its maximum, unmarked
+        # and with every entry marked: a 1 inserted before the marked entry,
+        # every value raised, is the mark the loop takes with low cut 2
+        marks = raised = 0
         for n in range(2, 9):
             for t in permutations(range(1, n + 1)):
                 if t.index(1) > t.index(n):
@@ -399,7 +402,27 @@ class TestFlatCodecMatchesStepByStep:
                 got = _outcome(_factorize_raw, t)
                 if ref is DomainError:
                     assert got is DomainError, t
-                    continue
-                factors, marked, pos = got
-                assert ([tuple(f) for f in factors], marked, pos) == ref, t
-                assert _decode_raw(factors) == t
+                else:
+                    factors, marked = got
+                    assert ([tuple(f) for f in factors], marked, 0) == ref, t
+                    assert _decode_raw(factors) == t
+                up = tuple(v + 1 for v in t)
+                for mark in range(1, n + 1):
+                    sig = up[:mark - 1] + (1,) + up[mark - 1:]
+                    ref = _outcome(_ref_encode, sig)
+                    got = _outcome(_factorize_raw, sig, 2)
+                    if ref is DomainError:
+                        assert got is DomainError, (t, mark)
+                        continue
+                    marks += 1
+                    comps, marked = got
+                    assert ([tuple(c) for c in comps], marked) == ref, (t, mark)
+                    # the codec's image: a 1 right of the maximum decodes back,
+                    # any other is not a marked component
+                    if sig.index(1) > sig.index(n + 1):
+                        assert _decode_raw(comps, marked) == sig, (t, mark)
+                    else:
+                        raised += 1
+                        with pytest.raises(DomainError):
+                            _decode_raw(comps, marked)
+        assert 0 < raised < marks

@@ -8,7 +8,8 @@ import permpos.verify
 from permpos.cli import main
 from permpos.dominoes import GriddedDomino, to_domino
 from permpos.enumeration import _walk, count_tables
-from permpos.permutations import Permutation
+from permpos.permutations import DomainError, Permutation
+from permpos.products import _decode_raw
 from permpos.verify import (
     SUITES,
     _explicit_codec_check,
@@ -192,6 +193,29 @@ def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
     reports = run_suites(["thm3"], max_n=9, workers=workers, tables=count_tables(9))
     assert [(r.identity, r.passed) for r in reports] == [("thm3", False)]
     assert reports[0].params == {"error": "RuntimeError", "message": "simulated scan defect"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_marked_one_moved_to_the_end_is_a_codec_failure(monkeypatch, workers):
+    # an encoder that moves the marked component's 1 to its end: the decoder
+    # rejects that component, so every member fails, and the residual names
+    # the ten smallest whatever the worker count
+    real = permpos.verify._encode_raw
+
+    def moved(values):
+        comps, idx = real(values)
+        comps[idx] = [v for v in comps[idx] if v != 1] + [1]
+        return comps, idx
+
+    for member in ((2, 4, 1, 3), (2, 3, 5, 1, 4)):  # k = 1 and k = 2
+        with pytest.raises(DomainError):
+            _decode_raw(*moved(member))
+    monkeypatch.setattr(permpos.verify, "_encode_raw", moved)
+    codec = _codec_report(suite_thm3(9, 9, count_tables(9), workers=workers))
+    assert not codec.passed
+    smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
+                      key=lambda v: (len(v), v))[:10]
+    assert codec.residual == [(len(v), 0, Fraction(1)) for v in smallest]
 
 
 def _size9_primitives():

@@ -21,7 +21,9 @@ cross-checked in the test suite:
 * :func:`count_tables` counts the tree without visiting it node by node:
   nodes with alike subtrees merge into one state with a multiplicity
   (Marinov & Radoicic, "Counting 1324-avoiding permutations", EJC 2003),
-  so exact tables to n = 13 take seconds.
+  and the last two levels are counted from each state's prefix-minimum
+  runs without building them, so exact tables to n = 13 take seconds and
+  n = 14 under a minute.
 
 :func:`_fan_out` is the one parallel helper: it runs a module-level worker
 over chunks of roots in one Pool, a root being a subtree seed (the thm3
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
@@ -53,7 +56,10 @@ from .permutations import (
 
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
-COUNT_MAX_N = 13  # count tables alone, without walking the members
+# count tables alone, without walking the members; count_tables(14) at one
+# worker took 48-57 s at a peak RSS of 71 MB (four runs on a shared 2-core
+# x86-64 machine, Python 3.11.7)
+COUNT_MAX_N = 14
 _SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
 _CHUNKS_PER_WORKER = 16  # fan-out chunks per worker, to shorten the idle tail
 _ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
@@ -269,6 +275,19 @@ def _add_counts(into: dict, part: dict) -> None:
 # prefix minimum below x. So pm is the running minimum of the codes, x is
 # above pm iff its code is >= _ABOVE + pm, and the maximum inserted at
 # p >= 2 is coded _ABOVE + entry 1. Equal states merge, with a multiplicity.
+#
+# The classes of a node's children come from its runs: the prefix minima
+# among entries 1..L, each followed by the children up to the next one (or
+# to L + 1) in its class. A state of size max_n - 2 counts its grandchildren
+# from its own runs, without building its children. In the child that
+# inserts the maximum at p >= 2, the prefix minima are the state's, those at
+# or right of p one place later, up to the child's bound Lc. So its runs are
+# the state's, the run over p one longer and the last run cut at Lc. An
+# entry p that is not a prefix minimum lies above the running minimum pm,
+# and the maximum before it makes pm, M, entry p a 132: Lc = p. Only a
+# prefix minimum at p needs the scan for the first later entry above pm.
+# The child at p = 1 adds a run of length 1 for its maximum to the state's
+# runs, whole; the child at p = L + 1 has Lc = L + 1 either way.
 
 _ABOVE = 128  # above every value, so sizes stay below it
 
@@ -277,8 +296,10 @@ def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
                   totals: list[int], merged: Optional[dict]) -> None:
     """Count the children of a state of the given size, ``mult`` times each:
     into ``totals``, and into ``runs[n][a][K]`` once per prefix minimum a
-    followed by K children of class a. Below size max_n, file each child in
-    ``merged``, or expand it depth-first when that is None."""
+    followed by K children of class a. At size max_n - 2, count the
+    grandchildren too, from the state's own runs. Otherwise, below size
+    max_n, file each child in ``merged``, or expand it depth-first when that
+    is None."""
     L = state[0]
     child_n = size + 1
     totals[child_n] += (L + 1) * mult
@@ -290,6 +311,9 @@ def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
             pm, pmpos = state[q], q
     row[pm][L + 1 - pmpos] += mult
     if child_n == max_n:
+        return
+    if child_n + 1 == max_n:
+        _count_grandchildren(state, mult, max_n, runs, totals)
         return
     new_max = bytes((_ABOVE + state[1],))
     children = [bytes((L + 1, child_n)) + state[1:]]
@@ -309,6 +333,54 @@ def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
             _expand_state(child, child_n, mult, max_n, runs, totals, None)
         else:
             merged[child] = merged.get(child, 0) + mult
+
+
+def _count_grandchildren(state: bytes, mult: int, max_n: int, runs: list,
+                         totals: list[int]) -> None:
+    """Count the size-max_n grandchildren of a state of size max_n - 2,
+    ``mult`` times each, into ``totals`` and ``runs``, from the state's runs
+    (see above). The runs a child keeps whole are added once per run, with a
+    suffix count over the index J of each child's cut run."""
+    L = state[0]
+    at = [q for q in range(1, L + 1) if state[q] < _ABOVE]  # the prefix minima
+    vals = [state[q] for q in at]
+    at.append(L + 1)
+    r = len(vals)
+    row = runs[max_n]
+    full = [0] * (r + 1)  # full[J]: children whose runs before run J are whole
+    longer = [0] * r  # longer[i]: of those, children whose run i is one longer
+    full[r] += 1  # p = 1
+    row[max_n - 1][1] += mult
+    full[r - 1] += 1  # p = L + 1
+    row[vals[r - 1]][L + 2 - at[r - 1]] += mult
+    total = 2 * (L + 2)
+    i = 0  # the last prefix minimum left of p
+    end = len(state)
+    for p in range(2, L + 1):
+        if state[p] >= _ABOVE:  # above vals[i]: Lc = p
+            full[i] += 1
+            row[vals[i]][p + 1 - at[i]] += mult
+            total += p + 1
+            continue
+        above = _ABOVE + vals[i]
+        Lc = L + 1
+        for q in range(p + 1, end):
+            if state[q] >= above:
+                Lc = q
+                break
+        J = bisect_left(at, Lc) - 1  # the last prefix minimum left of Lc
+        longer[i] += 1
+        full[J] += 1
+        row[vals[J]][Lc - at[J]] += mult  # run J, one place later, cut at Lc
+        total += Lc + 1
+        i += 1
+    totals[max_n] += total * mult
+    whole = 0
+    for j in range(r - 1, -1, -1):
+        whole += full[j + 1]
+        K = at[j + 1] - at[j]
+        row[vals[j]][K] += (whole - longer[j]) * mult
+        row[vals[j]][K + 1] += longer[j] * mult
 
 
 def _count_arrays(max_n: int) -> tuple[list, list[int]]:

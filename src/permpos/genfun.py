@@ -195,9 +195,9 @@ def conjecture_check(a: int, k: int, order: int, tables: Tables) -> IdentityRepo
                    residual, start)
 
 
-# |S_n(1324)| for n = 1..13 (OEIS A061552), a route the tables did not take
+# |S_n(1324)| for n = 1..14 (OEIS A061552), a route the tables did not take
 _A061552 = (1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112,
-            25431452, 173453058)
+            25431452, 173453058, 1209639642)
 
 
 def g_identity_check(order: int, tables: Tables) -> IdentityReport:
@@ -205,7 +205,7 @@ def g_identity_check(order: int, tables: Tables) -> IdentityReport:
     |S_n(1324)| = |S_{n-1}(1324)| + sum of all class counts at n (the
     permutations starting with n are counted by the size-(n-1) total).
     Any count of the tree meets it by construction, so each total up to
-    n = 13 is also compared with A061552, as residual (n, 1, difference)."""
+    n = 14 is also compared with A061552, as residual (n, 1, difference)."""
     start = time.monotonic()
     residual = []
     for n in range(2, order + 1):

@@ -154,12 +154,12 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
     inverse of _encode_raw): the component takes part without its 1, and
     the 1 goes back before its right neighbour, every other value raised
     by one."""
-    if len(comps) == 1:
+    if len(comps) == 1 and marked_idx == 0:
         c = comps[0]
-        if marked_idx == 0 and not c.index(len(c)) < c.index(1) < len(c) - 1:
+        if not c.index(len(c)) < c.index(1) < len(c) - 1:
             raise DomainError(f"marked component {tuple(c)}: 1 not right of its "
                               "maximum, or last")
-        return tuple(c)  # a lone component, marked or not, is the result
+        return tuple(c)  # a lone marked component is the result
     lift = 1 if marked_idx >= 0 else 0
     hi = sum(map(len, comps)) - len(comps) + 1 - lift  # top cut before the lift
     pre: list[int] = []

@@ -52,9 +52,9 @@ class TestCount:
         assert out1 == out2
 
 
-def test_count_and_series_accept_thirteen(capsys, monkeypatch):
+def test_count_and_series_accept_fourteen(capsys, monkeypatch):
     # verify keeps its cap of 12 (see TestVerify); the table-only commands
-    # take 13, here with stand-in tables so that nothing is counted
+    # take 14, here with stand-in tables so that nothing is counted
     from permpos.enumeration import ClassCountTable
 
     def fake_tables(max_n, workers=1, cache_dir=None):
@@ -62,12 +62,12 @@ def test_count_and_series_accept_thirteen(capsys, monkeypatch):
                 for n in range(1, max_n + 1)}
 
     monkeypatch.setattr(permpos.cli, "count_tables", fake_tables)
-    assert run_cli(capsys, "count", "--n", "13")[1].strip() == "13"
-    assert run_cli(capsys, "count", "--n", "13", "--a", "3", "--k", "3")[1].strip() == "91"
+    assert run_cli(capsys, "count", "--n", "14")[1].strip() == "14"
+    assert run_cli(capsys, "count", "--n", "14", "--a", "3", "--k", "3")[1].strip() == "98"
     code, out, _ = run_cli(capsys, "series", "--which", "t", "--a", "3", "--k", "3",
-                           "--order", "13", "--format", "json")
-    assert code == 0 and json.loads(out)["coeffs"][13] == "91"
-    for argv in (["count", "--n", "14"], ["series", "--which", "f", "--order", "14"],
+                           "--order", "14", "--format", "json")
+    assert code == 0 and json.loads(out)["coeffs"][14] == "98"
+    for argv in (["count", "--n", "15"], ["series", "--which", "f", "--order", "15"],
                  ["count", "--n", "0"], ["series", "--which", "f", "--order", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -6,7 +6,10 @@ import pytest
 
 from permpos import enumeration
 from permpos.enumeration import (
+    _ABOVE,
     _SEED_SIZE,
+    _count_arrays,
+    _expand_state,
     _fan_out,
     _tree_roots,
     _walk,
@@ -116,7 +119,61 @@ class TestClassify:
                     assert p.position(b) > pos_n
 
 
+def state_children(state, size):
+    """The child states of a merged count state, each built as bytes: the
+    expansion that the grandchild count skips at size max_n - 2."""
+    L = state[0]
+    new_max = bytes((_ABOVE + state[1],))
+    children = [bytes((L + 1, size + 1)) + state[1:]]
+    pm = state[1]
+    for p in range(2, L + 2):
+        pm = min(pm, state[p - 1])
+        Lc = next((q for q in range(p, len(state)) if state[q] >= _ABOVE + pm), L + 1)
+        children.append(bytes((Lc,)) + state[1:p] + new_max + state[p:Lc + 1])
+    return children
+
+
+def count_children_by_scan(state, size, mult, runs, totals):
+    """Count a state's children, mult times each, by scanning its prefix
+    minima: into totals, and into runs once per prefix minimum a followed
+    by K children of class a."""
+    L = state[0]
+    totals[size + 1] += (L + 1) * mult
+    row = runs[size + 1]
+    pm, pmpos = state[1], 1
+    for q in range(2, L + 1):
+        if state[q] < pm:
+            row[pm][q - pmpos] += mult
+            pm, pmpos = state[q], q
+    row[pm][L + 1 - pmpos] += mult
+
+
 class TestCountTables:
+    def test_grandchild_count_matches_the_two_level_expansion(self):
+        # every merged state of size <= 8, counted to max_n = size + 2 from
+        # its own runs, against its children built one by one and each
+        # child's children counted by a scan of that child
+        level = {bytes((1, 1)): 1}  # the root
+        for size in range(1, 9):
+            merged = Counter()
+            for state, mult in level.items():
+                got = _count_arrays(size + 2)
+                _expand_state(state, size, mult, size + 2, *got, None)
+                want = _count_arrays(size + 2)
+                count_children_by_scan(state, size, mult, *want)
+                for child in state_children(state, size):
+                    count_children_by_scan(child, size + 1, mult, *want)
+                    merged[child] += mult
+                assert got == want, (size, state)
+            level = merged
+        assert sum(level.values()) == 94776  # the size-9 nodes, each once
+        # count_tables(3) is the smallest count that takes the grandchild
+        # route, straight from the root
+        tables = count_tables(3)
+        assert [tables[n].total for n in (1, 2, 3)] == [1, 2, 6]
+        assert tables[3].counts == {(1, 1): 2, (1, 2): 1, (2, 1): 1}
+        assert tables[2].counts == {(1, 1): 1}
+
     def test_against_filter_oracle(self, tables8):
         for n in range(1, 9):
             avoiders = filter_oracle(n, (1, 3, 2, 4))

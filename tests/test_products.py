@@ -14,6 +14,7 @@ from permpos.permutations import (
 )
 from permpos.products import (
     MarkedTuple,
+    PrimitiveDecomposition,
     _decode_raw,
     _encode_raw,
     _factorize_raw,
@@ -120,6 +121,17 @@ class TestFactorize:
             factorize(perm("1324"))
         with pytest.raises(DomainError):
             factorize(perm("312"))  # starts with max
+
+    def test_lone_factor_is_checked_like_any_other(self):
+        # a non-primitive factor is refused whether or not another factor
+        # stands next to it, and a lone primitive recomposes to itself
+        for values in ((1, 2, 3), (2, 1, 3, 4), (2, 3, 1)):
+            bad = Permutation(values)
+            for factors in ((bad,), (perm("12"), bad), (bad, perm("12"))):
+                with pytest.raises(DomainError, match="adjacent-left"):
+                    PrimitiveDecomposition(factors).recompose()
+        for p in iter_class_members(6, 1, 1):
+            assert PrimitiveDecomposition((p,)).recompose() == p
 
     def test_factor_count_and_recomposition(self):
         for n in range(2, 9):

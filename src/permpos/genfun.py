@@ -3,10 +3,12 @@ that pin them against the enumeration oracle.
 
 f(x) counts primitives by size shifted down one (coefficient of x^m is the
 number of primitives of size m + 1), with the closed form
-2(3m)!/((2m+1)!(m+1)!). The class-(1, k) series is x f(x)^k, the bivariate
-version is x t f / (1 - t f), and the a = 2 series follows either from the
-halving identity |class(2, k) at n| = (n-k)/2 * a_{n-1,k} or from the
-marked-tuple expansion; both assemblies are computed and must agree
+2(3m)!/((2m+1)!(m+1)!). Every power of f is read from one cached table of
+f^0..f^order per order. The class-(1, k) series is x f(x)^k, and the
+bivariate version x t f / (1 - t f) is assembled from those series as its
+t^k columns. The a = 2 series follows either from the halving identity
+|class(2, k) at n| = (n-k)/2 * a_{n-1,k} or from the marked-tuple
+expansion; both assemblies are computed column by column and must agree
 exactly.
 
 Every check returns an IdentityReport carrying the full residual series
@@ -96,33 +98,60 @@ def a_nk_recurrence(n: int, k: int) -> int:
     return _a_nk(n, k)
 
 
+@lru_cache(maxsize=None)
+def _f_powers(order: int) -> tuple[TruncatedSeries, ...]:
+    f = f_series(order)
+    powers = [TruncatedSeries.one(order)]
+    for _ in range(order):
+        powers.append(powers[-1] * f)
+    return tuple(powers)
+
+
+def f_power(j: int, order: int) -> TruncatedSeries:
+    """f^j cut at x^order, read from the table f^0..f^order of that order;
+    f has no constant term, so f^j is zero there for j > order."""
+    if j < 0:
+        raise ValueError("the power of f must be >= 0")
+    powers = _f_powers(order)
+    return powers[j] if j <= order else TruncatedSeries.zero(order)
+
+
 def t1k_series(k: int, order: int) -> TruncatedSeries:
     """Class-(1, k) size series: x f(x)^k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return (f_series(order) ** k).shift(1).truncate(order)
+    return f_power(k, order).shift(1).truncate(order)
+
+
+def _g1_columns(order: int, torder: int) -> list[TruncatedSeries]:
+    """The t^k columns of g1 = x t f / (1 - t f) = sum_{k>=1} x f^k t^k."""
+    return [t1k_series(k, order) if k else TruncatedSeries.zero(order)
+            for k in range(torder + 1)]
 
 
 def g1_series(order: int, torder: int) -> BivariateSeries:
     """Bivariate class-(1, k) series, closed form x t f / (1 - t f)."""
-    f2 = BivariateSeries.from_univariate(f_series(order), torder)
-    tf = f2.shift_t(1).truncate(order, torder)
-    return (tf * tf.geometric_inverse()).shift_x(1).truncate(order, torder)
+    return BivariateSeries.from_columns(_g1_columns(order, torder), order)
 
 
 def g2_series(order: int, torder: int) -> BivariateSeries:
     """Bivariate a = 2 series, computed two independent ways --
     (x^2 dg1/dx - g1^2)/2 and (x^2 dg1/dx + x g1 - t x dg1/dt)/2 --
-    which must agree exactly."""
-    g1 = g1_series(order, torder)
-    x2dx = g1.dx().shift_x(2).truncate(order, torder)
-    route1 = (x2dx - g1 * g1).scale(Fraction(1, 2))
-    xg1 = g1.shift_x(1).truncate(order, torder)
-    txdt = g1.dt().shift_t(1).shift_x(1).truncate(order, torder)
-    route2 = (x2dx + xg1 - txdt).scale(Fraction(1, 2))
+    which must agree exactly. Both are built one power of t at a time:
+    the t^k column of g1^2 is sum_{i+j=k} g1_i g1_j, and that of
+    t x dg1/dt is k x g1_k."""
+    g1 = _g1_columns(order, torder)
+    half = Fraction(1, 2)
+    route1, route2 = [], []
+    for k, col in enumerate(g1):
+        x2dx = col.dx().shift(2).truncate(order)
+        square = sum((g1[i] * g1[k - i] for i in range(k + 1)),
+                     TruncatedSeries.zero(order))
+        route1.append((x2dx - square).scale(half))
+        route2.append((x2dx + col.shift(1).truncate(order).scale(1 - k)).scale(half))
     if route1 != route2:
         raise ArithmeticError("the two g2 assemblies disagree")
-    return route1
+    return BivariateSeries.from_columns(route1, order)
 
 
 def t2k_series(k: int, order: int) -> TruncatedSeries:
@@ -138,7 +167,7 @@ def t2k_series(k: int, order: int) -> TruncatedSeries:
     t21 = f.shift(1).truncate(order).dx().shift(2).truncate(order).scale(Fraction(1, 2))
     if k == 1:
         return t21
-    return (f ** k) * t20 + (f ** (k - 1)) * (t21 - f * t20).scale(k)
+    return f_power(k, order) * t20 + f_power(k - 1, order) * (t21 - f * t20).scale(k)
 
 
 def t_ak_bruteforce(a: int, k: int, order: int, tables: Tables) -> TruncatedSeries:
@@ -148,7 +177,8 @@ def t_ak_bruteforce(a: int, k: int, order: int, tables: Tables) -> TruncatedSeri
     if a < 1 or k < 0:
         raise ValueError("need a >= 1 and k >= 0")
     if k == 0:
-        coeff = 1 if a <= 1 else tables[a - 1].total
+        # x^a lies beyond the order when a > order, so no table is read
+        coeff = tables[a - 1].total if 1 < a <= order else 1
         return TruncatedSeries.monomial(a, order, coeff)
     return TruncatedSeries.from_coeffs(
         [tables[n].count(a, k) if n >= 1 else 0 for n in range(order + 1)])
@@ -168,24 +198,23 @@ def conjecture_check(a: int, k: int, order: int, tables: Tables) -> IdentityRepo
     if k < a:
         raise ValueError(f"conjecture scope is k >= a, got a={a}, k={k}")
     start = time.monotonic()
-    f = f_series(order)
     T = {j: t_ak_bruteforce(a, j, order, tables) for j in range(k + 1)}
 
     form1 = TruncatedSeries.zero(order)
     for j in range(k + 1):
-        form1 = form1 + ((f ** j) * T[k - j]).scale((-1) ** j * comb(k, j))
+        form1 = form1 + (f_power(j, order) * T[k - j]).scale((-1) ** j * comb(k, j))
 
     pred2 = TruncatedSeries.zero(order)
     for j in range(a):
         inner = TruncatedSeries.zero(order)
         for i in range(j + 1):
-            inner = inner + ((f ** i) * T[j - i]).scale((-1) ** i * comb(j, i))
-        pred2 = pred2 + ((f ** (k - j)) * inner).scale(comb(k, j))
+            inner = inner + (f_power(i, order) * T[j - i]).scale((-1) ** i * comb(j, i))
+        pred2 = pred2 + (f_power(k - j, order) * inner).scale(comb(k, j))
 
     pred3 = TruncatedSeries.zero(order)
     for j in range(a):
         c = (-1) ** (a - j - 1) * comb(k, j) * comb(k - j - 1, a - j - 1)
-        pred3 = pred3 + ((f ** (k - j)) * T[j]).scale(c)
+        pred3 = pred3 + (f_power(k - j, order) * T[j]).scale(c)
 
     residual: list[tuple[int, int, Fraction]] = []
     for tag, series in ((1, form1), (2, T[k] - pred2), (3, T[k] - pred3),

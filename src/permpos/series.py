@@ -1,10 +1,14 @@
 """Exact truncated formal power series over arbitrary-precision rationals.
 
-Univariate series live in x, bivariate ones in (x, t). Arithmetic never
-rounds: coefficients are fractions.Fraction throughout, and operations on
-operands of different orders truncate to the smaller order rather than
-silently padding. Derivatives drop the order by one in the differentiated
-variable; shifts (multiplication by a monomial) raise it, exactly.
+All arithmetic is on univariate series in x. It never rounds: coefficients
+are fractions.Fraction throughout, and operations on operands of different
+orders truncate to the smaller order rather than silently padding. The
+derivative drops the order by one; a shift (multiplication by a power of
+x) raises it, exactly.
+
+A bivariate series in (x, t) is only a coefficient grid. It is built from
+its t^k columns, each a univariate series, so it carries no arithmetic of
+its own.
 """
 
 from __future__ import annotations
@@ -97,14 +101,6 @@ class TruncatedSeries:
         c = _frac(c)
         return TruncatedSeries(self.order, tuple(c * x for x in self.coeffs))
 
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def dx(self) -> "TruncatedSeries":
         """Formal derivative; the output order drops by one."""
         if self.order == 0:
@@ -118,15 +114,6 @@ class TruncatedSeries:
             raise ValueError("exponent must be >= 0")
         return TruncatedSeries(self.order + exponent,
                                (Fraction(0),) * exponent + self.coeffs)
-
-    def geometric_inverse(self) -> "TruncatedSeries":
-        """1/(1 - u) = sum u^j for a series u with zero constant term."""
-        if self.coeffs[0] != 0:
-            raise DomainError("geometric_inverse needs a zero constant term")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(self.order):
-            result = TruncatedSeries.one(self.order) + self * result
-        return result
 
     def integer_coeffs(self) -> tuple[int, ...]:
         """Coefficients as ints; raises if any is not an integer."""
@@ -162,11 +149,6 @@ class BivariateSeries:
             raise ValueError("coefficient matrix does not match orders")
 
     @classmethod
-    def zero(cls, xorder: int, torder: int) -> "BivariateSeries":
-        row = (Fraction(0),) * (torder + 1)
-        return cls(xorder, torder, (row,) * (xorder + 1))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], xorder: int, torder: int) -> "BivariateSeries":
         out = []
         for n in range(xorder + 1):
@@ -176,93 +158,16 @@ class BivariateSeries:
         return cls(xorder, torder, tuple(out))
 
     @classmethod
-    def from_univariate(cls, s: TruncatedSeries, torder: int) -> "BivariateSeries":
-        return cls.from_rows([[c] for c in s.coeffs], s.order, torder)
+    def from_columns(cls, columns: Sequence[TruncatedSeries], xorder: int) -> "BivariateSeries":
+        """The series whose t^k coefficient is columns[k], cut at x^xorder."""
+        return cls(xorder, len(columns) - 1, tuple(
+            tuple(col.coeff(n) for col in columns) for n in range(xorder + 1)))
 
     def coeff(self, n: int, k: int) -> Fraction:
         if not (0 <= n <= self.xorder and 0 <= k <= self.torder):
             raise ValueError(f"coefficient ({n},{k}) beyond truncation "
                              f"({self.xorder},{self.torder})")
         return self.coeffs[n][k]
-
-    def truncate(self, xorder: int, torder: int) -> "BivariateSeries":
-        if xorder > self.xorder or torder > self.torder:
-            raise ValueError("cannot extend truncation orders")
-        return BivariateSeries(xorder, torder, tuple(
-            row[:torder + 1] for row in self.coeffs[:xorder + 1]))
-
-    def _common(self, other: "BivariateSeries") -> tuple[int, int]:
-        return min(self.xorder, other.xorder), min(self.torder, other.torder)
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        N, K = self._common(other)
-        return BivariateSeries(N, K, tuple(
-            tuple(self.coeffs[n][k] + other.coeffs[n][k] for k in range(K + 1))
-            for n in range(N + 1)))
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        N, K = self._common(other)
-        return BivariateSeries(N, K, tuple(
-            tuple(self.coeffs[n][k] - other.coeffs[n][k] for k in range(K + 1))
-            for n in range(N + 1)))
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        N, K = self._common(other)
-        out = [[Fraction(0)] * (K + 1) for _ in range(N + 1)]
-        for n1 in range(min(self.xorder, N) + 1):
-            row1 = self.coeffs[n1]
-            for k1 in range(min(self.torder, K) + 1):
-                c1 = row1[k1]
-                if c1 == 0:
-                    continue
-                for n2 in range(min(other.xorder, N - n1) + 1):
-                    row2 = other.coeffs[n2]
-                    for k2 in range(min(other.torder, K - k1) + 1):
-                        if row2[k2]:
-                            out[n1 + n2][k1 + k2] += c1 * row2[k2]
-        return BivariateSeries(N, K, tuple(tuple(row) for row in out))
-
-    def scale(self, c: Scalar) -> "BivariateSeries":
-        c = _frac(c)
-        return BivariateSeries(self.xorder, self.torder, tuple(
-            tuple(c * v for v in row) for row in self.coeffs))
-
-    def dx(self) -> "BivariateSeries":
-        if self.xorder == 0:
-            return BivariateSeries.zero(0, self.torder)
-        return BivariateSeries(self.xorder - 1, self.torder, tuple(
-            tuple(n * c for c in self.coeffs[n]) for n in range(1, self.xorder + 1)))
-
-    def dt(self) -> "BivariateSeries":
-        if self.torder == 0:
-            return BivariateSeries.zero(self.xorder, 0)
-        return BivariateSeries(self.xorder, self.torder - 1, tuple(
-            tuple(k * row[k] for k in range(1, self.torder + 1)) for row in self.coeffs))
-
-    def shift_x(self, exponent: int) -> "BivariateSeries":
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        zero_row = (Fraction(0),) * (self.torder + 1)
-        return BivariateSeries(self.xorder + exponent, self.torder,
-                               (zero_row,) * exponent + self.coeffs)
-
-    def shift_t(self, exponent: int) -> "BivariateSeries":
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        pad = (Fraction(0),) * exponent
-        return BivariateSeries(self.xorder, self.torder + exponent, tuple(
-            pad + row for row in self.coeffs))
-
-    def geometric_inverse(self) -> "BivariateSeries":
-        """1/(1 - u); u must have zero (0,0) coefficient. Every monomial of
-        u has total degree >= 1, so xorder + torder powers suffice."""
-        if self.coeffs[0][0] != 0:
-            raise DomainError("geometric_inverse needs a zero constant term")
-        one = BivariateSeries.from_rows([[1]], self.xorder, self.torder)
-        result = one
-        for _ in range(self.xorder + self.torder):
-            result = one + self * result
-        return result
 
     def integer_coeffs(self) -> tuple[tuple[int, ...], ...]:
         out = []

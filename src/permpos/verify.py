@@ -58,6 +58,7 @@ from .genfun import (
     _report,
     a_nk_recurrence,
     conjecture_check,
+    f_power,
     f_series,
     g2_series,
     g_identity_check,
@@ -294,9 +295,8 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     # tuple counts: k slots for the marked component, primitives elsewhere
     a21 = TruncatedSeries.from_coeffs(
         [not1.get((m, 1), 0) for m in range(max_n + 1)])
-    f = f_series(max_n)
     for k in range(1, max_n):
-        tuple_counts = ((f ** (k - 1)) * a21).scale(k)
+        tuple_counts = (f_power(k - 1, max_n) * a21).scale(k)
         for n in range(3, max_n + 1):
             diff = Fraction(not1.get((n, k), 0)) - tuple_counts.coeff(n)
             if diff:

@@ -147,6 +147,11 @@ class TestSeries:
         assert lines[0] == "n\\k,0,1,2,3"
         assert lines[5] == "4,0,3,1,0"
 
+    def test_k_zero_beyond_the_order_is_zero(self, capsys):
+        code, out, err = run_cli(capsys, "series", "--which", "t", "--a", "5",
+                                 "--k", "0", "--order", "3")
+        assert (code, out.strip(), err) == (0, "0 + 0*x + 0*x^2 + 0*x^3", "")
+
     def test_missing_args(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--which", "t", "--order", "4"])

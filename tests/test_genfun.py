@@ -4,6 +4,7 @@ from permpos.enumeration import iter_class_members
 from permpos.genfun import (
     a_nk_recurrence,
     conjecture_check,
+    f_power,
     f_series,
     g1_series,
     g2_series,
@@ -28,6 +29,15 @@ class TestFSeries:
 
     def test_integrality_through_order_16(self):
         f_series(16).integer_coeffs()  # raises if any division is inexact
+
+    def test_powers_table(self):
+        assert f_power(0, 5) == TruncatedSeries.one(5)
+        assert f_power(1, 5) == f_series(5)
+        assert f_power(3, 5).coeff(5) == 30  # (x + 2x^2 + 6x^3)^3
+        assert f_power(5, 5) == TruncatedSeries.monomial(5, 5)
+        assert f_power(6, 5) == TruncatedSeries.zero(5)
+        with pytest.raises(ValueError):
+            f_power(-1, 5)
 
 
 class TestRecurrence:
@@ -70,11 +80,15 @@ class TestG1:
         assert g1.coeff(4, 2) == 4
 
     def test_closed_form_equals_power_sum(self):
-        g1 = g1_series(8, 8)
-        for k in range(1, 9):
-            tk = t1k_series(k, 8)
-            for n in range(9):
-                assert g1.coeff(n, k) == tk.coeff(n)
+        # g1 and t1k_series read one table of powers of f, so g1 is checked
+        # against x t f / (1 - t f) as (1 - t f) g1 = x t f, column by column
+        g1, f = g1_series(8, 8), f_series(8)
+        cols = [TruncatedSeries.from_coeffs([g1.coeff(n, k) for n in range(9)])
+                for k in range(9)]
+        assert cols[0] == TruncatedSeries.zero(8)
+        assert cols[1] - f * cols[0] == f.shift(1).truncate(8)
+        for k in range(2, 9):
+            assert cols[k] - f * cols[k - 1] == TruncatedSeries.zero(8)
 
     def test_full_table_matches_enumeration(self, tables8):
         g1 = g1_series(8, 8)
@@ -121,6 +135,8 @@ class TestBruteForceSeries:
             TruncatedSeries.monomial(3, 5, 2)
         assert t_ak_bruteforce(4, 0, 5, tables8) == \
             TruncatedSeries.monomial(4, 5, 6)
+        # x^a is beyond the order, so no table is read
+        assert t_ak_bruteforce(5, 0, 3, {}) == TruncatedSeries.zero(3)
 
     def test_matches_member_streams(self, tables8):
         s = t_ak_bruteforce(3, 2, 8, tables8)

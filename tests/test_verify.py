@@ -36,6 +36,13 @@ def test_all_suites_pass_at_desk_scale_8(tables8):
     assert names.index("a1-recurrence") < names.index("total-count-partition")
 
 
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_all_suites_pass_below_the_conjecture_sizes(max_n):
+    # the conjecture suite reads T_{a,0} for a up to 4, beyond these orders
+    reports = run_suites(SUITES, max_n=max_n)
+    assert reports and all(r.passed for r in reports)
+
+
 def test_unknown_suite_rejected(tables8):
     with pytest.raises(ValueError):
         run_suites(("nope",), max_n=6, tables=tables8)

@@ -20,16 +20,18 @@ cross-checked in the test suite:
 
 * :func:`count_tables` counts the tree without visiting it node by node:
   nodes with alike subtrees merge into one state with a multiplicity
-  (Marinov & Radoicic, "Counting 1324-avoiding permutations", EJC 2003),
-  and the last two levels are counted from each state's prefix-minimum
-  runs without building them, so exact tables to n = 13 take seconds and
-  n = 14 under a minute.
+  (Marinov & Radoicic, "Counting 1324-avoiding permutations", EJC 2003).
+  The states of a level are merged in sorted batches, so equal states,
+  which come from parents with a common prefix, meet in one batch while
+  memory stays flat; the last two levels are counted from each state's
+  prefix-minimum runs without building them. Exact tables to n = 13 take
+  seconds and n = 14 well under a minute.
 
 :func:`_fan_out` is the one parallel helper: it runs a module-level worker
 over chunks of roots in one Pool, a root being a subtree seed (the thm3
 codec scan walks below its seeds) or a merged count state (the count
-expands those depth-first). Parts merge by addition, so every worker count
-gives the same result.
+merges below those in sorted batches). Parts merge by addition, so every
+worker count gives the same result.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -42,6 +44,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -56,11 +59,13 @@ from .permutations import (
 
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
-# count tables alone, without walking the members; count_tables(14) at one
-# worker took 48-57 s at a peak RSS of 71 MB (four runs on a shared 2-core
+# count tables alone, without walking the members; count_tables(15) took
+# 176 s at a peak RSS of 22 MB at one worker, and 99-110 s at two, with a
+# peak RSS of 24 MB in the parent and 19 MB in each worker (shared 2-core
 # x86-64 machine, Python 3.11.7)
-COUNT_MAX_N = 14
+COUNT_MAX_N = 15
 _SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
+_BATCH = 1024  # count states expanded into one merge dict
 _CHUNKS_PER_WORKER = 16  # fan-out chunks per worker, to shorten the idle tail
 _ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
 
@@ -237,25 +242,30 @@ def _tree_roots(max_n: int, workers: int) -> list:
 
 
 def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
-             workers: int) -> list:
+             workers: int, contiguous: bool = False) -> list:
     """Run ``worker(chunk)`` over chunks of ``roots`` and return the parts,
     one per chunk, in completion order.
 
     A root is whatever the worker expands: a (node, top) generating-tree
     seed from _tree_roots, or a merged count state. With one worker that is
     a single call in this process on ``roots`` as given, so an iterable is
-    never listed. Otherwise the roots are listed and dealt round-robin
-    into about _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a
-    long tail, and run in one Pool; ``worker`` must then pickle, as a
-    module-level function or a partial of one. Chunks are disjoint, so
-    callers that merge the parts by addition get the same result for every
-    worker count.
+    never listed. Otherwise the roots are listed and cut into about
+    _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a long
+    tail, and run in one Pool; ``worker`` must then pickle, as a
+    module-level function or a partial of one. The roots are dealt
+    round-robin, or with ``contiguous`` cut into runs that keep neighbours
+    in one chunk. Chunks are disjoint, so callers that merge the parts by
+    addition get the same result for every worker count.
     """
     if workers <= 1:
         return [worker(roots)]
     roots = list(roots)
     nchunks = min(len(roots), workers * _CHUNKS_PER_WORKER)
-    chunks = [roots[i::nchunks] for i in range(nchunks)]
+    if contiguous:
+        cuts = [len(roots) * i // nchunks for i in range(nchunks + 1)]
+        chunks = [roots[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    else:
+        chunks = [roots[i::nchunks] for i in range(nchunks)]
     with Pool(workers) as pool:
         return list(pool.imap_unordered(worker, chunks))
 
@@ -276,6 +286,14 @@ def _add_counts(into: dict, part: dict) -> None:
 # above pm iff its code is >= _ABOVE + pm, and the maximum inserted at
 # p >= 2 is coded _ABOVE + entry 1. Equal states merge, with a multiplicity.
 #
+# A child at p >= 2 copies its parent's entries 1..Lc, so equal states come
+# from parents with a common prefix. The states of a level are therefore
+# taken in order of their entries, in batches of _BATCH; the children of a
+# batch are filed in one dict, sorted in turn and merged the same way one
+# level down. A duplicate split across two batches is expanded twice, which
+# costs time, not exactness; each level holds at most one batch's children,
+# whatever max_n.
+#
 # The classes of a node's children come from its runs: the prefix minima
 # among entries 1..L, each followed by the children up to the next one (or
 # to L + 1) in its class. A state of size max_n - 2 counts its grandchildren
@@ -293,13 +311,12 @@ _ABOVE = 128  # above every value, so sizes stay below it
 
 
 def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
-                  totals: list[int], merged: Optional[dict]) -> None:
+                  totals: list[int], merged: dict) -> None:
     """Count the children of a state of the given size, ``mult`` times each:
     into ``totals``, and into ``runs[n][a][K]`` once per prefix minimum a
     followed by K children of class a. At size max_n - 2, count the
     grandchildren too, from the state's own runs. Otherwise, below size
-    max_n, file each child in ``merged``, or expand it depth-first when that
-    is None."""
+    max_n, file each child in ``merged``."""
     L = state[0]
     child_n = size + 1
     totals[child_n] += (L + 1) * mult
@@ -329,10 +346,7 @@ def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
                 break
         children.append(bytes((Lc,)) + state[1:p] + new_max + state[p:Lc + 1])
     for child in children:
-        if merged is None:
-            _expand_state(child, child_n, mult, max_n, runs, totals, None)
-        else:
-            merged[child] = merged.get(child, 0) + mult
+        merged[child] = merged.get(child, 0) + mult
 
 
 def _count_grandchildren(state: bytes, mult: int, max_n: int, runs: list,
@@ -389,13 +403,35 @@ def _count_arrays(max_n: int) -> tuple[list, list[int]]:
             [0] * (max_n + 1))
 
 
+def _entries(item: tuple[bytes, int]) -> bytes:
+    """Sort key of a (state, multiplicity) item: the state's entries."""
+    return item[0][1:]
+
+
+def _merge_count(states: Iterable, size: int, max_n: int, runs: list,
+                 totals: list[int]) -> None:
+    """Count the tree below (state, multiplicity) pairs of the given size,
+    taken in sorted order, into ``runs`` and ``totals``: each batch of
+    _BATCH states files its children in one dict, which is merged the same
+    way one level down."""
+    states = iter(states)
+    while batch := list(islice(states, _BATCH)):
+        merged: dict = {}
+        for state, mult in batch:
+            _expand_state(state, size, mult, max_n, runs, totals, merged)
+        if merged:
+            # the states of size max_n - 2 file no children, so need no order
+            _merge_count(merged.items() if size + 3 == max_n
+                         else sorted(merged.items(), key=_entries),
+                         size + 1, max_n, runs, totals)
+
+
 def _count_worker(size: int, max_n: int, roots: Iterable) -> tuple[list, list[int]]:
-    """Expand (state, multiplicity) roots of the given size depth-first to
-    size max_n; a _fan_out worker once size and max_n are bound. Returns
-    the chunk's runs and totals."""
+    """Count the tree to size max_n below sorted (state, multiplicity)
+    roots of the given size; a _fan_out worker once size and max_n are
+    bound. Returns the chunk's runs and totals."""
     runs, totals = _count_arrays(max_n)
-    for state, mult in roots:
-        _expand_state(state, size, mult, max_n, runs, totals, None)
+    _merge_count(roots, size, max_n, runs, totals)
     return runs, totals
 
 
@@ -456,12 +492,14 @@ def count_tables(max_n: int, workers: int = 1,
     """Exact class-count tables for every 1 <= n <= max_n, from one
     state-merged count of the generating tree.
 
-    The merged level of size max_n - 3 is split over ``workers`` processes
-    (0 means one per CPU) when max_n > _SEED_SIZE + 1; with one worker, or
-    on a cache hit, everything runs in this process. Every worker count
-    gives the same tables. With a cache directory, tables are loaded when
-    every size is present and persisted after recomputation; cache files
-    are byte-identical to a fresh recomputation.
+    States are merged in sorted batches from the root down. With more than
+    one worker (0 means one per CPU) and max_n > _SEED_SIZE + 1, the levels
+    to size _SEED_SIZE are merged whole and that level is split over
+    ``workers`` processes in contiguous runs of its sorted states; with one
+    worker, or on a cache hit, everything runs in this process. Every
+    worker count gives the same tables. With a cache directory, tables are
+    loaded when every size is present and persisted after recomputation;
+    cache files are byte-identical to a fresh recomputation.
     """
     if not 1 <= max_n < _ABOVE:
         raise ValueError(f"max_n must be in 1..{_ABOVE - 1}")
@@ -479,20 +517,17 @@ def count_tables(max_n: int, workers: int = 1,
 
     runs, totals = _count_arrays(max_n)
     totals[1] = 1
-    # states are merged level by level up to size top = max_n - 3 and each
-    # of those is expanded depth-first, so no level of size max_n - 2 or more
-    # is held
-    level = {bytes((1, 1)): 1}  # the root: L = 1, the entry 1
-    top = min(max(1, max_n - 3), max_n - 1)
-    for size in range(1, top):
+    level = [(bytes((1, 1)), 1)]  # the root: L = 1, the entry 1
+    seed = _SEED_SIZE if workers > 1 else 1
+    for size in range(1, seed):
         merged: dict = {}
-        for state, mult in level.items():
+        for state, mult in level:
             _expand_state(state, size, mult, max_n, runs, totals, merged)
-        level = merged
-    if top >= 1:
-        for part_runs, part_totals in _fan_out(partial(_count_worker, top, max_n),
-                                               level.items(), workers):
-            for n in range(top + 1, max_n + 1):
+        level = sorted(merged.items(), key=_entries)
+    if max_n > 1:
+        for part_runs, part_totals in _fan_out(partial(_count_worker, seed, max_n),
+                                               level, workers, contiguous=True):
+            for n in range(seed + 1, max_n + 1):
                 totals[n] += part_totals[n]
                 runs[n] = [[x + y for x, y in zip(row, part_row)]
                            for row, part_row in zip(runs[n], part_runs[n])]

@@ -13,8 +13,8 @@ oracle and returns IdentityReports with exact residuals. Suites:
 * prop1      -- primitive/domino correspondence, checked from the domino
                 side, and the three-way count check (enumeration, closed
                 form, independent domino generator).
-* conjecture -- the three expansion forms for a in {3, 4}, inputs from
-                brute force, residuals reported in full.
+* conjecture -- the explicit expansion (form 3) for a in {3, 4}, inputs
+                from brute force, residuals reported in full.
 * gidentity  -- the total-count partition identity and OEIS A061552 totals.
 
 Every member-level check streams its members from the one generating-tree

@@ -191,8 +191,8 @@ def test_criterion_08_conjecture(tables11):
         for k in range(a, 7):
             r = conjecture_check(a, k, 11, tables11)
             assert r.passed, (a, k, r.residual)
-            assert r.residual == []  # all four tagged residual series empty
-    report(8, "conjecture forms residual-zero and mutually equal, "
+            assert r.residual == []  # the form-3 residual series is empty
+    report(8, "conjecture form 3 residual-zero, "
               "a in {3,4}, k <= 6, order 11")
 
 

@@ -52,9 +52,9 @@ class TestCount:
         assert out1 == out2
 
 
-def test_count_and_series_accept_fourteen(capsys, monkeypatch):
+def test_count_and_series_accept_fifteen(capsys, monkeypatch):
     # verify keeps its cap of 12 (see TestVerify); the table-only commands
-    # take 14, here with stand-in tables so that nothing is counted
+    # take 15, here with stand-in tables so that nothing is counted
     from permpos.enumeration import ClassCountTable
 
     def fake_tables(max_n, workers=1, cache_dir=None):
@@ -62,12 +62,12 @@ def test_count_and_series_accept_fourteen(capsys, monkeypatch):
                 for n in range(1, max_n + 1)}
 
     monkeypatch.setattr(permpos.cli, "count_tables", fake_tables)
-    assert run_cli(capsys, "count", "--n", "14")[1].strip() == "14"
-    assert run_cli(capsys, "count", "--n", "14", "--a", "3", "--k", "3")[1].strip() == "98"
+    assert run_cli(capsys, "count", "--n", "15")[1].strip() == "15"
+    assert run_cli(capsys, "count", "--n", "15", "--a", "3", "--k", "3")[1].strip() == "105"
     code, out, _ = run_cli(capsys, "series", "--which", "t", "--a", "3", "--k", "3",
-                           "--order", "14", "--format", "json")
-    assert code == 0 and json.loads(out)["coeffs"][14] == "98"
-    for argv in (["count", "--n", "15"], ["series", "--which", "f", "--order", "15"],
+                           "--order", "15", "--format", "json")
+    assert code == 0 and json.loads(out)["coeffs"][15] == "105"
+    for argv in (["count", "--n", "16"], ["series", "--which", "f", "--order", "16"],
                  ["count", "--n", "0"], ["series", "--which", "f", "--order", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

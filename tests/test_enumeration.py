@@ -7,6 +7,7 @@ import pytest
 from permpos import enumeration
 from permpos.enumeration import (
     _ABOVE,
+    _BATCH,
     _SEED_SIZE,
     _count_arrays,
     _expand_state,
@@ -204,23 +205,40 @@ class TestCountTables:
             assert redo[n].counts == tables11[n].counts
 
     def test_split_count_is_byte_identical(self, monkeypatch):
-        # n = 10 is past _SEED_SIZE + 1, so more than one worker splits the
-        # merged level; the spy shows the Pool path ran
+        # n = 11 is past _SEED_SIZE + 1, so more than one worker splits the
+        # seed level; the spy shows the Pool path ran
         real = enumeration._fan_out
         parts = []
 
-        def spy(worker, roots, workers):
-            out = real(worker, roots, workers)
+        def spy(worker, roots, workers, **kwargs):
+            out = real(worker, roots, workers, **kwargs)
             parts.append(len(out))
             return out
 
         monkeypatch.setattr(enumeration, "_fan_out", spy)
         texts = []
         for workers in (1, 2, 3):
-            tables = count_tables(10, workers=workers)
-            texts.append([tables[n].to_jsonl() for n in range(1, 11)])
+            tables = count_tables(11, workers=workers)
+            texts.append([tables[n].to_jsonl() for n in range(1, 12)])
         assert texts[0] == texts[1] == texts[2]
         assert parts[0] == 1 and parts[1] > 1 and parts[2] > 1
+
+    def test_batch_size_keeps_the_tables(self, monkeypatch):
+        # one state per batch merges no two states, and a batch larger than
+        # any level merges every level whole
+        texts = []
+        for batch in (1, _BATCH, 10 ** 9):
+            monkeypatch.setattr(enumeration, "_BATCH", batch)
+            texts.append([[table.to_jsonl() for table in count_tables(max_n).values()]
+                          for max_n in range(1, 12)])
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_contiguous_chunks_keep_neighbours_together(self):
+        # two workers cut the roots into 2 * _CHUNKS_PER_WORKER runs
+        parts = _fan_out(list, range(100), 2, contiguous=True)
+        assert len(parts) == 32
+        assert sorted(x for part in parts for x in part) == list(range(100))
+        assert all(part == list(range(part[0], part[-1] + 1)) for part in parts)
 
     def test_states_match_the_walk(self):
         # the node-by-node walk, tallied by class, is the oracle for n <= 10
@@ -252,20 +270,25 @@ class TestCountTables:
         tables = count_tables(12)
         assert [tables[n].total for n in range(1, 13)] == a061552
 
-    def test_no_level_past_max_n_minus_3_is_held(self, monkeypatch):
-        # states are merged only up to size max_n - 3; below that every
-        # state is expanded depth-first without a merged level
-        filed = []
+    def test_no_merge_dict_holds_more_than_a_batch(self, monkeypatch):
+        # with one worker every level is merged in batches, so a merge dict
+        # holds the children of at most _BATCH states, each with at most
+        # size + 1 children, however large the level
+        held = Counter()
+        calls = Counter()
         real = enumeration._expand_state
 
         def spy(state, size, mult, max_n, runs, totals, merged):
-            if merged is not None:
-                filed.append(size + 1)
             real(state, size, mult, max_n, runs, totals, merged)
+            calls[size] += 1
+            if size + 2 < max_n:
+                held[size] = max(held[size], len(merged))
 
         monkeypatch.setattr(enumeration, "_expand_state", spy)
-        assert count_tables(10)[10].total == 591950
-        assert max(filed) == 7
+        assert count_tables(11)[11].total == 3824112
+        assert all(n <= _BATCH * (size + 1) for size, n in held.items())
+        # the deeper levels were too large for one batch
+        assert max(calls.values()) > _BATCH
 
     def test_key_bounds(self, tables8):
         for n in range(1, 9):

@@ -1,7 +1,11 @@
+import random
+from math import comb
+
 import pytest
 
 from permpos.enumeration import iter_class_members
 from permpos.genfun import (
+    _conjecture_prediction,
     a_nk_recurrence,
     conjecture_check,
     f_power,
@@ -183,7 +187,33 @@ class TestConjectureAndGIdentity:
         bad[6].counts[(3, 3)] += 1
         r = conjecture_check(3, 3, 8, bad)
         assert not r.passed
-        assert any(n == 6 for n, _, _ in r.residual)
+        assert r.residual == [(6, 3, -1)]
+
+    def test_the_three_forms_agree_on_any_input(self):
+        # form 2, sum_j C(k, j) f^(k-j) sum_i (-1)^i C(j, i) f^i T_{j-i} over
+        # j < a, equals form 3 for every input, and form 1, the alternating
+        # sum of (-1)^j C(k, j) f^j T_{k-j}, vanishes once every T_k with
+        # k >= a is the prediction; so the check reports form 3 alone
+        rng = random.Random(1324)
+        order = 12
+        for a in range(3, 6):
+            T = [TruncatedSeries.from_coeffs([rng.randint(-50, 50) for _ in range(order + 1)])
+                 for _ in range(a)]
+            for k in range(a, 9):
+                T.append(_conjecture_prediction(a, k, order, T))
+            for k in range(a, 9):
+                form2 = TruncatedSeries.zero(order)
+                for j in range(a):
+                    inner = TruncatedSeries.zero(order)
+                    for i in range(j + 1):
+                        inner = inner + (f_power(i, order) * T[j - i]).scale(
+                            (-1) ** i * comb(j, i))
+                    form2 = form2 + (f_power(k - j, order) * inner).scale(comb(k, j))
+                assert form2 == T[k], (a, k)
+                form1 = TruncatedSeries.zero(order)
+                for j in range(k + 1):
+                    form1 = form1 + (f_power(j, order) * T[k - j]).scale((-1) ** j * comb(k, j))
+                assert form1 == TruncatedSeries.zero(order), (a, k)
 
     def test_g_identity(self, tables8):
         r = g_identity_check(8, tables8)

@@ -3,9 +3,10 @@
 Subcommands: count, factor, domino, series, verify; each takes only the
 flags it reads. Output is plain text by default; --format json (and csv on
 count, factor and series) is machine-readable, with counts as decimal
-strings. --cache-dir goes with the commands that build count tables and
---threads with verify, whose count tables and thm3 codec scan are split
-over workers. series rejects the flags its --which does not read.
+strings. --cache-dir goes with the commands that build count tables;
+count and series split that build over one worker per CPU, and --threads
+sets the workers of verify, whose count tables and thm3 codec scan are
+split over them. series rejects the flags its --which does not read.
 Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
 """
 
@@ -102,7 +103,7 @@ def _cmd_count(args, parser) -> int:
     _check_max_n(parser, "--n", args.n, COUNT_MAX_N)
     if (args.a is None) != (args.k is None):
         parser.error("--a and --k must be given together")
-    tables = count_tables(args.n, cache_dir=args.cache_dir)
+    tables = count_tables(args.n, workers=0, cache_dir=args.cache_dir)
     table = tables[args.n]
     if args.a is not None:
         c = table.count(args.a, args.k)
@@ -217,12 +218,12 @@ def _cmd_series(args, parser) -> int:
         return 0
     if args.a is None or args.k is None:
         parser.error("--which t needs --a and --k")
-    if args.a == 2 or (args.a == 1 and args.k >= 1):
+    if args.a in (1, 2):
         if args.cache_dir is not None:  # a closed form builds no tables
             parser.error(f"--which t --a {args.a} --k {args.k} does not read --cache-dir")
         s = (t1k_series if args.a == 1 else t2k_series)(args.k, args.order)
     else:
-        tables = count_tables(args.order, cache_dir=args.cache_dir)
+        tables = count_tables(args.order, workers=0, cache_dir=args.cache_dir)
         s = t_ak_bruteforce(args.a, args.k, args.order, tables)
     _print_series(s, args.format)
     return 0

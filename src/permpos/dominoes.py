@@ -24,9 +24,9 @@ from .permutations import (
     Permutation,
     _word_contains_132,
     _word_contains_1324,
-    _word_contains_213,
     parse_permutation,
     inverse,
+    word_contains,
 )
 from .products import is_primitive
 
@@ -53,7 +53,7 @@ class GriddedDomino:
             raise DomainError("cell word lengths do not match column tags")
         if _word_contains_132(self.bottom.values):
             raise DomainError(f"bottom word {self.bottom!r} contains 132")
-        if _word_contains_213(self.top.values):
+        if word_contains(self.top.values, (2, 1, 3)):
             raise DomainError(f"top word {self.top!r} contains 213")
         if _word_contains_1324(self._underlying_values()):
             raise DomainError("underlying permutation contains 1324")

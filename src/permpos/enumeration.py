@@ -215,18 +215,16 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
             stack.append((child, Lc))
 
 
-def _resolve_workers(workers: int) -> int:
+def _split_workers(workers: int, max_n: int) -> int:
+    """Worker count for a stage over the tree to size max_n: ``workers``, 0
+    meaning one per CPU, or one when the tree is no deeper than
+    _SEED_SIZE + 1, too small for a Pool to pay off. Raises ValueError for
+    a negative count."""
     if workers < 0:
         raise ValueError("worker count must be >= 0")
-    return workers if workers else (os.cpu_count() or 1)
-
-
-def _split_workers(workers: int, max_n: int) -> int:
-    """Resolved worker count for a stage over the tree to size max_n: one
-    when the tree is no deeper than _SEED_SIZE + 1, too small for a Pool to
-    pay off."""
-    workers = _resolve_workers(workers)
-    return workers if max_n > _SEED_SIZE + 1 else 1
+    if max_n <= _SEED_SIZE + 1:
+        return 1
+    return workers or os.cpu_count() or 1
 
 
 def _tree_roots(max_n: int, workers: int) -> list:
@@ -242,7 +240,7 @@ def _tree_roots(max_n: int, workers: int) -> list:
 
 
 def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
-             workers: int, contiguous: bool = False) -> list:
+             workers: int) -> list:
     """Run ``worker(chunk)`` over chunks of ``roots`` and return the parts,
     one per chunk, in completion order.
 
@@ -252,20 +250,17 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
     never listed. Otherwise the roots are listed and cut into about
     _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a long
     tail, and run in one Pool; ``worker`` must then pickle, as a
-    module-level function or a partial of one. The roots are dealt
-    round-robin, or with ``contiguous`` cut into runs that keep neighbours
-    in one chunk. Chunks are disjoint, so callers that merge the parts by
-    addition get the same result for every worker count.
+    module-level function or a partial of one. Each chunk is a run of
+    neighbouring roots, so sorted count states that share a prefix, and
+    merge below, stay in one chunk. Chunks are disjoint, so callers that
+    merge the parts by addition get the same result for every worker count.
     """
     if workers <= 1:
         return [worker(roots)]
     roots = list(roots)
     nchunks = min(len(roots), workers * _CHUNKS_PER_WORKER)
-    if contiguous:
-        cuts = [len(roots) * i // nchunks for i in range(nchunks + 1)]
-        chunks = [roots[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    else:
-        chunks = [roots[i::nchunks] for i in range(nchunks)]
+    cuts = [len(roots) * i // nchunks for i in range(nchunks + 1)]
+    chunks = [roots[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     with Pool(workers) as pool:
         return list(pool.imap_unordered(worker, chunks))
 
@@ -526,7 +521,7 @@ def count_tables(max_n: int, workers: int = 1,
         level = sorted(merged.items(), key=_entries)
     if max_n > 1:
         for part_runs, part_totals in _fan_out(partial(_count_worker, seed, max_n),
-                                               level, workers, contiguous=True):
+                                               level, workers):
             for n in range(seed + 1, max_n + 1):
                 totals[n] += part_totals[n]
                 runs[n] = [[x + y for x, y in zip(row, part_row)]

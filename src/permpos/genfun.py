@@ -118,9 +118,10 @@ def f_power(j: int, order: int) -> TruncatedSeries:
 
 
 def t1k_series(k: int, order: int) -> TruncatedSeries:
-    """Class-(1, k) size series: x f(x)^k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Class-(1, k) size series: x f(x)^k, so x for the k = 0 convention
+    (the one permutation 1)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     return f_power(k, order).shift(1).truncate(order)
 
 
@@ -156,9 +157,9 @@ def g2_series(order: int, torder: int) -> BivariateSeries:
 
 
 def t2k_series(k: int, order: int) -> TruncatedSeries:
-    """a = 2 size series by distance k: x^2 for k = 0,
-    x^2 (x f)' / 2 for k = 1, and for k >= 2 the tuple expansion
-    f^k T20 + k f^{k-1} (T21 - f T20)."""
+    """a = 2 size series by distance k: T20 = x^2 for k = 0, and for k >= 1
+    the tuple expansion f^k T20 + k f^{k-1} (T21 - f T20), where
+    T21 = x^2 (x f)' / 2; at k = 1 the expansion is T21."""
     if k < 0:
         raise ValueError("k must be >= 0")
     t20 = TruncatedSeries.monomial(2, order)
@@ -166,8 +167,6 @@ def t2k_series(k: int, order: int) -> TruncatedSeries:
         return t20
     f = f_series(order)
     t21 = f.shift(1).truncate(order).dx().shift(2).truncate(order).scale(Fraction(1, 2))
-    if k == 1:
-        return t21
     return f_power(k, order) * t20 + f_power(k - 1, order) * (t21 - f * t20).scale(k)
 
 

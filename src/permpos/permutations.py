@@ -12,7 +12,6 @@ permutations with :func:`reduce_word`.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -143,22 +142,6 @@ def _word_contains_132(w: Sequence[int]) -> bool:
     return False
 
 
-def _word_contains_213(w: Sequence[int]) -> bool:
-    # m21 = smallest top of an inversion seen so far; any later value above
-    # it completes an occurrence.
-    big = 1 << 62
-    m21 = big
-    prefix: list[int] = []
-    for v in w:
-        if v > m21:
-            return True
-        idx = bisect_right(prefix, v)
-        if idx < len(prefix) and prefix[idx] < m21:
-            m21 = prefix[idx]
-        insort(prefix, v)
-    return False
-
-
 def _word_contains_1324(w: Sequence[int]) -> bool:
     # An occurrence is an inversion w[b] > w[c] (b < c) with a value below
     # w[c] somewhere before b and a value above w[b] somewhere after c. The
@@ -200,9 +183,17 @@ def _word_contains_generic(w: Sequence[int], pat: Sequence[int]) -> bool:
     return any(_same_relative_order(sub, pat) for sub in combinations(w, k))
 
 
+def _reverse_complement_word(w: Sequence[int]) -> list[int]:
+    # top - v keeps every value above the 132 scan's sentinel 0, which plain
+    # negation would not
+    top = max(w, default=0) + 1
+    return [top - v for v in reversed(w)]
+
+
 _SPECIALIZED = {
     (1, 3, 2): _word_contains_132,
-    (2, 1, 3): _word_contains_213,
+    # 213 is the reverse-complement of 132
+    (2, 1, 3): lambda w: _word_contains_132(_reverse_complement_word(w)),
     (1, 3, 2, 4): _word_contains_1324,
 }
 

@@ -134,13 +134,6 @@ def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int
     return factors, marked
 
 
-def _encode_raw(sig: Sequence[int]) -> tuple[list[list[int]], int]:
-    """Marked k-tuple (components, 0-based marked index) for a class-(2, k)
-    avoider not ending in 1: its factors cut from its 2, the 1 marking its
-    right neighbour (see _factorize_raw)."""
-    return _factorize_raw(sig, 2)
-
-
 def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[int, ...]:
     """Right-nested product comps[0] . (comps[1] . (...)) of primitives,
     assembled in one pass. Raise each component by the sizes less one of
@@ -151,9 +144,9 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
 
     With ``marked_idx``, that component is a marked component, and the
     result is the class-(2, k) avoider the marked tuple encodes (the
-    inverse of _encode_raw): the component takes part without its 1, and
-    the 1 goes back before its right neighbour, every other value raised
-    by one."""
+    inverse of _factorize_raw with low = 2): the component takes part
+    without its 1, and the 1 goes back before its right neighbour, every
+    other value raised by one."""
     if len(comps) == 1 and marked_idx == 0:
         c = comps[0]
         if not c.index(len(c)) < c.index(1) < len(c) - 1:
@@ -353,7 +346,7 @@ def encode_perm(p: Permutation, validate: bool = True) -> MarkedTuple:
             raise DomainError(f"encode_perm: {p!r} is not in a class with a = 2")
         if p.values[-1] == 1:
             raise DomainError(f"encode_perm: {p!r} ends with 1")
-    comps, marked_idx = _encode_raw(p.values)
+    comps, marked_idx = _factorize_raw(p.values, 2)
     t = MarkedTuple(tuple(Permutation(c, validate=False) for c in comps),
                     marked_idx + 1)
     if validate:

@@ -149,15 +149,6 @@ class BivariateSeries:
             raise ValueError("coefficient matrix does not match orders")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], xorder: int, torder: int) -> "BivariateSeries":
-        out = []
-        for n in range(xorder + 1):
-            row = rows[n] if n < len(rows) else ()
-            out.append(tuple(_frac(row[k]) if k < len(row) else Fraction(0)
-                             for k in range(torder + 1)))
-        return cls(xorder, torder, tuple(out))
-
-    @classmethod
     def from_columns(cls, columns: Sequence[TruncatedSeries], xorder: int) -> "BivariateSeries":
         """The series whose t^k coefficient is columns[k], cut at x^xorder."""
         return cls(xorder, len(columns) - 1, tuple(

@@ -28,8 +28,8 @@ scan's walk skips the subtrees that hold no a = 2 member, and the encoder
 factors each member in one pass. The domino map walks no tree: it maps
 every generated domino to its primitive and back, in one process. At
 n = 11 on a shared 2-core Linux machine (Intel Xeon, Python 3.11.7) the
-codec check took a median 5.8 s at one worker and 3.4 s at two in three
-``verify --suite all`` runs each, and ``suite_prop1`` about 1.5–2 s. A
+codec check took 3.1 s at one worker and 1.7–1.8 s at two in three
+``verify --suite all`` runs each, and ``suite_prop1`` 1.0–1.1 s. A
 suite that raises is reported as one failing report that names the suite
 and the exception, and the suites after it still run.
 """
@@ -45,7 +45,6 @@ from .dominoes import enumerate_dominoes, from_domino, to_domino
 from .enumeration import (
     _add_counts,
     _fan_out,
-    _resolve_workers,
     _split_workers,
     _tree_roots,
     _walk,
@@ -71,7 +70,7 @@ from .permutations import DomainError, reverse_complement
 from .products import (
     MarkedTuple,
     _decode_raw,
-    _encode_raw,
+    _factorize_raw,
     contract_one,
     decode_tuple,
     encode_perm,
@@ -176,7 +175,7 @@ def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional
             continue
         not1[key] = not1.get(key, 0) + 1
         try:
-            comps, idx = _encode_raw(values)
+            comps, idx = _factorize_raw(values, 2)
             ok = _decode_raw(comps, idx) == values
         except DomainError:  # a codec that rejects a member fails on it
             ok = False
@@ -396,7 +395,7 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
         raise ValueError(f"conjecture a must be in 1..{_CONJECTURE_K_MAX}")
     if conjecture_a is not None and "conjecture" not in names:
         raise ValueError("conjecture a is read only by the conjecture suite")
-    _resolve_workers(workers)
+    _split_workers(workers, max_n)
     if tables is None:
         tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
     a_values = (3, 4) if conjecture_a is None else (conjecture_a,)

@@ -54,10 +54,14 @@ class TestCount:
 
 def test_count_and_series_accept_fifteen(capsys, monkeypatch):
     # verify keeps its cap of 12 (see TestVerify); the table-only commands
-    # take 15, here with stand-in tables so that nothing is counted
+    # take 15, here with stand-in tables so that nothing is counted, and
+    # build them on one worker per CPU
     from permpos.enumeration import ClassCountTable
 
+    workers_seen = []
+
     def fake_tables(max_n, workers=1, cache_dir=None):
+        workers_seen.append(workers)
         return {n: ClassCountTable(n=n, total=n, counts={(3, 3): 7 * n})
                 for n in range(1, max_n + 1)}
 
@@ -67,6 +71,7 @@ def test_count_and_series_accept_fifteen(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "series", "--which", "t", "--a", "3", "--k", "3",
                            "--order", "15", "--format", "json")
     assert code == 0 and json.loads(out)["coeffs"][15] == "105"
+    assert workers_seen == [0, 0, 0]
     for argv in (["count", "--n", "16"], ["series", "--which", "f", "--order", "16"],
                  ["count", "--n", "0"], ["series", "--which", "f", "--order", "0"]):
         with pytest.raises(SystemExit) as exc:
@@ -146,6 +151,16 @@ class TestSeries:
         lines = out.strip().split("\n")
         assert lines[0] == "n\\k,0,1,2,3"
         assert lines[5] == "4,0,3,1,0"
+
+    def test_a1_k0_is_x_and_counts_no_tables(self, capsys, monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("count_tables called")
+
+        monkeypatch.setattr(permpos.cli, "count_tables", no_tables)
+        code, out, err = run_cli(capsys, "series", "--which", "t", "--a", "1",
+                                 "--k", "0", "--order", "15")
+        assert (code, err) == (0, "")
+        assert out.strip() == " + ".join(["0", "1*x"] + [f"0*x^{i}" for i in range(2, 16)])
 
     def test_k_zero_beyond_the_order_is_zero(self, capsys):
         code, out, err = run_cli(capsys, "series", "--which", "t", "--a", "5",
@@ -231,12 +246,12 @@ class TestParser:
         ["series", "--which", "f", "--max-k", "9"],
         ["series", "--which", "g2", "--cache-dir", "X"],
         ["series", "--which", "f", "--cache-dir", "X"],
-        # t takes the closed form, with no tables, for a = 1 with k >= 1 and
-        # for a = 2
+        # t takes the closed form, with no tables, for a = 1 and a = 2
         ["series", "--which", "t", "--a", "2", "--k", "3", "--order", "6",
          "--cache-dir", "X"],
         ["series", "--which", "t", "--a", "2", "--k", "0", "--cache-dir", "X"],
         ["series", "--which", "t", "--a", "1", "--k", "2", "--cache-dir", "X"],
+        ["series", "--which", "t", "--a", "1", "--k", "0", "--cache-dir", "X"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -210,8 +210,8 @@ class TestCountTables:
         real = enumeration._fan_out
         parts = []
 
-        def spy(worker, roots, workers, **kwargs):
-            out = real(worker, roots, workers, **kwargs)
+        def spy(worker, roots, workers):
+            out = real(worker, roots, workers)
             parts.append(len(out))
             return out
 
@@ -235,7 +235,7 @@ class TestCountTables:
 
     def test_contiguous_chunks_keep_neighbours_together(self):
         # two workers cut the roots into 2 * _CHUNKS_PER_WORKER runs
-        parts = _fan_out(list, range(100), 2, contiguous=True)
+        parts = _fan_out(list, range(100), 2)
         assert len(parts) == 32
         assert sorted(x for part in parts for x in part) == list(range(100))
         assert all(part == list(range(part[0], part[-1] + 1)) for part in parts)

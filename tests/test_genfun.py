@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -65,10 +66,15 @@ class TestRecurrence:
 
 
 class TestT1k:
-    def test_examples(self):
+    def test_examples(self, tables8):
         assert t1k_series(1, 4).coeff(2) == 1
         assert t1k_series(2, 4).coeff(4) == 4
         assert t1k_series(3, 4).coeff(4) == 1
+        # the k = 0 convention of t_ak_bruteforce: the one permutation 1
+        assert t1k_series(0, 8) == TruncatedSeries.monomial(1, 8) == \
+            t_ak_bruteforce(1, 0, 8, tables8)
+        with pytest.raises(ValueError):
+            t1k_series(-1, 4)
 
     def test_against_enumeration(self, tables8):
         for k in range(1, 8):
@@ -117,6 +123,11 @@ class TestG2AndT2k:
         assert t2k_series(3, 8).coeff(7) == 60
         with pytest.raises(ValueError):
             t2k_series(-1, 4)
+        # the tuple expansion at k = 1 is T21 = x^2 (x f)' / 2 itself
+        for order in range(1, 16):
+            xf = f_series(order).shift(1).truncate(order)
+            t21 = xf.dx().shift(2).truncate(order).scale(Fraction(1, 2))
+            assert t2k_series(1, order) == t21, order
 
     def test_t2k_against_enumeration(self, tables8):
         for k in range(0, 8):

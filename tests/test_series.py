@@ -81,7 +81,8 @@ class TestBivariate:
         x_plus_2x2 = series([0, 1, 2], 2)
         x2 = TruncatedSeries.monomial(2, 3)
         b = BivariateSeries.from_columns([TruncatedSeries.zero(2), x_plus_2x2, x2], 2)
-        assert b == BivariateSeries.from_rows([[0], [0, 1], [0, 2, 1]], 2, 2)
+        assert b == BivariateSeries(2, 2, ((F(0), F(0), F(0)), (F(0), F(1), F(0)),
+                                           (F(0), F(2), F(1))))
         assert BivariateSeries.from_columns([x2], 3).coeff(2, 0) == 1
         with pytest.raises(ValueError):
             BivariateSeries.from_columns([x_plus_2x2], 3)  # a column too short
@@ -89,10 +90,10 @@ class TestBivariate:
             BivariateSeries.from_columns([], 2)
 
     def test_integer_extraction(self):
-        b = BivariateSeries.from_rows([[F(1, 2)]], 0, 0)
+        b = BivariateSeries(0, 0, ((F(1, 2),),))
         with pytest.raises(DomainError):
             b.integer_coeffs()
 
     def test_csv_form(self):
-        b = BivariateSeries.from_rows([[1, 0], [0, 2]], 1, 1)
+        b = BivariateSeries.from_columns([series([1, 0]), series([0, 2])], 1)
         assert b.to_csv() == "n\\k,0,1\n0,1,0\n1,0,2\n"

@@ -192,11 +192,16 @@ def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
 def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
     # only DomainError counts as a codec disagreement; any other exception
     # in the scan (here raised in the forked workers at two) fails thm3 as a
-    # whole, named by its type
-    def broken(values):
-        raise RuntimeError("simulated scan defect")
+    # whole, named by its type; only the encoder's calls, with low cut 2,
+    # are broken
+    real = permpos.verify._factorize_raw
 
-    monkeypatch.setattr(permpos.verify, "_encode_raw", broken)
+    def broken(values, low=1):
+        if low == 2:
+            raise RuntimeError("simulated scan defect")
+        return real(values, low)
+
+    monkeypatch.setattr(permpos.verify, "_factorize_raw", broken)
     reports = run_suites(["thm3"], max_n=9, workers=workers, tables=count_tables(9))
     assert [(r.identity, r.passed) for r in reports] == [("thm3", False)]
     assert reports[0].params == {"error": "RuntimeError", "message": "simulated scan defect"}
@@ -206,18 +211,20 @@ def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
 def test_marked_one_moved_to_the_end_is_a_codec_failure(monkeypatch, workers):
     # an encoder that moves the marked component's 1 to its end: the decoder
     # rejects that component, so every member fails, and the residual names
-    # the ten smallest whatever the worker count
-    real = permpos.verify._encode_raw
+    # the ten smallest whatever the worker count; only the encoder's calls,
+    # with low cut 2, are broken
+    real = permpos.verify._factorize_raw
 
-    def moved(values):
-        comps, idx = real(values)
-        comps[idx] = [v for v in comps[idx] if v != 1] + [1]
+    def moved(values, low=1):
+        comps, idx = real(values, low)
+        if low == 2:
+            comps[idx] = [v for v in comps[idx] if v != 1] + [1]
         return comps, idx
 
     for member in ((2, 4, 1, 3), (2, 3, 5, 1, 4)):  # k = 1 and k = 2
         with pytest.raises(DomainError):
-            _decode_raw(*moved(member))
-    monkeypatch.setattr(permpos.verify, "_encode_raw", moved)
+            _decode_raw(*moved(member, 2))
+    monkeypatch.setattr(permpos.verify, "_factorize_raw", moved)
     codec = _codec_report(suite_thm3(9, 9, count_tables(9), workers=workers))
     assert not codec.passed
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),

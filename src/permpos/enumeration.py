@@ -142,9 +142,10 @@ def generate_avoiders(n: int, pattern: Permutation = PATTERN_1324) -> Iterator[P
 #   * its class is (a, k) = (pm, p - pmpos) where pm is the minimum of the
 #     first p-1 entries of sig and pmpos its position (p = 1 children start
 #     with the maximum and carry no class);
-#   * its own bound is min(L+1, F_p, len+1) where F_p is the first position
-#     q >= p with sig(q) > pm -- the inserted maximum over an earlier
-#     smaller entry turns any later larger entry into a 132.
+#   * its own bound is L+1, or q if some position q in p..L has sig(q) > pm,
+#     the first such q -- the inserted maximum over an earlier smaller
+#     entry turns any later larger entry into a 132. _expand_state states
+#     the same rule on state codes.
 
 
 def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = None,
@@ -173,13 +174,12 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
     stack = [root] if len(sig) < max_n else []
     while stack:
         sig, L = stack.pop()
-        size = len(sig)
-        child_n = size + 1
+        child_n = len(sig) + 1
         deeper = child_n < max_n
         emit = child_n >= min_n
         if deeper or (emit and every):
             child = (child_n,) + sig
-            Lc = (L + 1 if L + 1 < child_n else child_n) if deeper else None
+            Lc = L + 1 if deeper else None
             if emit and every:
                 yield child_n, None, None, child, Lc
             if deeper:
@@ -198,17 +198,11 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
                 if hit:
                     yield child_n, pm, p - pmpos, sig[:p - 1] + (child_n,) + sig[p - 1:], None
                 continue
-            if p <= size and sig[p - 1] > pm:
-                F = p
-            else:
-                F = child_n
-                for q in range(p, size):
-                    if sig[q] > pm:
-                        F = q + 1
-                        break
-            Lc = L + 1 if L + 1 < F else F
-            if Lc > child_n:
-                Lc = child_n
+            Lc = L + 1
+            for q in range(p - 1, L):
+                if sig[q] > pm:
+                    Lc = q + 1
+                    break
             child = sig[:p - 1] + (child_n,) + sig[p - 1:]
             if hit:
                 yield child_n, pm, p - pmpos, child, Lc

@@ -5,7 +5,7 @@ rearrangement of {1, ..., n} and position queries return indices in 1..n.
 The empty permutation (n = 0) is legal and is a fixed point of every unary
 operation here.
 
-Words -- sequences of distinct positive integers that need not form a
+Words -- sequences of distinct integers that need not form a
 permutation -- are passed around as plain tuples/lists and turned into
 permutations with :func:`reduce_word`.
 """
@@ -131,7 +131,9 @@ def reverse_complement(p: Permutation) -> Permutation:
 def _word_contains_132(w: Sequence[int]) -> bool:
     # right-to-left scan; `third` is the largest value popped below a later
     # (i.e. further-left) larger value, hence a valid "2" of an occurrence.
-    third = 0
+    # It starts at -inf, below every entry, so that no value, zero or
+    # negative, is taken for the "1" of an occurrence before any "2" is.
+    third = float("-inf")
     stack: list[int] = []
     for v in reversed(w):
         if v < third:
@@ -183,17 +185,11 @@ def _word_contains_generic(w: Sequence[int], pat: Sequence[int]) -> bool:
     return any(_same_relative_order(sub, pat) for sub in combinations(w, k))
 
 
-def _reverse_complement_word(w: Sequence[int]) -> list[int]:
-    # top - v keeps every value above the 132 scan's sentinel 0, which plain
-    # negation would not
-    top = max(w, default=0) + 1
-    return [top - v for v in reversed(w)]
-
-
 _SPECIALIZED = {
     (1, 3, 2): _word_contains_132,
-    # 213 is the reverse-complement of 132
-    (2, 1, 3): lambda w: _word_contains_132(_reverse_complement_word(w)),
+    # 213 is the reverse-complement of 132; negating the reversed word
+    # reverses and complements its relative order
+    (2, 1, 3): lambda w: _word_contains_132([-v for v in reversed(w)]),
     (1, 3, 2, 4): _word_contains_1324,
 }
 

@@ -149,9 +149,9 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
     other value raised by one."""
     if len(comps) == 1 and marked_idx == 0:
         c = comps[0]
-        if not c.index(len(c)) < c.index(1) < len(c) - 1:
-            raise DomainError(f"marked component {tuple(c)}: 1 not right of its "
-                              "maximum, or last")
+        if not c.index(2) + 1 == c.index(len(c)) < c.index(1) < len(c) - 1:
+            raise DomainError(f"marked component {tuple(c)}: no 2 adjacent-left of "
+                              "its maximum, or 1 not right of it, or last")
         return tuple(c)  # a lone marked component is the result
     lift = 1 if marked_idx >= 0 else 0
     hi = sum(map(len, comps)) - len(comps) + 1 - lift  # top cut before the lift
@@ -230,11 +230,9 @@ class PrimitiveDecomposition:
 def factorize(p: Permutation) -> PrimitiveDecomposition:
     """Unique decomposition of an avoider with 1 left of its maximum into
     k = pos(max) - pos(1) primitives."""
-    cls = _require_one_left_of_max(p, "factorize")
+    _require_one_left_of_max(p, "factorize")
+    # one factor per gap between the cuts (1, theta, the maximum): k of them
     factors, _ = _factorize_raw(p.values)
-    if len(factors) != cls.k:
-        raise DomainError(
-            f"factorize: {p!r} produced {len(factors)} factors, expected {cls.k}")
     return PrimitiveDecomposition(tuple(
         Permutation(f, validate=False) for f in factors))
 

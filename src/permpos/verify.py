@@ -26,12 +26,10 @@ the walk produced are not validated again: the codec runs with
 ``validate=False``, and the checks compare its images with the walk. The
 scan's walk skips the subtrees that hold no a = 2 member, and the encoder
 factors each member in one pass. The domino map walks no tree: it maps
-every generated domino to its primitive and back, in one process. At
-n = 11 on a shared 2-core Linux machine (Intel Xeon, Python 3.11.7) the
-codec check took 3.1 s at one worker and 1.7–1.8 s at two in three
-``verify --suite all`` runs each, and ``suite_prop1`` 1.0–1.1 s. A
-suite that raises is reported as one failing report that names the suite
-and the exception, and the suites after it still run.
+every generated domino to its primitive and back, in one process; the
+README gives the measured times. A suite that raises is reported as one
+failing report that names the suite and the exception, and the suites
+after it still run.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 import permpos.cli
+import permpos.verify
 from permpos.cli import build_parser, main
 
 
@@ -18,10 +20,16 @@ class TestCount:
         assert code == 0 and out.strip() == "23"
 
     def test_class_count(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--n", "4", "--a", "1", "--k", "2")
-        assert code == 0 and out.strip() == "4"
-        code, out, _ = run_cli(capsys, "count", "--n", "7", "--a", "2", "--k", "3")
-        assert code == 0 and out.strip() == "60"
+        cases = [
+            (["--n", "4", "--a", "1", "--k", "2"], "4\n"),
+            (["--n", "7", "--a", "2", "--k", "3"], "60\n"),
+            (["--n", "7", "--a", "2", "--k", "3", "--format", "json"],
+             '{"n": 7, "a": 2, "k": 3, "count": "60"}\n'),
+            (["--n", "7", "--a", "2", "--k", "3", "--format", "csv"],
+             "n,a,k,count\n7,2,3,60\n"),
+        ]
+        for argv, stdout in cases:
+            assert run_cli(capsys, "count", *argv) == (0, stdout, ""), argv
 
     def test_csv_schema(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "4", "--format", "csv")
@@ -84,6 +92,8 @@ class TestFactor:
         assert run_cli(capsys, "factor", "1243")[1].strip() == "1,2 ⊙ 1,3,2"
         assert run_cli(capsys, "factor", "2143")[1].strip() == "2,1,4,3"
         assert run_cli(capsys, "factor", "1234")[1].strip() == "1,2 ⊙ 1,2 ⊙ 1,2"
+        assert run_cli(capsys, "factor", "1243", "--format", "csv") == \
+            (0, 'index,factor\n1,"1,2"\n2,"1,3,2"\n', "")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "1243", "--format", "json")
@@ -99,20 +109,30 @@ class TestDomino:
     def test_count(self, capsys):
         assert run_cli(capsys, "domino", "--points", "2", "--count")[1].strip() == "6"
         assert run_cli(capsys, "domino", "--points", "5", "--count")[1].strip() == "408"
+        assert run_cli(capsys, "domino", "--points", "5", "--count", "--format", "json") == \
+            (0, '{"points": 5, "count": "408"}\n', "")
 
     def test_perm(self, capsys):
         assert run_cli(capsys, "domino", "--perm", "12")[1].strip() == "B:|T:|cols:"
         assert run_cli(capsys, "domino", "--perm", "2143")[1].strip() == \
             "B:1|T:1|cols:bt"
+        assert run_cli(capsys, "domino", "--perm", "2143", "--format", "json") == \
+            (0, '{"perm": "2143", "domino": "B:1|T:1|cols:bt"}\n', "")
 
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "domino", "--points", "1")
         assert sorted(out.strip().split("\n")) == ["B:1|T:|cols:b", "B:|T:1|cols:t"]
+        # the generator's order, which the listing keeps
+        assert run_cli(capsys, "domino", "--points", "2", "--format", "json") == (0, (
+            '{"points": 2, "dominoes": ["B:|T:1,2|cols:tt", "B:|T:2,1|cols:tt", '
+            '"B:1|T:1|cols:bt", "B:1|T:1|cols:tb", "B:1,2|T:|cols:bb", '
+            '"B:2,1|T:|cols:bb"]}\n'), "")
 
     def test_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["domino"])
-        assert exc.value.code == 2
+        for argv in ([], ["--points", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["domino", *argv])
+            assert exc.value.code == 2, argv
 
 
 class TestSeries:
@@ -188,6 +208,20 @@ class TestVerify:
         assert code == 0
         assert {r["identity"] for r in reports} == {"a1-recurrence", "a1-power-series"}
         assert all(r["pass"] and r["residual"] == [] for r in reports)
+
+    def test_failing_suite_text(self, capsys, monkeypatch):
+        # a closed form off by one at n = 5 fails the k = 1 row of the
+        # recurrence check; the text names the residual and the failure count
+        real = permpos.verify.primitive_count_closed_form
+        monkeypatch.setattr(permpos.verify, "primitive_count_closed_form",
+                            lambda n: real(n) + (n == 5))
+        code, out, err = run_cli(capsys, "verify", "--suite", "thm1", "--max-n", "6")
+        assert (code, err) == (1, "")
+        assert re.sub(r"\[\d+ ms\]", "[ms]", out) == (
+            "FAIL  a1-recurrence  (max_n=6)  [ms]\n"
+            "      residual (5,1) = 1\n"
+            "PASS  a1-power-series  (max_n=6)  [ms]\n"
+            "FAILED 1/2 identities\n")
 
     def test_max_n_bounds(self):
         parser = build_parser()

@@ -1,6 +1,6 @@
 import os
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -339,6 +339,23 @@ class TestWalk:
     def test_one_pass_matches_lex_generator(self):
         walked = Counter((n, a, k, v) for n, a, k, v, _ in _walk(2, 8))
         assert walked == lex_members(range(2, 9))
+
+    def test_bounds_are_the_longest_132_free_prefixes(self, tables8):
+        # the bound L of a node is the length of its longest prefix that
+        # avoids 132: the first m whose entry is the 2 of a 132 ends it
+        def longest_132_free_prefix(v):
+            for m in range(2, len(v)):
+                if any(v[i] < v[m] < v[j] for i, j in combinations(range(m), 2)):
+                    return m
+            return len(v)
+
+        nodes = 0
+        for _, _, _, v, L in _walk(1, 9):
+            if L is not None:
+                nodes += 1
+                assert L == longest_132_free_prefix(v), v
+        # every avoider of size 2..8 is a node with a bound
+        assert nodes == sum(tables8[n].total for n in range(2, 9))
 
     @pytest.mark.parametrize("a,k", [(1, 1), (2, None), (2, 3)])
     def test_filters_match_lex_generator(self, a, k):

@@ -129,13 +129,17 @@ class TestContainment:
             contains_pattern(perm(1, 2), Permutation(()))
 
     def test_specialized_checkers_agree_with_oracle(self):
-        # every permutation of size <= 8, all four working patterns
+        # every permutation of size <= 8, all four working patterns; up to
+        # size 7 also shifted down by n, so that 0 and negative values occur
         pats = [(2, 1), (1, 3, 2), (2, 1, 3), (1, 3, 2, 4)]
         for n in range(9):
             for values in permutations(range(1, n + 1)):
-                for pat in pats:
-                    assert word_contains(values, pat) == naive_contains(values, pat), \
-                        (values, pat)
+                words = [values] if n > 7 else [values, tuple(v - n for v in values)]
+                for word in words:
+                    for pat in pats:
+                        assert word_contains(word, pat) == naive_contains(word, pat), \
+                            (word, pat)
+        assert word_contains((-1,), (1, 3, 2)) is False
 
     def test_1324_scan_edge_cases(self):
         # short words, including the empty word enumerate_dominoes(0) passes

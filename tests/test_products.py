@@ -256,6 +256,14 @@ class TestMarkedTupleCodec:
         # not 1324-avoiding, so its suffix blocks interleave when factored
         with pytest.raises(DomainError):
             encode_perm(perm("246135"), validate=False)
+        # 23514 has its 1 right of its maximum and not last, but no 2
+        # adjacent-left of the maximum: refused unvalidated, whether or not a
+        # primitive stands next to it
+        bad = perm("23514")
+        for comps, marked in (((bad,), 1), ((bad, perm("12")), 1),
+                              ((perm("12"), bad), 2)):
+            with pytest.raises(DomainError, match="adjacent-left"):
+                decode_tuple(MarkedTuple(comps, marked), validate=False)
 
     def test_roundtrip_small(self):
         for n in range(4, 8):

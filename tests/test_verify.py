@@ -10,6 +10,7 @@ from permpos.dominoes import GriddedDomino, to_domino
 from permpos.enumeration import _walk, count_tables
 from permpos.permutations import DomainError, Permutation
 from permpos.products import _decode_raw
+from permpos.series import TruncatedSeries
 from permpos.verify import (
     SUITES,
     _explicit_codec_check,
@@ -337,3 +338,98 @@ def test_domino_map_names_the_faulty_point_count(monkeypatch, fault):
     bijection = suite_prop1(10, tables)[0].to_json_dict()
     assert bijection["identity"] == "primitive-domino-bijection"
     assert bijection["residual"] == ([] if fault is None else [[7, 0, "1"]])
+
+
+# -- one injected fault per failure branch --------------------------------
+#
+# Each fault patches one route in verify's namespace, or one table cell, so
+# that one identity of thm2, thm3 or prop1 fails at max_n = 8 and names the
+# (n, k) the fault acts on. The accounting faults act on one parent of
+# class (1, 3) and size 6, so on (7, 3).
+
+
+def _parent():
+    # the first one with an entry right of its maximum, so two children
+    return next(Permutation(v, validate=False) for _, _, _, v, _ in _walk(6, 6, 1, 3)
+                if v[-1] != 6)
+
+
+def _wrap(monkeypatch, name, change):
+    # verify's ``name`` passes each result through change(args, result)
+    real = getattr(permpos.verify, name)
+    monkeypatch.setattr(permpos.verify, name,
+                        lambda *args, **kwargs: change(args, real(*args, **kwargs)))
+
+
+def _rc_moves_the_one(monkeypatch, tables):
+    parent = _parent()
+    _wrap(monkeypatch, "reverse_complement", lambda args, rc: Permutation(
+        rc.values[1:] + rc.values[:1], validate=False) if args[0] == parent else rc)
+
+
+def _expand_drops_a_child(monkeypatch, tables):
+    parent = _parent()
+    _wrap(monkeypatch, "expand_with_one",
+          lambda args, cs: cs[:-1] if args[0] == parent else cs)
+
+
+def _expand_repeats_a_child(monkeypatch, tables):
+    parent = _parent()
+    _wrap(monkeypatch, "expand_with_one",
+          lambda args, cs: cs[:-1] + cs[:1] if args[0] == parent else cs)
+
+
+def _contract_misses_the_parent(monkeypatch, tables):
+    parent = _parent()
+    _wrap(monkeypatch, "contract_one", lambda args, p: Permutation(
+        p.values[::-1], validate=False) if p == parent else p)
+
+
+def _table_cell(monkeypatch, tables):
+    tables[7].counts[(2, 3)] += 1
+
+
+def _t2k_series_off(monkeypatch, tables):
+    _wrap(monkeypatch, "t2k_series", lambda args, s: s + TruncatedSeries.monomial(
+        7, s.order) if args[0] == 3 else s)
+
+
+def _f_power_off(monkeypatch, tables):
+    # f^1 gains x^4: of the tuple counts with k = 2, only n = 8 = 4 + 4 sees
+    # it, through the one marked component of size 4, 2413, in each of the
+    # two slots
+    _wrap(monkeypatch, "f_power", lambda args, s: s + TruncatedSeries.monomial(
+        4, s.order) if args[0] == 1 else s)
+
+
+def _closed_form_off(monkeypatch, tables):
+    _wrap(monkeypatch, "primitive_count_closed_form",
+          lambda args, c: c + 1 if args[0] == 6 else c)
+
+
+def _f_series_off(monkeypatch, tables):
+    _wrap(monkeypatch, "f_series",
+          lambda args, s: s + TruncatedSeries.monomial(5, s.order))
+
+
+@pytest.mark.parametrize("fault,suite,identity,residual", [
+    (_rc_moves_the_one, "thm2", "a2-insertion-accounting", [(7, 3, 1)]),
+    (_expand_drops_a_child, "thm2", "a2-insertion-accounting", [(7, 3, -1)]),
+    (_expand_repeats_a_child, "thm2", "a2-insertion-accounting", [(7, 3, 1)]),
+    (_contract_misses_the_parent, "thm2", "a2-insertion-accounting", [(7, 3, 1)]),
+    (_table_cell, "thm2", "a2-insertion-accounting", [(7, 3, -1)]),
+    (_t2k_series_off, "thm3", "a2-series-expansion", [(7, 3, 1)]),
+    (_table_cell, "thm3", "g2-two-routes", [(7, 3, -1)]),
+    (_f_power_off, "thm3", "marked-tuple-codec", [(8, 2, -2)]),
+    (_table_cell, "thm3", "marked-tuple-codec", [(7, 3, -1)]),
+    (_closed_form_off, "prop1", "primitive-count-three-way", [(6, 0, -1)]),
+    (_f_series_off, "prop1", "primitive-count-three-way", [(6, 1, 1)]),
+])
+def test_injected_fault_fails_its_identity_at_its_cell(monkeypatch, tables8, fault, suite,
+                                                        identity, residual):
+    tables = copy.deepcopy(tables8)
+    fault(monkeypatch, tables)
+    reports = run_suites((suite,), max_n=8, max_k=8, tables=tables)
+    report = next(r for r in reports if r.identity == identity)
+    assert not report.passed
+    assert report.residual == [(n, k, Fraction(c)) for n, k, c in residual]

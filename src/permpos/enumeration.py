@@ -19,19 +19,23 @@ cross-checked in the test suite:
   verification suites.
 
 * :func:`count_tables` counts the tree without visiting it node by node:
-  nodes with alike subtrees merge into one state with a multiplicity
-  (Marinov & Radoicic, "Counting 1324-avoiding permutations", EJC 2003).
-  The states of a level are merged in sorted batches, so equal states,
-  which come from parents with a common prefix, meet in one batch while
-  memory stays flat; the last two levels are counted from each state's
-  prefix-minimum runs without building them. Exact tables to n = 13 take
-  seconds and n = 14 well under a minute.
+  nodes with alike subtrees merge into one state (Marinov & Radoicic,
+  "Counting 1324-avoiding permutations", EJC 2003). A state is a shape, a
+  node's bound L and its first L entries coded by prefix-minimum rank, with
+  labels, the prefix-minimum values with their multiplicities; every count
+  is linear in a label, so the subtrees of one shape are expanded once,
+  whatever their values. The shapes of a level are merged in sorted
+  batches, so equal shapes, which come from parents with a common prefix,
+  meet in one batch while memory stays flat; the last two levels are
+  counted from each shape's prefix-minimum runs without building them.
+  Exact tables to n = 13 take seconds, n = 14 about 20 s and n = 15 91 s
+  at one worker, at a peak RSS of 27 MB, or 50 s at two (COUNT_MAX_N).
 
 :func:`_fan_out` is the one parallel helper: it runs a module-level worker
 over chunks of roots in one Pool, a root being a subtree seed (the thm3
-codec scan walks below its seeds) or a merged count state (the count
-merges below those in sorted batches). Parts merge by addition, so every
-worker count gives the same result.
+codec scan walks below its seeds) or a (shape, labels) count state (the
+count merges below those in sorted batches). Parts merge by addition, so
+every worker count gives the same result.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -60,12 +64,12 @@ from .permutations import (
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
 # count tables alone, without walking the members; count_tables(15) took
-# 176 s at a peak RSS of 22 MB at one worker, and 99-110 s at two, with a
-# peak RSS of 24 MB in the parent and 19 MB in each worker (shared 2-core
-# x86-64 machine, Python 3.11.7)
+# 91 s at a peak RSS of 27 MB at one worker, and 50 s at two, with a peak
+# RSS of 25 MB in the parent and 20 MB in each worker; `count --n 15` took
+# 56 s (shared 2-core x86-64 machine, Python 3.11.7)
 COUNT_MAX_N = 15
 _SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
-_BATCH = 1024  # count states expanded into one merge dict
+_BATCH = 384  # count shapes expanded into one merge dict
 _CHUNKS_PER_WORKER = 16  # fan-out chunks per worker, to shorten the idle tail
 _ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
 
@@ -239,13 +243,13 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
     one per chunk, in completion order.
 
     A root is whatever the worker expands: a (node, top) generating-tree
-    seed from _tree_roots, or a merged count state. With one worker that is
-    a single call in this process on ``roots`` as given, so an iterable is
-    never listed. Otherwise the roots are listed and cut into about
+    seed from _tree_roots, or a (shape, labels) count state. With one
+    worker that is a single call in this process on ``roots`` as given, so
+    an iterable is never listed. Otherwise the roots are listed and cut into about
     _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a long
     tail, and run in one Pool; ``worker`` must then pickle, as a
     module-level function or a partial of one. Each chunk is a run of
-    neighbouring roots, so sorted count states that share a prefix, and
+    neighbouring roots, so sorted count shapes that share a prefix, and
     merge below, stay in one chunk. Chunks are disjoint, so callers that
     merge the parts by addition get the same result for every worker count.
     """
@@ -266,17 +270,29 @@ def _add_counts(into: dict, part: dict) -> None:
 
 # -- state-merged counting ---------------------------------------------------
 #
-# A node's subtree depends only on its size, its bound L and its first
-# min(L+1, size) entries, since no child reads past entry L+1. Of those the
-# rule above reads each prefix minimum's value and, for any other entry x,
-# which prefix minima lie below x. A state is the bytes L, then the entries:
-# a prefix minimum as its value, any other x as _ABOVE + the largest earlier
-# prefix minimum below x. So pm is the running minimum of the codes, x is
-# above pm iff its code is >= _ABOVE + pm, and the maximum inserted at
-# p >= 2 is coded _ABOVE + entry 1. Equal states merge, with a multiplicity.
+# A node's subtree depends only on its size, its bound L and its first L
+# entries. Entry L + 1 is never read: the child at p takes the first entry
+# q in p..L + 1 above its running minimum as its bound Lc, or L + 1 if there
+# is none, so entry L + 1 only ever gives Lc = L + 1, the bound without it;
+# and a child's first Lc entries are the new maximum and entries before Lc.
+# Of those the rule above reads each prefix minimum's value and, for any
+# other entry x, which prefix minima lie below x. So a state is a shape with
+# labels. The shape is the bytes L, then the L entries, coded by rank: the
+# prefix minima are ranks 0, 1, ... from the left, a prefix minimum is coded
+# as its rank, and any other x as the rank of the leftmost prefix minimum
+# below x. Under a running minimum of rank i, a later entry is a new prefix
+# minimum iff its code is above i, and lies above the running minimum iff
+# its code is <= i; the maximum inserted at p >= 2 is coded 0. The labels
+# map the values of the shape's prefix minima, as bytes in rank order, to
+# multiplicities. Every class count is linear in a label, so a shape scans
+# for its children's bounds and tallies its runs once, and only the
+# additions loop over its labels. The child at p >= 2 keeps the labels of
+# the prefix minima left of its bound; the child at p = 1 puts the maximum
+# in front as rank 0, every code one rank later, and its value in front of
+# each label. Equal shapes merge, adding their labels.
 #
-# A child at p >= 2 copies its parent's entries 1..Lc, so equal states come
-# from parents with a common prefix. The states of a level are therefore
+# A child at p >= 2 copies its parent's codes 1..p-1, so equal shapes come
+# from parents with a common prefix. The shapes of a level are therefore
 # taken in order of their entries, in batches of _BATCH; the children of a
 # batch are filed in one dict, sorted in turn and merged the same way one
 # level down. A duplicate split across two batches is expanded twice, which
@@ -285,105 +301,115 @@ def _add_counts(into: dict, part: dict) -> None:
 #
 # The classes of a node's children come from its runs: the prefix minima
 # among entries 1..L, each followed by the children up to the next one (or
-# to L + 1) in its class. A state of size max_n - 2 counts its grandchildren
+# to L + 1) in its class. A shape of size max_n - 2 counts its grandchildren
 # from its own runs, without building its children. In the child that
-# inserts the maximum at p >= 2, the prefix minima are the state's, those at
+# inserts the maximum at p >= 2, the prefix minima are the shape's, those at
 # or right of p one place later, up to the child's bound Lc. So its runs are
-# the state's, the run over p one longer and the last run cut at Lc. An
+# the shape's, the run over p one longer and the last run cut at Lc. An
 # entry p that is not a prefix minimum lies above the running minimum pm,
 # and the maximum before it makes pm, M, entry p a 132: Lc = p. Only a
 # prefix minimum at p needs the scan for the first later entry above pm.
-# The child at p = 1 adds a run of length 1 for its maximum to the state's
+# The child at p = 1 adds a run of length 1 for its maximum to the shape's
 # runs, whole; the child at p = L + 1 has Lc = L + 1 either way.
 
-_ABOVE = 128  # above every value, so sizes stay below it
+_SHIFT = bytes(range(1, 256)) + bytes(1)  # translate table: each code one rank later
 
 
-def _expand_state(state: bytes, size: int, mult: int, max_n: int, runs: list,
+def _expand_state(shape: bytes, labels: dict, size: int, max_n: int, runs: list,
                   totals: list[int], merged: dict) -> None:
-    """Count the children of a state of the given size, ``mult`` times each:
-    into ``totals``, and into ``runs[n][a][K]`` once per prefix minimum a
-    followed by K children of class a. At size max_n - 2, count the
-    grandchildren too, from the state's own runs. Otherwise, below size
-    max_n, file each child in ``merged``."""
-    L = state[0]
+    """Count the children of a shape of the given size, once per unit of
+    its labels' multiplicities: into ``totals``, and into ``runs[n][a][K]``
+    once per prefix minimum a followed by K children of class a. At size
+    max_n - 2, count the grandchildren too, from the shape's own runs.
+    Otherwise, below size max_n, file each child's labels in ``merged``
+    under its shape."""
+    L = shape[0]
     child_n = size + 1
-    totals[child_n] += (L + 1) * mult
+    weight = sum(labels.values())
+    totals[child_n] += (L + 1) * weight
+    r = len(next(iter(labels)))
+    # the prefix minima's positions: rank i first occurs at its own
+    at = [shape.index(i, 1) for i in range(r)]
+    at.append(L + 1)
     row = runs[child_n]
-    pm, pmpos = state[1], 1
-    for q in range(2, L + 1):
-        if state[q] < pm:
-            row[pm][q - pmpos] += mult
-            pm, pmpos = state[q], q
-    row[pm][L + 1 - pmpos] += mult
+    lengths = [y - x for x, y in zip(at, at[1:])]
+    for vals, m in labels.items():
+        for a, K in zip(vals, lengths):
+            row[a][K] += m
     if child_n == max_n:
         return
     if child_n + 1 == max_n:
-        _count_grandchildren(state, mult, max_n, runs, totals)
+        _count_grandchildren(shape, labels, at, weight, max_n, runs, totals)
         return
-    new_max = bytes((_ABOVE + state[1],))
-    children = [bytes((L + 1, child_n)) + state[1:]]
-    pm = state[1]
+    front = bytes((child_n,))
+    _add_counts(merged.setdefault(bytes((L + 1, 0)) + shape[1:].translate(_SHIFT), {}),
+                {front + vals: m for vals, m in labels.items()})
+    i = 0  # the rank of the running minimum of entries 1..p-1
     for p in range(2, L + 2):
-        if state[p - 1] < pm:
-            pm = state[p - 1]
-        above = _ABOVE + pm
+        if shape[p - 1] > i:
+            i += 1
         Lc = L + 1
-        for q in range(p, len(state)):
-            if state[q] >= above:
+        for q in range(p, L + 1):
+            if shape[q] <= i:
                 Lc = q
                 break
-        children.append(bytes((Lc,)) + state[1:p] + new_max + state[p:Lc + 1])
-    for child in children:
-        merged[child] = merged.get(child, 0) + mult
+        kept = bisect_left(at, Lc)  # the prefix minima left of Lc, and their labels
+        into = merged.setdefault(bytes((Lc,)) + shape[1:p] + b"\0" + shape[p:Lc], {})
+        for vals, m in labels.items():
+            key = vals[:kept]
+            into[key] = into.get(key, 0) + m
 
 
-def _count_grandchildren(state: bytes, mult: int, max_n: int, runs: list,
-                         totals: list[int]) -> None:
-    """Count the size-max_n grandchildren of a state of size max_n - 2,
-    ``mult`` times each, into ``totals`` and ``runs``, from the state's runs
-    (see above). The runs a child keeps whole are added once per run, with a
-    suffix count over the index J of each child's cut run."""
-    L = state[0]
-    at = [q for q in range(1, L + 1) if state[q] < _ABOVE]  # the prefix minima
-    vals = [state[q] for q in at]
-    at.append(L + 1)
-    r = len(vals)
-    row = runs[max_n]
+def _count_grandchildren(shape: bytes, labels: dict, at: list[int], weight: int,
+                         max_n: int, runs: list, totals: list[int]) -> None:
+    """Count the size-max_n grandchildren of a shape of size max_n - 2, once
+    per unit of the ``weight`` of its labels, into ``totals`` and ``runs``,
+    from the shape's runs (see above); ``at`` lists its prefix minima and
+    then L + 1. The runs a child keeps whole are added once per run, with a
+    suffix count over the index J of each child's cut run; each (rank, K)
+    tally is added once per label."""
+    L = shape[0]
+    r = len(at) - 1
     full = [0] * (r + 1)  # full[J]: children whose runs before run J are whole
     longer = [0] * r  # longer[i]: of those, children whose run i is one longer
+    cut = [[] for _ in range(r)]  # cut[J]: the length of each child's cut run J
     full[r] += 1  # p = 1
-    row[max_n - 1][1] += mult
+    runs[max_n][max_n - 1][1] += weight
     full[r - 1] += 1  # p = L + 1
-    row[vals[r - 1]][L + 2 - at[r - 1]] += mult
+    cut[r - 1].append(L + 2 - at[r - 1])
     total = 2 * (L + 2)
-    i = 0  # the last prefix minimum left of p
-    end = len(state)
+    i = 0  # the rank of the last prefix minimum left of p
     for p in range(2, L + 1):
-        if state[p] >= _ABOVE:  # above vals[i]: Lc = p
+        if shape[p] <= i:  # above the running minimum: Lc = p
             full[i] += 1
-            row[vals[i]][p + 1 - at[i]] += mult
+            cut[i].append(p + 1 - at[i])
             total += p + 1
             continue
-        above = _ABOVE + vals[i]
         Lc = L + 1
-        for q in range(p + 1, end):
-            if state[q] >= above:
+        for q in range(p + 1, L + 1):
+            if shape[q] <= i:
                 Lc = q
                 break
         J = bisect_left(at, Lc) - 1  # the last prefix minimum left of Lc
         longer[i] += 1
         full[J] += 1
-        row[vals[J]][Lc - at[J]] += mult  # run J, one place later, cut at Lc
+        cut[J].append(Lc - at[J])  # run J, one place later, cut at Lc
         total += Lc + 1
         i += 1
-    totals[max_n] += total * mult
+    totals[max_n] += total * weight
     whole = 0
+    plan = []  # per rank j: its whole run's length K, and how many keep it or one more
     for j in range(r - 1, -1, -1):
         whole += full[j + 1]
-        K = at[j + 1] - at[j]
-        row[vals[j]][K] += (whole - longer[j]) * mult
-        row[vals[j]][K + 1] += longer[j] * mult
+        plan.append((j, at[j + 1] - at[j], whole - longer[j], longer[j], cut[j]))
+    row = runs[max_n]
+    for vals, m in labels.items():
+        for j, K, same, more, cuts in plan:
+            counts = row[vals[j]]
+            counts[K] += same * m
+            counts[K + 1] += more * m
+            for Kc in cuts:
+                counts[Kc] += m
 
 
 def _count_arrays(max_n: int) -> tuple[list, list[int]]:
@@ -392,33 +418,33 @@ def _count_arrays(max_n: int) -> tuple[list, list[int]]:
             [0] * (max_n + 1))
 
 
-def _entries(item: tuple[bytes, int]) -> bytes:
-    """Sort key of a (state, multiplicity) item: the state's entries."""
+def _entries(item: tuple[bytes, dict]) -> bytes:
+    """Sort key of a (shape, labels) item: the shape's entries."""
     return item[0][1:]
 
 
 def _merge_count(states: Iterable, size: int, max_n: int, runs: list,
                  totals: list[int]) -> None:
-    """Count the tree below (state, multiplicity) pairs of the given size,
-    taken in sorted order, into ``runs`` and ``totals``: each batch of
-    _BATCH states files its children in one dict, which is merged the same
-    way one level down."""
+    """Count the tree below (shape, labels) pairs of the given size, taken
+    in sorted order, into ``runs`` and ``totals``: each batch of _BATCH
+    shapes files its children in one dict, which is merged the same way one
+    level down."""
     states = iter(states)
     while batch := list(islice(states, _BATCH)):
         merged: dict = {}
-        for state, mult in batch:
-            _expand_state(state, size, mult, max_n, runs, totals, merged)
+        for shape, labels in batch:
+            _expand_state(shape, labels, size, max_n, runs, totals, merged)
         if merged:
-            # the states of size max_n - 2 file no children, so need no order
+            # the shapes of size max_n - 2 file no children, so need no order
             _merge_count(merged.items() if size + 3 == max_n
                          else sorted(merged.items(), key=_entries),
                          size + 1, max_n, runs, totals)
 
 
 def _count_worker(size: int, max_n: int, roots: Iterable) -> tuple[list, list[int]]:
-    """Count the tree to size max_n below sorted (state, multiplicity)
-    roots of the given size; a _fan_out worker once size and max_n are
-    bound. Returns the chunk's runs and totals."""
+    """Count the tree to size max_n below sorted (shape, labels) roots of
+    the given size; a _fan_out worker once size and max_n are bound. Returns
+    the chunk's runs and totals."""
     runs, totals = _count_arrays(max_n)
     _merge_count(roots, size, max_n, runs, totals)
     return runs, totals
@@ -481,17 +507,17 @@ def count_tables(max_n: int, workers: int = 1,
     """Exact class-count tables for every 1 <= n <= max_n, from one
     state-merged count of the generating tree.
 
-    States are merged in sorted batches from the root down. With more than
+    Shapes are merged in sorted batches from the root down. With more than
     one worker (0 means one per CPU) and max_n > _SEED_SIZE + 1, the levels
     to size _SEED_SIZE are merged whole and that level is split over
-    ``workers`` processes in contiguous runs of its sorted states; with one
+    ``workers`` processes in contiguous runs of its sorted shapes; with one
     worker, or on a cache hit, everything runs in this process. Every
     worker count gives the same tables. With a cache directory, tables are
     loaded when every size is present and persisted after recomputation;
     cache files are byte-identical to a fresh recomputation.
     """
-    if not 1 <= max_n < _ABOVE:
-        raise ValueError(f"max_n must be in 1..{_ABOVE - 1}")
+    if not 1 <= max_n < 256:
+        raise ValueError("max_n must be in 1..255")
     workers = _split_workers(workers, max_n)
     if cache_dir is not None:
         paths = [_cache_path(Path(cache_dir), n) for n in range(1, max_n + 1)]
@@ -506,12 +532,12 @@ def count_tables(max_n: int, workers: int = 1,
 
     runs, totals = _count_arrays(max_n)
     totals[1] = 1
-    level = [(bytes((1, 1)), 1)]  # the root: L = 1, the entry 1
+    level = [(bytes((1, 0)), {bytes((1,)): 1})]  # the root: L = 1, the entry 1
     seed = _SEED_SIZE if workers > 1 else 1
     for size in range(1, seed):
         merged: dict = {}
-        for state, mult in level:
-            _expand_state(state, size, mult, max_n, runs, totals, merged)
+        for shape, labels in level:
+            _expand_state(shape, labels, size, max_n, runs, totals, merged)
         level = sorted(merged.items(), key=_entries)
     if max_n > 1:
         for part_runs, part_totals in _fan_out(partial(_count_worker, seed, max_n),

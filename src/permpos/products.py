@@ -146,41 +146,47 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
     result is the class-(2, k) avoider the marked tuple encodes (the
     inverse of _factorize_raw with low = 2): the component takes part
     without its 1, and the 1 goes back before its right neighbour, every
-    other value raised by one."""
-    if len(comps) == 1 and marked_idx == 0:
-        c = comps[0]
-        if not c.index(2) + 1 == c.index(len(c)) < c.index(1) < len(c) - 1:
-            raise DomainError(f"marked component {tuple(c)}: no 2 adjacent-left of "
-                              "its maximum, or 1 not right of it, or last")
-        return tuple(c)  # a lone marked component is the result
-    lift = 1 if marked_idx >= 0 else 0
-    hi = sum(map(len, comps)) - len(comps) + 1 - lift  # top cut before the lift
-    pre: list[int] = []
-    cuts = [hi + lift]
-    suf: list[int] = []
-    for r in range(len(comps) - 1, -1, -1):
-        c = comps[r]
-        size = len(c)
-        marked = r == marked_idx
-        i = c.index(2 if marked else 1)
-        if c.index(size) != i + 1:
-            raise DomainError(f"component {tuple(c)} has no "
-                              f"{2 if marked else 1} adjacent-left of its maximum")
-        lo = hi - size + 1 + marked  # a marked component's 1 is not counted
-        shift = lo - 1 + lift - marked
-        pre += [v + shift for v in c[:i]]
-        tail = [v + shift for v in c[i + 2:]]
-        if marked:
-            one = c.index(1) - i - 2  # the 1's place in the tail
-            if not 0 <= one < len(tail) - 1:
-                raise DomainError(f"marked component {tuple(c)}: 1 not right of its "
-                                  "maximum, or last")
-            tail[one] = 1
-        suf += tail
-        cuts.append(lo + lift)
-        hi = lo
-    cuts.reverse()
-    return tuple(pre + cuts + suf)
+    other value raised by one. A component that lacks its 1, its 2 (when
+    marked) or its maximum raises DomainError, as any other invalid one."""
+    try:
+        if len(comps) == 1 and marked_idx == 0:
+            c = comps[0]
+            if not c.index(2) + 1 == c.index(len(c)) < c.index(1) < len(c) - 1:
+                raise DomainError(f"marked component {tuple(c)}: no 2 adjacent-left of "
+                                  "its maximum, or 1 not right of it, or last")
+            return tuple(c)  # a lone marked component is the result
+        lift = 1 if marked_idx >= 0 else 0
+        hi = sum(map(len, comps)) - len(comps) + 1 - lift  # top cut before the lift
+        pre: list[int] = []
+        cuts = [hi + lift]
+        suf: list[int] = []
+        for r in range(len(comps) - 1, -1, -1):
+            c = comps[r]
+            size = len(c)
+            marked = r == marked_idx
+            i = c.index(2 if marked else 1)
+            if c.index(size) != i + 1:
+                raise DomainError(f"component {tuple(c)} has no "
+                                  f"{2 if marked else 1} adjacent-left of its maximum")
+            lo = hi - size + 1 + marked  # a marked component's 1 is not counted
+            shift = lo - 1 + lift - marked
+            pre += [v + shift for v in c[:i]]
+            tail = [v + shift for v in c[i + 2:]]
+            if marked:
+                one = c.index(1) - i - 2  # the 1's place in the tail
+                if not 0 <= one < len(tail) - 1:
+                    raise DomainError(f"marked component {tuple(c)}: 1 not right of its "
+                                      "maximum, or last")
+                tail[one] = 1
+            suf += tail
+            cuts.append(lo + lift)
+            hi = lo
+        cuts.reverse()
+        return tuple(pre + cuts + suf)
+    except DomainError:
+        raise
+    except ValueError as exc:  # tuple.index: a component lacks its 1, 2 or maximum
+        raise DomainError(f"a component lacks its 1, 2 or maximum: {exc}") from None
 
 
 # -- public surface -----------------------------------------------------------

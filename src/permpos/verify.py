@@ -126,13 +126,15 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
     start = time.monotonic()
     acc_max = min(max_n, _ACCOUNTING_MAX_N)
     residual = []
+    parents: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # by the children's (n, k)
+    for size, _, k, v, _ in _walk(2, acc_max - 1, 1):
+        parents.setdefault((size + 1, k), []).append(v)
     for n in range(3, acc_max + 1):
         for k in range(1, n - 1):
             seen: set[tuple[int, ...]] = set()
             gap_sum = 0
             ok = True
-            for parent in (Permutation(v, validate=False)
-                           for _, _, _, v, _ in _walk(n - 1, n - 1, 1, k)):
+            for parent in (Permutation(v, validate=False) for v in parents.get((n, k), ())):
                 size = n - 1
                 j_stat = size - 1 - parent.values.index(size)
                 rc = reverse_complement(parent)

@@ -6,7 +6,6 @@ import pytest
 
 from permpos import enumeration
 from permpos.enumeration import (
-    _ABOVE,
     _BATCH,
     _SEED_SIZE,
     _count_arrays,
@@ -120,24 +119,28 @@ class TestClassify:
                     assert p.position(b) > pos_n
 
 
+ABOVE = 128  # value codes: a prefix minimum as its value, any other x as ABOVE + pm
+
+
 def state_children(state, size):
-    """The child states of a merged count state, each built as bytes: the
-    expansion that the grandchild count skips at size max_n - 2."""
+    """The child states of a state in value codes, each built as bytes, with
+    entry L + 1 kept where it exists: the expansion that the count makes on
+    shapes, and that the grandchild count skips at size max_n - 2."""
     L = state[0]
-    new_max = bytes((_ABOVE + state[1],))
+    new_max = bytes((ABOVE + state[1],))
     children = [bytes((L + 1, size + 1)) + state[1:]]
     pm = state[1]
     for p in range(2, L + 2):
         pm = min(pm, state[p - 1])
-        Lc = next((q for q in range(p, len(state)) if state[q] >= _ABOVE + pm), L + 1)
+        Lc = next((q for q in range(p, len(state)) if state[q] >= ABOVE + pm), L + 1)
         children.append(bytes((Lc,)) + state[1:p] + new_max + state[p:Lc + 1])
     return children
 
 
 def count_children_by_scan(state, size, mult, runs, totals):
-    """Count a state's children, mult times each, by scanning its prefix
-    minima: into totals, and into runs once per prefix minimum a followed
-    by K children of class a."""
+    """Count a value state's children, mult times each, by scanning its
+    prefix minima: into totals, and into runs once per prefix minimum a
+    followed by K children of class a."""
     L = state[0]
     totals[size + 1] += (L + 1) * mult
     row = runs[size + 1]
@@ -149,25 +152,71 @@ def count_children_by_scan(state, size, mult, runs, totals):
     row[pm][L + 1 - pmpos] += mult
 
 
+def decoded(level):
+    """The value states of (shape, labels) pairs, with their multiplicities:
+    a code above the running rank is the next prefix minimum, its label's
+    value; any other code c is ABOVE + label value c."""
+    states = Counter()
+    for shape, labels in level.items():
+        for vals, mult in labels.items():
+            entries, i = [], -1
+            for c in shape[1:]:
+                assert c <= i + 1, shape  # ranks rise by one at a time
+                entries.append(vals[c] if c > i else ABOVE + vals[c])
+                i = max(i, c)
+            assert i + 1 == len(vals), (shape, vals)
+            states[bytes(shape[:1]) + bytes(entries)] += mult
+    return states
+
+
+def shape_levels(top):
+    """The {shape: labels} levels of sizes 1..top that the count files, from
+    the root down, each level merged whole."""
+    levels = [{bytes((1, 0)): {bytes((1,)): 1}}]  # the root
+    arrays = _count_arrays(top + 2)
+    for size in range(1, top):
+        merged = {}
+        for shape, labels in levels[-1].items():
+            _expand_state(shape, labels, size, top + 2, *arrays, merged)
+        levels.append(merged)
+    return levels
+
+
 class TestCountTables:
-    def test_grandchild_count_matches_the_two_level_expansion(self):
-        # every merged state of size <= 8, counted to max_n = size + 2 from
-        # its own runs, against its children built one by one and each
-        # child's children counted by a scan of that child
-        level = {bytes((1, 1)): 1}  # the root
-        for size in range(1, 9):
-            merged = Counter()
-            for state, mult in level.items():
-                got = _count_arrays(size + 2)
-                _expand_state(state, size, mult, size + 2, *got, None)
-                want = _count_arrays(size + 2)
-                count_children_by_scan(state, size, mult, *want)
+    def test_shapes_decode_to_the_value_states(self):
+        # every (shape, labels) the count files for sizes <= 8, decoded to
+        # value codes, is exactly the value states that state_children
+        # builds, with entry L + 1 dropped and the same multiplicities
+        values = Counter({bytes((1, 1)): 1})  # the root in value codes
+        for size, level in enumerate(shape_levels(8), 1):
+            dropped = Counter()
+            for state, mult in values.items():
+                dropped[state[:state[0] + 1]] += mult
+            assert decoded(level) == dropped, size
+            children = Counter()
+            for state, mult in values.items():
                 for child in state_children(state, size):
-                    count_children_by_scan(child, size + 1, mult, *want)
-                    merged[child] += mult
-                assert got == want, (size, state)
-            level = merged
-        assert sum(level.values()) == 94776  # the size-9 nodes, each once
+                    children[child] += mult
+            values = children
+        assert sum(values.values()) == 94776  # the size-9 nodes, each once
+
+    def test_grandchild_count_matches_the_two_level_expansion(self):
+        # every shape of size <= 8, counted to max_n = size + 2 from its own
+        # runs, against the children of its decoded value states built one by
+        # one and each child's children counted by a scan of that child
+        levels = shape_levels(9)
+        for size, level in enumerate(levels[:8], 1):
+            for shape, labels in level.items():
+                got = _count_arrays(size + 2)
+                _expand_state(shape, labels, size, size + 2, *got, None)
+                want = _count_arrays(size + 2)
+                for state, mult in decoded({shape: labels}).items():
+                    count_children_by_scan(state, size, mult, *want)
+                    for child in state_children(state, size):
+                        count_children_by_scan(child, size + 1, mult, *want)
+                assert got == want, (size, shape)
+        # the size-9 nodes, each once
+        assert sum(sum(labels.values()) for labels in levels[8].values()) == 94776
         # count_tables(3) is the smallest count that takes the grandchild
         # route, straight from the root
         tables = count_tables(3)
@@ -272,16 +321,24 @@ class TestCountTables:
 
     def test_no_merge_dict_holds_more_than_a_batch(self, monkeypatch):
         # with one worker every level is merged in batches, so a merge dict
-        # holds the children of at most _BATCH states, each with at most
-        # size + 1 children, however large the level
+        # holds the children of at most _BATCH shapes, each with at most
+        # size + 1 children, however large the level; and each labelled
+        # state of the batch files at most size + 1 labelled children
         held = Counter()
         calls = Counter()
+        batch = {"merged": None}
         real = enumeration._expand_state
 
-        def spy(state, size, mult, max_n, runs, totals, merged):
-            real(state, size, mult, max_n, runs, totals, merged)
+        def spy(shape, labels, size, max_n, runs, totals, merged):
+            real(shape, labels, size, max_n, runs, totals, merged)
             calls[size] += 1
             if size + 2 < max_n:
+                if merged is not batch["merged"]:  # a batch's calls share its dict
+                    batch.update(merged=merged, shapes=0, labelled=0)
+                batch["shapes"] += 1
+                batch["labelled"] += len(labels)
+                assert batch["shapes"] <= _BATCH
+                assert sum(map(len, merged.values())) <= batch["labelled"] * (size + 1)
                 held[size] = max(held[size], len(merged))
 
         monkeypatch.setattr(enumeration, "_expand_state", spy)

@@ -264,6 +264,12 @@ class TestMarkedTupleCodec:
                               ((perm("12"), bad), 2)):
             with pytest.raises(DomainError, match="adjacent-left"):
                 decode_tuple(MarkedTuple(comps, marked), validate=False)
+        # raw components that lack a value the decoder looks up: a primitive
+        # its 1, a marked component its 1 or 2
+        for comps, marked in ((((1,),), 0), (((2, 4, 3, 5),), 0), (((2, 3),), -1),
+                              (((1, 2), (2, 4, 3, 5)), 1), (((1, 3, 2), (2, 3)), -1)):
+            with pytest.raises(DomainError, match="lacks"):
+                _decode_raw(comps, marked)
 
     def test_roundtrip_small(self):
         for n in range(4, 8):

@@ -208,29 +208,45 @@ def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
     assert reports[0].params == {"error": "RuntimeError", "message": "simulated scan defect"}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_marked_one_moved_to_the_end_is_a_codec_failure(monkeypatch, workers):
-    # an encoder that moves the marked component's 1 to its end: the decoder
-    # rejects that component, so every member fails, and the residual names
-    # the ten smallest whatever the worker count; only the encoder's calls,
-    # with low cut 2, are broken
+def _encoder_defect_fails_the_codec(monkeypatch, workers, fault):
+    # an encoder whose every tuple the decoder rejects: every member fails
+    # marked-tuple-codec, whose residual names the ten smallest whatever the
+    # worker count, and thm3 is no suite error; only the encoder's calls,
+    # with low cut 2, pass through fault(comps, marked index)
     real = permpos.verify._factorize_raw
 
-    def moved(values, low=1):
+    def broken(values, low=1):
         comps, idx = real(values, low)
-        if low == 2:
-            comps[idx] = [v for v in comps[idx] if v != 1] + [1]
-        return comps, idx
+        return (fault(comps, idx) if low == 2 else comps), idx
 
     for member in ((2, 4, 1, 3), (2, 3, 5, 1, 4)):  # k = 1 and k = 2
         with pytest.raises(DomainError):
-            _decode_raw(*moved(member, 2))
-    monkeypatch.setattr(permpos.verify, "_factorize_raw", moved)
-    codec = _codec_report(suite_thm3(9, 9, count_tables(9), workers=workers))
-    assert not codec.passed
+            _decode_raw(*broken(member, 2))
+    monkeypatch.setattr(permpos.verify, "_factorize_raw", broken)
+    reports = run_suites(["thm3"], max_n=9, workers=workers, tables=count_tables(9))
+    assert [(r.identity, r.passed) for r in reports] == [
+        ("a2-series-expansion", True), ("g2-two-routes", True), ("marked-tuple-codec", False)]
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
                       key=lambda v: (len(v), v))[:10]
-    assert codec.residual == [(len(v), 0, Fraction(1)) for v in smallest]
+    assert _codec_report(reports).residual == [(len(v), 0, Fraction(1)) for v in smallest]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_marked_one_moved_to_the_end_is_a_codec_failure(monkeypatch, workers):
+    # the marked component's 1 moved to its end: the decoder rejects it
+    def moved(comps, idx):
+        comps[idx] = [v for v in comps[idx] if v != 1] + [1]
+        return comps
+
+    _encoder_defect_fails_the_codec(monkeypatch, workers, moved)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_component_without_its_one_is_a_codec_failure(monkeypatch, workers):
+    # every component without its 1: the decoder's lookup of the 1 fails,
+    # which is a DomainError like any other rejected component
+    _encoder_defect_fails_the_codec(
+        monkeypatch, workers, lambda comps, idx: [[v for v in c if v != 1] for c in comps])
 
 
 def _size9_primitives():

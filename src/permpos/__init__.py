@@ -22,7 +22,6 @@ from .enumeration import (
     ClassCountTable,
     PositionalClass,
     classify,
-    count_ending_with_one,
     count_tables,
     generate_avoiders,
     iter_class_members,
@@ -79,7 +78,6 @@ __all__ = [
     "conjecture_check",
     "contains_pattern",
     "contract_one",
-    "count_ending_with_one",
     "count_tables",
     "decode_tuple",
     "encode_perm",

@@ -218,6 +218,8 @@ def _cmd_series(args, parser) -> int:
         return 0
     if args.a is None or args.k is None:
         parser.error("--which t needs --a and --k")
+    if args.a < 1 or args.k < 0:  # before any table is counted
+        parser.error("--which t needs --a >= 1 and --k >= 0")
     if args.a in (1, 2):
         if args.cache_dir is not None:  # a closed form builds no tables
             parser.error(f"--which t --a {args.a} --k {args.k} does not read --cache-dir")

@@ -14,9 +14,8 @@ cross-checked in the test suite:
   makes the child set {1, ..., L+1} and the child's own bound computable
   in O(n), so visiting a node costs O(n) total. :func:`_walk` is the one
   stack walk over the tree that streams members (with their class and
-  bound) for every caller: :func:`iter_class_members`,
-  :func:`count_ending_with_one`, the parallel seed list and the
-  verification suites.
+  bound) for every caller: :func:`iter_class_members`, the seed list and
+  the verification suites.
 
 * :func:`count_tables` counts the tree without visiting it node by node:
   nodes with alike subtrees merge into one state (Marinov & Radoicic,
@@ -28,14 +27,13 @@ cross-checked in the test suite:
   batches, so equal shapes, which come from parents with a common prefix,
   meet in one batch while memory stays flat; the last two levels are
   counted from each shape's prefix-minimum runs without building them.
-  Exact tables to n = 13 take seconds, n = 14 about 20 s and n = 15 91 s
-  at one worker, at a peak RSS of 27 MB, or 50 s at two (COUNT_MAX_N).
+  The README gives the measured times.
 
-:func:`_fan_out` is the one parallel helper: it runs a module-level worker
-over chunks of roots in one Pool, a root being a subtree seed (the thm3
-codec scan walks below its seeds) or a (shape, labels) count state (the
-count merges below those in sorted batches). Parts merge by addition, so
-every worker count gives the same result.
+Both sweeps cut the tree at size min(_SEED_SIZE, max_n), whatever the
+worker count, and :func:`_fan_out`, the one parallel helper, runs a
+module-level worker over chunks of the nodes or count states of that size.
+Parts merge by addition, so the worker count chooses where the work runs,
+never what is computed.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -63,12 +61,10 @@ from .permutations import (
 
 DESK_MAX_N = 11
 DESK_OPT_IN_MAX_N = 12
-# count tables alone, without walking the members; count_tables(15) took
-# 91 s at a peak RSS of 27 MB at one worker, and 50 s at two, with a peak
-# RSS of 25 MB in the parent and 20 MB in each worker; `count --n 15` took
-# 56 s (shared 2-core x86-64 machine, Python 3.11.7)
+# count tables alone, without walking the members; the README gives the
+# n = 15 time and peak RSS
 COUNT_MAX_N = 15
-_SEED_SIZE = 7  # subtree-root size used to partition parallel sweeps
+_SEED_SIZE = 7  # size of the subtree roots that partition every sweep
 _BATCH = 384  # count shapes expanded into one merge dict
 _CHUNKS_PER_WORKER = 16  # fan-out chunks per worker, to shorten the idle tail
 _ROOT = ((1,), 1)  # the tree's root node: the avoider 1 with bound L = 1
@@ -225,16 +221,14 @@ def _split_workers(workers: int, max_n: int) -> int:
     return workers or os.cpu_count() or 1
 
 
-def _tree_roots(max_n: int, workers: int) -> list:
+def _tree_roots(max_n: int) -> list:
     """(node, top) roots whose walks to size top together cover the tree to
-    size max_n, each member once: the root alone for one worker, otherwise
-    the root down to size _SEED_SIZE plus every size-_SEED_SIZE node, in a
-    fixed order."""
-    if workers <= 1:
-        return [(_ROOT, max_n)]
+    size max_n, each member once, in a fixed order: the root walked to size
+    s = min(_SEED_SIZE, max_n), then every size-s node walked to max_n."""
+    seed = min(_SEED_SIZE, max_n)
     # walked one size deeper than the seeds so that each carries its bound
-    return [(_ROOT, _SEED_SIZE)] + [((v, L), max_n) for n, _, _, v, L
-                                    in _walk(_SEED_SIZE, _SEED_SIZE + 1) if n == _SEED_SIZE]
+    return [(_ROOT, seed)] + [((v, L), max_n) for n, _, _, v, L
+                              in _walk(seed, seed + 1) if n == seed]
 
 
 def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
@@ -243,15 +237,16 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
     one per chunk, in completion order.
 
     A root is whatever the worker expands: a (node, top) generating-tree
-    seed from _tree_roots, or a (shape, labels) count state. With one
-    worker that is a single call in this process on ``roots`` as given, so
-    an iterable is never listed. Otherwise the roots are listed and cut into about
-    _CHUNKS_PER_WORKER chunks per worker, so no worker idles on a long
-    tail, and run in one Pool; ``worker`` must then pickle, as a
-    module-level function or a partial of one. Each chunk is a run of
-    neighbouring roots, so sorted count shapes that share a prefix, and
-    merge below, stay in one chunk. Chunks are disjoint, so callers that
-    merge the parts by addition get the same result for every worker count.
+    seed from _tree_roots, or a (shape, labels) count state of the seed
+    level. With one worker that is a single call in this process on
+    ``roots`` as given, so an iterable is never listed. Otherwise the roots
+    are listed and cut into about _CHUNKS_PER_WORKER chunks per worker, so
+    no worker idles on a long tail, and run in one Pool; ``worker`` must
+    then pickle, as a module-level function or a partial of one. Each chunk
+    is a run of neighbouring roots, so sorted count shapes that share a
+    prefix, and merge below, stay in one chunk. Chunks are disjoint, so
+    callers that merge the parts by addition get the same result for every
+    worker count.
     """
     if workers <= 1:
         return [worker(roots)]
@@ -507,14 +502,14 @@ def count_tables(max_n: int, workers: int = 1,
     """Exact class-count tables for every 1 <= n <= max_n, from one
     state-merged count of the generating tree.
 
-    Shapes are merged in sorted batches from the root down. With more than
-    one worker (0 means one per CPU) and max_n > _SEED_SIZE + 1, the levels
-    to size _SEED_SIZE are merged whole and that level is split over
-    ``workers`` processes in contiguous runs of its sorted shapes; with one
-    worker, or on a cache hit, everything runs in this process. Every
-    worker count gives the same tables. With a cache directory, tables are
-    loaded when every size is present and persisted after recomputation;
-    cache files are byte-identical to a fresh recomputation.
+    The levels to size s = min(_SEED_SIZE, max_n) are merged whole, and
+    below the sorted shapes of size s each level is merged in sorted
+    batches. Those shapes are counted in this process for one worker or
+    max_n <= _SEED_SIZE + 1, otherwise split over ``workers`` processes (0
+    means one per CPU) in contiguous runs; every worker count does the same
+    work. With a cache directory, tables are loaded when every size is
+    present and persisted after recomputation; cache files are
+    byte-identical to a fresh recomputation.
     """
     if not 1 <= max_n < 256:
         raise ValueError("max_n must be in 1..255")
@@ -533,7 +528,7 @@ def count_tables(max_n: int, workers: int = 1,
     runs, totals = _count_arrays(max_n)
     totals[1] = 1
     level = [(bytes((1, 0)), {bytes((1,)): 1})]  # the root: L = 1, the entry 1
-    seed = _SEED_SIZE if workers > 1 else 1
+    seed = min(_SEED_SIZE, max_n)
     for size in range(1, seed):
         merged: dict = {}
         for shape, labels in level:
@@ -580,11 +575,3 @@ def iter_class_members(n: int, a: Optional[int] = None,
     for _, cls_a, _, values, _ in _walk(n, n, a, k):
         if cls_a is not None:
             yield Permutation(values, validate=False)
-
-
-def count_ending_with_one(n: int, k: int) -> int:
-    """Number of size-n class-(2, k) avoiders whose last entry is 1,
-    counted by direct enumeration."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return sum(1 for _, _, _, vals, _ in _walk(n, n, 2, k) if vals[-1] == 1)

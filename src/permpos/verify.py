@@ -19,14 +19,15 @@ oracle and returns IdentityReports with exact residuals. Suites:
 
 Every member-level check streams its members from the one generating-tree
 walk, ``enumeration._walk``. The codec sweep at large n is the expensive
-part; it walks every size in one pass. It and the count tables are split
-over workers by ``enumeration._fan_out``, whose parts merge by addition,
-so any worker count produces identical reports (timings aside). Members
-the walk produced are not validated again: the codec runs with
-``validate=False``, and the checks compare its images with the walk. The
-scan's walk skips the subtrees that hold no a = 2 member, and the encoder
-factors each member in one pass. The domino map walks no tree: it maps
-every generated domino to its primitive and back, in one process; the
+part; it walks every size in one pass. It and the count tables cut the tree
+at the same seed size at every worker count, and ``enumeration._fan_out``
+splits the seeds over the workers; the parts merge by addition, so any
+worker count does the same work and produces identical reports (timings
+aside). Members the walk produced are not validated again: the codec runs
+with ``validate=False``, and the checks compare its images with the walk.
+The scan's walk skips the subtrees that hold no a = 2 member, and the
+encoder factors each member in one pass. The domino map walks no tree: it
+maps every generated domino to its primitive and back, in one process; the
 README gives the measured times. A suite that raises is reported as one
 failing report that names the suite and the exception, and the suites
 after it still run.
@@ -150,9 +151,9 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
                     seen.add(child.values)
                     if contract_one(child, validate=False) != parent:
                         ok = False
-            if not ok or gap_sum != tables[n].count(2, k) or len(seen) != gap_sum:
-                residual.append((n, k, Fraction(gap_sum - tables[n].count(2, k))
-                                 if gap_sum != tables[n].count(2, k) else Fraction(1)))
+            # a repeated child clears ok, so the children are all distinct
+            if not ok or gap_sum != tables[n].count(2, k):
+                residual.append((n, k, Fraction(gap_sum - tables[n].count(2, k) or 1)))
     reports.append(_report("a2-insertion-accounting",
                            {"max_n": acc_max}, residual, start))
     return reports
@@ -276,7 +277,7 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     failures: list[tuple[int, ...]] = []
     workers = _split_workers(workers, max_n)
     for part_not1, part_last1, part_failures in _fan_out(
-            _codec_worker, _tree_roots(max_n, workers), workers):
+            _codec_worker, _tree_roots(max_n), workers):
         _add_counts(not1, part_not1)
         _add_counts(last1, part_last1)
         failures.extend(part_failures)
@@ -291,10 +292,11 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
         diff = c - tables[n - 1].count(1, k)
         if diff:
             residual.append((n, k, Fraction(diff)))
-    # tuple counts: k slots for the marked component, primitives elsewhere
+    # tuple counts: k slots for the marked component, primitives elsewhere;
+    # at k = 1 the count is a21 itself, so the check starts at k = 2
     a21 = TruncatedSeries.from_coeffs(
         [not1.get((m, 1), 0) for m in range(max_n + 1)])
-    for k in range(1, max_n):
+    for k in range(2, max_n):
         tuple_counts = (f_power(k - 1, max_n) * a21).scale(k)
         for n in range(3, max_n + 1):
             diff = Fraction(not1.get((n, k), 0)) - tuple_counts.coeff(n)
@@ -341,7 +343,8 @@ def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
             except DomainError:
                 continue
             # a domino that adds no image, or a repeated one, leaves the
-            # images short of the dominoes
+            # images short of the dominoes; the size check catches a generated
+            # domino with other than p points, which maps back to itself too
             if len(sigma) == p + 2 and to_domino(sigma, validate=False) == d:
                 images.add(bytes(sigma.values))
         domino_counts[p] = count
@@ -369,10 +372,10 @@ def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
     return reports
 
 
-def suite_conjecture(max_n: int, tables: Tables, a_values: Sequence[int] = (3, 4),
-                     k_max: int = _CONJECTURE_K_MAX) -> list[IdentityReport]:
+def suite_conjecture(max_n: int, tables: Tables,
+                     a_values: Sequence[int] = (3, 4)) -> list[IdentityReport]:
     return [conjecture_check(a, k, max_n, tables)
-            for a in a_values for k in range(a, k_max + 1)]
+            for a in a_values for k in range(a, _CONJECTURE_K_MAX + 1)]
 
 
 def suite_gidentity(max_n: int, tables: Tables) -> list[IdentityReport]:

@@ -182,6 +182,17 @@ class TestSeries:
         assert (code, err) == (0, "")
         assert out.strip() == " + ".join(["0", "1*x"] + [f"0*x^{i}" for i in range(2, 16)])
 
+    @pytest.mark.parametrize("a,k", [("0", "1"), ("3", "-1")])
+    def test_bad_a_or_k_fails_before_counting(self, capsys, monkeypatch, a, k):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("count_tables called")
+
+        monkeypatch.setattr(permpos.cli, "count_tables", no_tables)
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--which", "t", "--a", a, "--k", k, "--order", "12"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_k_zero_beyond_the_order_is_zero(self, capsys):
         code, out, err = run_cli(capsys, "series", "--which", "t", "--a", "5",
                                  "--k", "0", "--order", "3")

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from permpos import enumeration
+from permpos import enumeration, verify
 from permpos.enumeration import (
     _BATCH,
     _SEED_SIZE,
@@ -16,12 +16,11 @@ from permpos.enumeration import (
     ClassCountTable,
     PositionalClass,
     classify,
-    count_ending_with_one,
     count_tables,
     generate_avoiders,
     iter_class_members,
 )
-from permpos.genfun import f_series, t1k_series
+from permpos.genfun import f_series
 from permpos.permutations import DomainError, Permutation, word_contains
 
 
@@ -273,8 +272,8 @@ class TestCountTables:
         assert parts[0] == 1 and parts[1] > 1 and parts[2] > 1
 
     def test_batch_size_keeps_the_tables(self, monkeypatch):
-        # one state per batch merges no two states, and a batch larger than
-        # any level merges every level whole
+        # below the size-_SEED_SIZE states, one state per batch merges no two
+        # states, and a batch larger than any level merges every level whole
         texts = []
         for batch in (1, _BATCH, 10 ** 9):
             monkeypatch.setattr(enumeration, "_BATCH", batch)
@@ -425,7 +424,7 @@ class TestWalk:
         # members and their order must be those of the unfiltered walk, also
         # below the size-7 roots of the parallel split
         def walk(max_n, a=None, k=None):
-            roots = _tree_roots(max_n, 2) if chained else [(enumeration._ROOT, max_n)]
+            roots = _tree_roots(max_n) if chained else [(enumeration._ROOT, max_n)]
             return [m for node, top in roots for m in _walk(2, top, a, k, root=node)]
 
         for n in ((9,) if chained else range(2, 10)):
@@ -438,9 +437,28 @@ class TestWalk:
     def test_fan_out_parts_cover_the_tree_once(self):
         # n = 9 is past _SEED_SIZE + 1, so two workers split the tree
         assert 9 > _SEED_SIZE + 1
-        parts = _fan_out(members_below, _tree_roots(9, 2), 2)
+        parts = _fan_out(members_below, _tree_roots(9), 2)
         assert len(parts) > 1
         assert sum(parts, Counter()) == lex_members(range(2, 10))
+
+    def test_partition_does_not_depend_on_the_worker_count(self, monkeypatch):
+        # the worker count chooses where the roots run, never which roots
+        # the count and the codec scan cut the tree into
+        real = enumeration._fan_out
+        seen = {}
+
+        def spy(worker, roots, workers):
+            roots = list(roots)
+            seen.setdefault(workers, []).append(roots)
+            return real(worker, roots, workers)
+
+        monkeypatch.setattr(enumeration, "_fan_out", spy)
+        monkeypatch.setattr(verify, "_fan_out", spy)
+        for workers in (1, 2):
+            tables = count_tables(10, workers=workers)
+            verify.suite_thm3(10, 9, tables, workers=workers)
+        assert len(seen[1]) == len(seen[2]) == 2
+        assert seen[1] == seen[2]
 
 
 class TestMemberStreams:
@@ -450,16 +468,6 @@ class TestMemberStreams:
                     if classify(p) == PositionalClass(1, 1)}
             got = {p.values for p in iter_class_members(n, 1, 1)}
             assert got == want
-
-    def test_count_ending_with_one(self, tables8):
-        assert count_ending_with_one(3, 1) == 1  # just 231
-        assert count_ending_with_one(4, 3) == 0  # no room for a trailing 1
-        # trailing-1 members mirror the class-(1, k) count one size down
-        assert count_ending_with_one(7, 3) == tables8[6].count(1, 3)
-        assert count_ending_with_one(7, 3) == 30
-        assert count_ending_with_one(7, 3) == t1k_series(3, 6).coeff(6)
-        with pytest.raises(ValueError):
-            count_ending_with_one(1, 1)
 
     def test_primitive_counts_match_closed_form(self, tables8):
         f = f_series(8)

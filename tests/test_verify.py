@@ -405,6 +405,11 @@ def _table_cell(monkeypatch, tables):
     tables[7].counts[(2, 3)] += 1
 
 
+def _a1_table_cell(monkeypatch, tables):
+    # the size-7 class-(2, 3) members that end in 1 are as many as this cell
+    tables[6].counts[(1, 3)] += 1
+
+
 def _t2k_series_off(monkeypatch, tables):
     _wrap(monkeypatch, "t2k_series", lambda args, s: s + TruncatedSeries.monomial(
         7, s.order) if args[0] == 3 else s)
@@ -438,6 +443,7 @@ def _f_series_off(monkeypatch, tables):
     (_table_cell, "thm3", "g2-two-routes", [(7, 3, -1)]),
     (_f_power_off, "thm3", "marked-tuple-codec", [(8, 2, -2)]),
     (_table_cell, "thm3", "marked-tuple-codec", [(7, 3, -1)]),
+    (_a1_table_cell, "thm3", "marked-tuple-codec", [(7, 3, -1)]),
     (_closed_form_off, "prop1", "primitive-count-three-way", [(6, 0, -1)]),
     (_f_series_off, "prop1", "primitive-count-three-way", [(6, 1, 1)]),
 ])

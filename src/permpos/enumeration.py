@@ -146,6 +146,12 @@ def generate_avoiders(n: int, pattern: Permutation = PATTERN_1324) -> Iterator[P
 #     the first such q -- the inserted maximum over an earlier smaller
 #     entry turns any later larger entry into a 132. _expand_state states
 #     the same rule on state codes.
+#
+# With a class filter a, a node of size >= a is not expanded when its bound
+# L is at most the 0-based index of a: its first L + 1 entries hold a 132
+# ending at or before a. Every descendant keeps that 132 before a and puts
+# its maximum no later than the 132's end, so left of a; none has a left of
+# its maximum, so none is in class a.
 
 
 def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = None,
@@ -175,6 +181,8 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
     while stack:
         sig, L = stack.pop()
         child_n = len(sig) + 1
+        if a is not None and child_n > a and L <= sig.index(a):
+            continue
         deeper = child_n < max_n
         emit = child_n >= min_n
         if deeper or (emit and every):
@@ -224,8 +232,10 @@ def _split_workers(workers: int, max_n: int) -> int:
 def _tree_roots(max_n: int) -> list:
     """(node, top) roots whose walks to size top together cover the tree to
     size max_n, each member once, in a fixed order: the root walked to size
-    s = min(_SEED_SIZE, max_n), then every size-s node walked to max_n."""
+    s = min(_SEED_SIZE, max_n), then each size-s node, if s < max_n, to max_n."""
     seed = min(_SEED_SIZE, max_n)
+    if seed == max_n:
+        return [(_ROOT, max_n)]
     # walked one size deeper than the seeds so that each carries its bound
     return [(_ROOT, seed)] + [((v, L), max_n) for n, _, _, v, L
                               in _walk(seed, seed + 1) if n == seed]
@@ -473,13 +483,15 @@ class ClassCountTable:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ClassCountTable":
+        """Parse to_jsonl text, blank lines skipped, as one JSON array."""
         total = None
         n = None
         counts: dict[tuple[int, int], int] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+        lines = [line for line in text.splitlines() if line.strip()]
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) != len(lines):
+            raise ValueError("table text does not hold one record per line")
+        for rec in records:
             if n is None:
                 n = rec["n"]
             elif rec["n"] != n:
@@ -493,8 +505,8 @@ class ClassCountTable:
         return cls(n=n, total=total, counts=counts)
 
 
-def _cache_path(cache_dir: Path, n: int) -> Path:
-    return Path(cache_dir) / f"class-counts-n{n:02d}.jsonl"
+def _cache_path(cache_dir: str | os.PathLike, n: int) -> str:
+    return os.path.join(cache_dir, f"class-counts-n{n:02d}.jsonl")
 
 
 def count_tables(max_n: int, workers: int = 1,
@@ -515,13 +527,20 @@ def count_tables(max_n: int, workers: int = 1,
         raise ValueError("max_n must be in 1..255")
     workers = _split_workers(workers, max_n)
     if cache_dir is not None:
-        paths = [_cache_path(Path(cache_dir), n) for n in range(1, max_n + 1)]
-        if all(p.is_file() for p in paths):
+        texts = []
+        try:
+            for n in range(1, max_n + 1):
+                with open(_cache_path(cache_dir, n)) as f:
+                    texts.append(f.read())
+        except FileNotFoundError:
+            pass  # a size is missing: every table is recomputed
+        else:
             tables = {}
-            for n, p in zip(range(1, max_n + 1), paths):
-                table = ClassCountTable.from_jsonl(p.read_text())
+            for n, text in enumerate(texts, start=1):
+                table = ClassCountTable.from_jsonl(text)
                 if table.n != n:
-                    raise ValueError(f"cache file {p} holds n={table.n}")
+                    raise ValueError(f"cache file {_cache_path(cache_dir, n)} "
+                                     f"holds n={table.n}")
                 tables[n] = table
             return tables
 
@@ -554,7 +573,7 @@ def count_tables(max_n: int, workers: int = 1,
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         for n, table in tables.items():
             # a file appears under its final name only once it is complete
-            path = _cache_path(Path(cache_dir), n)
+            path = Path(_cache_path(cache_dir, n))
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             try:
                 tmp.write_text(table.to_jsonl())

@@ -26,7 +26,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .enumeration import ClassCountTable
-from .series import BivariateSeries, TruncatedSeries
+from .series import BivariateSeries, Scalar, TruncatedSeries
 
 Tables = dict[int, ClassCountTable]
 
@@ -42,7 +42,7 @@ class IdentityReport:
     identity: str
     params: dict
     passed: bool
-    residual: list[tuple[int, int, Fraction]] = field(default_factory=list)
+    residual: list[tuple[int, int, Scalar]] = field(default_factory=list)
     millis: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -56,7 +56,7 @@ class IdentityReport:
 
 
 def _report(identity: str, params: dict,
-            residual: list[tuple[int, int, Fraction]], start: float) -> IdentityReport:
+            residual: list[tuple[int, int, Scalar]], start: float) -> IdentityReport:
     return IdentityReport(identity=identity, params=params,
                           passed=not residual, residual=residual,
                           millis=(time.monotonic() - start) * 1000.0)

@@ -1,7 +1,9 @@
 """Exact truncated formal power series over arbitrary-precision rationals.
 
-All arithmetic is on univariate series in x. It never rounds: coefficients
-are fractions.Fraction throughout, and operations on operands of different
+All arithmetic is on univariate series in x. It never rounds: every
+constructor and operation stores an integral coefficient as an int and any
+other as a fractions.Fraction, so integer series such as the generating
+functions stay in int arithmetic. Operations on operands of different
 orders truncate to the smaller order rather than silently padding. The
 derivative drops the order by one; a shift (multiplication by a power of
 x) raises it, exactly.
@@ -19,11 +21,15 @@ from typing import Iterable, Sequence, Union
 
 from .permutations import DomainError
 
-Scalar = Union[int, Fraction]
+Scalar = Union[int, Fraction]  # an int when integral, else a Fraction
 
 
-def _frac(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _exact(c: Scalar) -> Scalar:
+    """c as an int if it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,7 @@ class TruncatedSeries:
     """c_0 + c_1 x + ... + c_N x^N with exact rational coefficients."""
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
         if self.order < 0:
@@ -42,16 +48,16 @@ class TruncatedSeries:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
-        cs = [_frac(c) for c in coeffs]
+        cs = list(map(_exact, coeffs))
         if order is None:
             order = len(cs) - 1
         if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
+            cs += [0] * (order + 1 - len(cs))
         return cls(order, tuple(cs[:order + 1]))
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (Fraction(0),) * (order + 1))
+        return cls(order, (0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -59,12 +65,12 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coeff: Scalar = 1) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
+        cs = [0] * (order + 1)
         if 0 <= exponent <= order:
-            cs[exponent] = _frac(coeff)
+            cs[exponent] = _exact(coeff)
         return cls(order, tuple(cs))
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> Scalar:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
@@ -76,18 +82,18 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
-        return TruncatedSeries(order, tuple(
-            self.coeffs[i] + other.coeffs[i] for i in range(order + 1)))
+        return TruncatedSeries(order, tuple(map(
+            _exact, (self.coeffs[i] + other.coeffs[i] for i in range(order + 1)))))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
-        return TruncatedSeries(order, tuple(
-            self.coeffs[i] - other.coeffs[i] for i in range(order + 1)))
+        return TruncatedSeries(order, tuple(map(
+            _exact, (self.coeffs[i] - other.coeffs[i] for i in range(order + 1)))))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (order + 1)
+        out = [0] * (order + 1)
         for i in range(min(len(a) - 1, order) + 1):
             ai = a[i]
             if ai == 0:
@@ -95,25 +101,25 @@ class TruncatedSeries:
             for j in range(min(len(b) - 1, order - i) + 1):
                 if b[j]:
                     out[i + j] += ai * b[j]
-        return TruncatedSeries(order, tuple(out))
+        return TruncatedSeries(order, tuple(map(_exact, out)))
 
     def scale(self, c: Scalar) -> "TruncatedSeries":
-        c = _frac(c)
-        return TruncatedSeries(self.order, tuple(c * x for x in self.coeffs))
+        c = _exact(c)
+        return TruncatedSeries(self.order, tuple(map(_exact, (c * x for x in self.coeffs))))
 
     def dx(self) -> "TruncatedSeries":
         """Formal derivative; the output order drops by one."""
         if self.order == 0:
             return TruncatedSeries.zero(0)
-        return TruncatedSeries(self.order - 1, tuple(
-            i * self.coeffs[i] for i in range(1, self.order + 1)))
+        return TruncatedSeries(self.order - 1, tuple(map(
+            _exact, (i * self.coeffs[i] for i in range(1, self.order + 1)))))
 
     def shift(self, exponent: int) -> "TruncatedSeries":
         """Multiply by x^exponent; the output order rises by exponent."""
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
         return TruncatedSeries(self.order + exponent,
-                               (Fraction(0),) * exponent + self.coeffs)
+                               (0,) * exponent + tuple(map(_exact, self.coeffs)))
 
     def integer_coeffs(self) -> tuple[int, ...]:
         """Coefficients as ints; raises if any is not an integer."""
@@ -139,7 +145,7 @@ class BivariateSeries:
 
     xorder: int
     torder: int
-    coeffs: tuple[tuple[Fraction, ...], ...]  # [n][k]
+    coeffs: tuple[tuple[Scalar, ...], ...]  # [n][k]
 
     def __post_init__(self):
         if self.xorder < 0 or self.torder < 0:
@@ -154,7 +160,7 @@ class BivariateSeries:
         return cls(xorder, len(columns) - 1, tuple(
             tuple(col.coeff(n) for col in columns) for n in range(xorder + 1)))
 
-    def coeff(self, n: int, k: int) -> Fraction:
+    def coeff(self, n: int, k: int) -> Scalar:
         if not (0 <= n <= self.xorder and 0 <= k <= self.torder):
             raise ValueError(f"coefficient ({n},{k}) beyond truncation "
                              f"({self.xorder},{self.torder})")

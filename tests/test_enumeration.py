@@ -381,6 +381,43 @@ class TestCache:
         assert lines[1] == '{"n": 3, "a": 1, "k": 1, "count": "2"}'
         assert ClassCountTable.from_jsonl(text) == table
 
+    def test_malformed_text_raises(self):
+        with pytest.raises(ValueError, match="mixed sizes"):
+            ClassCountTable.from_jsonl('{"n": 3, "total": "6"}\n'
+                                       '{"n": 4, "a": 1, "k": 1, "count": "2"}\n')
+        with pytest.raises(ValueError, match="no total"):
+            ClassCountTable.from_jsonl('{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
+        with pytest.raises(ValueError, match="one record per line"):
+            ClassCountTable.from_jsonl('{"n": 3, "total": "6"}, '
+                                       '{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
+        # a file cut inside a line fails; one cut at a line boundary is a
+        # shorter table
+        text = count_tables(5)[5].to_jsonl()
+        for cut in range(1, len(text)):
+            if text[cut - 1] not in "}\n":
+                with pytest.raises(ValueError):
+                    ClassCountTable.from_jsonl(text[:cut])
+
+    def test_blank_lines_are_skipped(self):
+        table = count_tables(5)[5]
+        text = "\n" + table.to_jsonl().replace("\n", "\n \n\n")
+        assert ClassCountTable.from_jsonl(text) == table
+
+    def test_missing_size_rewrites_the_cache_as_fresh(self, tmp_path):
+        fresh, gap = tmp_path / "fresh", tmp_path / "gap"
+        count_tables(6, cache_dir=fresh)
+        count_tables(6, cache_dir=gap)
+        # a size is missing, so no file is parsed, not even a damaged one
+        (gap / "class-counts-n04.jsonl").unlink()
+        (gap / "class-counts-n02.jsonl").write_text("damaged")
+        count_tables(6, cache_dir=gap)
+
+        def blobs(d):
+            return {p.name: p.read_bytes() for p in d.iterdir()}
+
+        assert len(blobs(fresh)) == 6
+        assert blobs(gap) == blobs(fresh)
+
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("disk full")
@@ -433,6 +470,34 @@ class TestWalk:
                 for k in (None, *range(1, n)):
                     assert walk(n, a, k) == [m for m in every if m[1] == a and
                                              (k is None or m[2] == k)], (n, a, k)
+
+    def test_pruned_nodes_hold_no_class_members(self):
+        # the walk filtered to a = 2 does not expand a node whose bound L is
+        # at most the index of 2; the unfiltered walk below each such
+        # size-7 node with 2 before 1 must meet no class-2 member
+        pruned = [(v, L) for n, _, _, v, L in _walk(7, 8)
+                  if n == 7 and v.index(2) < v.index(1) and L <= v.index(2)]
+        assert pruned
+        below = [m for node in pruned for m in _walk(8, 10, root=node)]
+        assert below
+        assert all(a != 2 for _, a, _, _, _ in below)
+
+    def test_roots_up_to_the_seed_size_are_the_tree_root(self, tables8):
+        for n in range(1, _SEED_SIZE + 1):
+            assert _tree_roots(n) == [(enumeration._ROOT, n)]
+
+    def test_thm3_at_the_seed_size_keeps_its_reports(self, tables8, monkeypatch):
+        # the same thm3 reports as with every size-7 node listed as a root
+        # too, each walking nothing
+        def reports():
+            return [dict(r.to_json_dict(), millis=0)
+                    for r in verify.suite_thm3(_SEED_SIZE, _SEED_SIZE - 1, tables8)]
+
+        alone = reports()
+        monkeypatch.setattr(verify, "_tree_roots", lambda max_n: [(enumeration._ROOT, max_n)] + [
+            ((v, L), max_n) for n, _, _, v, L in _walk(max_n, max_n + 1) if n == max_n])
+        assert reports() == alone
+        assert all(r["pass"] for r in alone)
 
     def test_fan_out_parts_cover_the_tree_once(self):
         # n = 9 is past _SEED_SIZE + 1, so two workers split the tree

@@ -257,3 +257,12 @@ class TestIntegrality:
             t2k_series(k, 11).integer_coeffs()
         g2_series(9, 9).integer_coeffs()
         g1_series(9, 9).integer_coeffs()
+
+    def test_integer_series_hold_ints(self, tables11):
+        # an integral coefficient is stored as an int, so these series take
+        # no Fraction arithmetic
+        rows = [f_series(14).coeffs, f_power(5, 14).coeffs, t2k_series(3, 11).coeffs,
+                t_ak_bruteforce(3, 4, 11, tables11).coeffs]
+        rows += g1_series(11, 10).coeffs + g2_series(11, 10).coeffs
+        for row in rows:
+            assert all(type(c) is int for c in row), row

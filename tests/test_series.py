@@ -56,6 +56,16 @@ class TestUnivariate:
         s = series([F(1, 2), 0, 3], 2)
         assert s.to_text() == "1/2 + 0*x + 3*x^2"
 
+    def test_integral_coefficients_are_ints(self):
+        half = series([F(1, 2), 0, F(3, 1)], 2)
+        assert [type(c) for c in half.coeffs] == [F, int, int]
+        x2 = TruncatedSeries.monomial(2, 2, F(1, 2))
+        results = [half + half, half - half.scale(3), half.scale(4), half * series([2], 2),
+                   x2.dx(), half.scale(2).shift(1), TruncatedSeries.monomial(1, 2, F(6, 3))]
+        for s in results:
+            assert all(type(c) is int for c in s.coeffs), s
+        assert (half + half).coeffs == (1, 0, 6)
+
     @given(series_strategy, series_strategy, series_strategy)
     def test_ring_laws(self, a, b, c):
         order = min(a.order, b.order, c.order)

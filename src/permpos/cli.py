@@ -5,9 +5,9 @@ flags it reads. Output is plain text by default; --format json (and csv on
 count, factor and series) is machine-readable, with counts as decimal
 strings. --cache-dir goes with the commands that build count tables;
 count and series split that build over one worker per CPU, and --threads
-sets the workers of verify, whose count tables and thm3 codec scan are
-split over them. series rejects the flags its --which does not read.
-Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
+sets the workers of verify, whose count tables, thm3 codec scan and prop1
+domino map are split over them. series rejects the flags its --which does
+not read. Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="stop at the first failing identity")
     p.add_argument("--threads", type=int, default=1, metavar="T",
-                   help="worker count for the count tables and the thm3 "
-                        "codec scan (0 = auto)")
+                   help="worker count for the count tables, the thm3 "
+                        "codec scan and the prop1 domino map (0 = auto)")
     add_output(p, "json", cache_dir=True)
 
     return parser

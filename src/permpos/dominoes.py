@@ -11,7 +11,8 @@ A primitive of size n maps to a domino with n - 2 points through its
 inverse: the first letter i of the inverse becomes a separator, middle
 letters below i form the bottom cell and letters above i + 1 the top
 cell. An independent exhaustive generator (enumerate_dominoes) provides
-the side the correspondence is verified from.
+the side the correspondence is verified from, one column-tag vector at a
+time (_tagged_dominoes), as the verify suite splits it over its workers.
 """
 
 from __future__ import annotations
@@ -142,6 +143,22 @@ def _cell_words(size: int) -> tuple[tuple[Permutation, ...], tuple[Permutation, 
             tuple(generate_avoiders(size, Permutation((2, 1, 3)))))
 
 
+def _tags(p: int, mask: int) -> tuple[str, ...]:
+    """The column tags of one mask: column c is bottom iff bit c is set."""
+    return tuple("b" if mask & (1 << c) else "t" for c in range(p))
+
+
+def _tagged_dominoes(cols: tuple[str, ...]) -> Iterator[GriddedDomino]:
+    """The valid dominoes with column tags ``cols``, in enumerate_dominoes
+    order."""
+    b = cols.count("b")
+    for bw in _cell_words(b)[0]:
+        for tw in _cell_words(len(cols) - b)[1]:
+            d = GriddedDomino(cols, bw, tw, validate=False)
+            if not _word_contains_1324(d._underlying_values()):
+                yield d
+
+
 def enumerate_dominoes(p: int) -> Iterator[GriddedDomino]:
     """All valid dominoes with p points, each once, generated directly from
     the definition (tag vectors x avoiding cell words, filtered on the
@@ -150,10 +167,4 @@ def enumerate_dominoes(p: int) -> Iterator[GriddedDomino]:
     if p < 0:
         raise ValueError("p must be >= 0")
     for mask in range(1 << p):
-        cols = tuple("b" if mask & (1 << c) else "t" for c in range(p))
-        b = cols.count("b")
-        for bw in _cell_words(b)[0]:
-            for tw in _cell_words(p - b)[1]:
-                d = GriddedDomino(cols, bw, tw, validate=False)
-                if not _word_contains_1324(d._underlying_values()):
-                    yield d
+        yield from _tagged_dominoes(_tags(p, mask))

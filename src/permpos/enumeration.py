@@ -170,12 +170,12 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
     member has a before every smaller value, and inserting a maximum keeps
     the order of the values below it, so each of its ancestors of size a or
     more has a before every smaller value too. The size-a ancestor is then
-    the child that starts with a, the only size-a child pushed; a root of
-    size a or more with a smaller value before a is not walked at all.
+    the child that starts with a, the only size-a child pushed; a root
+    that fails that test (_outside_class) is not walked at all.
     """
     every = a is None and k is None
     sig = root[0]
-    if a is not None and len(sig) >= a and min(sig[:sig.index(a) + 1]) < a:
+    if _outside_class(sig, a):
         return
     stack = [root] if len(sig) < max_n else []
     while stack:
@@ -217,6 +217,11 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
             stack.append((child, Lc))
 
 
+def _outside_class(sig: tuple[int, ...], a: Optional[int]) -> bool:
+    """True when no descendant of the node sig can be in class a."""
+    return a is not None and len(sig) >= a and min(sig[:sig.index(a) + 1]) < a
+
+
 def _split_workers(workers: int, max_n: int) -> int:
     """Worker count for a stage over the tree to size max_n: ``workers``, 0
     meaning one per CPU, or one when the tree is no deeper than
@@ -229,16 +234,17 @@ def _split_workers(workers: int, max_n: int) -> int:
     return workers or os.cpu_count() or 1
 
 
-def _tree_roots(max_n: int) -> list:
+def _tree_roots(max_n: int, a: Optional[int] = None) -> list:
     """(node, top) roots whose walks to size top together cover the tree to
     size max_n, each member once, in a fixed order: the root walked to size
-    s = min(_SEED_SIZE, max_n), then each size-s node, if s < max_n, to max_n."""
+    s = min(_SEED_SIZE, max_n), then each size-s node, if s < max_n, to max_n.
+    With a given, the size-s nodes _walk would not enter for a are left out."""
     seed = min(_SEED_SIZE, max_n)
     if seed == max_n:
         return [(_ROOT, max_n)]
     # walked one size deeper than the seeds so that each carries its bound
-    return [(_ROOT, seed)] + [((v, L), max_n) for n, _, _, v, L
-                              in _walk(seed, seed + 1) if n == seed]
+    return [(_ROOT, seed)] + [((v, L), max_n) for n, _, _, v, L in _walk(seed, seed + 1)
+                              if n == seed and not _outside_class(v, a)]
 
 
 def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,

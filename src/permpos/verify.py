@@ -25,12 +25,14 @@ splits the seeds over the workers; the parts merge by addition, so any
 worker count does the same work and produces identical reports (timings
 aside). Members the walk produced are not validated again: the codec runs
 with ``validate=False``, and the checks compare its images with the walk.
-The scan's walk skips the subtrees that hold no a = 2 member, and the
-encoder factors each member in one pass. The domino map walks no tree: it
-maps every generated domino to its primitive and back, in one process; the
-README gives the measured times. A suite that raises is reported as one
-failing report that names the suite and the exception, and the suites
-after it still run.
+The scan's roots and walk skip the subtrees that hold no a = 2 member, and
+the encoder factors each member in one pass. The domino map walks no tree:
+its roots are the column-tag vectors, most points first so that the
+longest start first, and ``_fan_out`` splits them over the same workers;
+each maps its generated dominoes to their primitives and back. The README
+gives the measured times. A suite that raises is reported as one failing
+report that names the suite and the exception, and the suites after it
+still run.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .dominoes import enumerate_dominoes, from_domino, to_domino
+from .dominoes import _cell_words, _tagged_dominoes, _tags, from_domino, to_domino
 from .enumeration import (
     _add_counts,
     _fan_out,
@@ -277,7 +279,7 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     failures: list[tuple[int, ...]] = []
     workers = _split_workers(workers, max_n)
     for part_not1, part_last1, part_failures in _fan_out(
-            _codec_worker, _tree_roots(max_n), workers):
+            _codec_worker, _tree_roots(max_n, 2), workers):
         _add_counts(not1, part_not1)
         _add_counts(last1, part_last1)
         failures.extend(part_failures)
@@ -326,30 +328,49 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
     return reports
 
 
-def suite_prop1(max_n: int, tables: Tables) -> list[IdentityReport]:
-    start = time.monotonic()
-    max_points = min(max_n - 2, _DOMINO_MAX_POINTS)
-    # to_domino as a left inverse of from_domino makes the map injective, so
-    # distinct primitive images as many as the primitives are all of them
-    domino_counts: dict[int, int] = {}
-    residual = []
-    for p in range(max_points + 1):
+def _domino_worker(roots):
+    """({p: dominoes generated}, {p: dominoes mapped}) over the column-tag
+    vectors ``roots``; a _fan_out worker. Dominoes under different tags
+    differ, so the images counted per tag vector add up."""
+    generated: dict[int, int] = {}
+    mapped: dict[int, int] = {}
+    for cols in roots:
+        p = len(cols)
         images: set[bytes] = set()
         count = 0
-        for d in enumerate_dominoes(p):
+        for d in _tagged_dominoes(cols):
             count += 1
             try:
                 sigma = from_domino(d)  # raises unless the image is primitive
             except DomainError:
                 continue
-            # a domino that adds no image, or a repeated one, leaves the
-            # images short of the dominoes; the size check catches a generated
-            # domino with other than p points, which maps back to itself too
-            if len(sigma) == p + 2 and to_domino(sigma, validate=False) == d:
+            # to_domino as a left inverse makes the map injective, so a domino
+            # that adds no image, or a repeated one, leaves the images short of
+            # the dominoes; the size check catches a generated domino with
+            # other than p points, which maps back to itself too, and the tag
+            # check one generated under another tag vector
+            if (len(sigma) == p + 2 and d.cols == cols
+                    and to_domino(sigma, validate=False) == d):
                 images.add(bytes(sigma.values))
-        domino_counts[p] = count
-        if len(images) != count or count != tables[p + 2].count(1, 1):
-            residual.append((p, 0, Fraction(1)))
+        generated[p] = generated.get(p, 0) + count
+        mapped[p] = mapped.get(p, 0) + len(images)
+    return generated, mapped
+
+
+def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityReport]:
+    start = time.monotonic()
+    max_points = min(max_n - 2, _DOMINO_MAX_POINTS)
+    for size in range(max_points + 1):
+        _cell_words(size)  # built once here, and shared by forked workers
+    domino_counts: dict[int, int] = {}
+    mapped: dict[int, int] = {}
+    roots = [_tags(p, mask) for p in range(max_points, -1, -1) for mask in range(1 << p)]
+    for part_counts, part_mapped in _fan_out(
+            _domino_worker, roots, _split_workers(workers, max_n)):
+        _add_counts(domino_counts, part_counts)
+        _add_counts(mapped, part_mapped)
+    residual = [(p, 0, Fraction(1)) for p in range(max_points + 1)
+                if not mapped[p] == domino_counts[p] == tables[p + 2].count(1, 1)]
     reports = [_report("primitive-domino-bijection",
                        {"max_points": max_points}, residual, start)]
 
@@ -406,7 +427,7 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
         "thm1": lambda: suite_thm1(max_n, tables),
         "thm2": lambda: suite_thm2(max_n, tables),
         "thm3": lambda: suite_thm3(max_n, max_k, tables, workers=workers),
-        "prop1": lambda: suite_prop1(max_n, tables),
+        "prop1": lambda: suite_prop1(max_n, tables, workers=workers),
         "conjecture": lambda: suite_conjecture(max_n, tables, a_values=a_values),
         "gidentity": lambda: suite_gidentity(max_n, tables),
     }

@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
 from permpos.dominoes import (
     GriddedDomino,
+    _tagged_dominoes,
+    _tags,
     enumerate_dominoes,
     from_domino,
     parse_domino,
@@ -76,6 +80,33 @@ class TestBijection:
                 image[key] = sigma
                 assert from_domino(d) == sigma
             assert set(image) == generated
+
+    def test_generated_sequence_is_pinned(self):
+        # SHA-256 of the to_text() lines, taken before the generator was
+        # split into one generator per tag vector
+        want = [
+            "b772df713c5ee749e8f63b5391f2056aa72ba4e2f5f5ebe6879eba11468da9e7",
+            "d605808027bee275b3e5736549f6e1e19ba70c9aab543b9705aa93e7f6dc6ff4",
+            "cd565fb0b09e136f337ea06d6b8ae439419b5e2a9e7209b6fff0b67c1a39b84d",
+            "f6d186147819ad1007e36c5e9159cd59f69d1878df45e0c2766ef7696b719327",
+            "4a87949d1e29cdfa3f99d229130f7c51eafafc2f7190d1f2be37b69efad5c4e6",
+            "810eb9fb35286ada6ab5d4e4264c2fb6bb3671fbeaec2d4f0a0a625cba704477",
+            "1800c43741a43123fd5a9b5e5726ec5cc6f39b398d7a0b68031f0fa6a9bd6c81",
+            "ec8f522d2376fdeff522607e1d63d4d6586d2660f119577a9dcbd577f1413c6b",
+            "af2963f2d2136952690d6c9e1dcc6746482254557456d2e858e24d7efed833a6",
+        ]
+        for p, digest in enumerate(want):
+            text = "".join(d.to_text() + "\n" for d in enumerate_dominoes(p))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, p
+
+    def test_tag_vectors_chain_to_the_generator(self):
+        for p in range(9):
+            chained = []
+            for mask in range(1 << p):
+                tagged = list(_tagged_dominoes(_tags(p, mask)))
+                assert all(d.cols == _tags(p, mask) for d in tagged)
+                chained += tagged
+            assert chained == list(enumerate_dominoes(p)), p
 
     def test_six_two_point_dominoes(self):
         texts = sorted(d.to_text() for d in enumerate_dominoes(2))

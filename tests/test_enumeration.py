@@ -494,7 +494,8 @@ class TestWalk:
                     for r in verify.suite_thm3(_SEED_SIZE, _SEED_SIZE - 1, tables8)]
 
         alone = reports()
-        monkeypatch.setattr(verify, "_tree_roots", lambda max_n: [(enumeration._ROOT, max_n)] + [
+        monkeypatch.setattr(verify, "_tree_roots", lambda max_n, a=None: [
+            (enumeration._ROOT, max_n)] + [
             ((v, L), max_n) for n, _, _, v, L in _walk(max_n, max_n + 1) if n == max_n])
         assert reports() == alone
         assert all(r["pass"] for r in alone)
@@ -522,8 +523,35 @@ class TestWalk:
         for workers in (1, 2):
             tables = count_tables(10, workers=workers)
             verify.suite_thm3(10, 9, tables, workers=workers)
-        assert len(seen[1]) == len(seen[2]) == 2
+            verify.suite_prop1(10, tables, workers=workers)
+        assert len(seen[1]) == len(seen[2]) == 3
         assert seen[1] == seen[2]
+
+    def test_every_codec_chunk_holds_class_members(self):
+        # the a = 2 roots leave out the size-7 nodes the a = 2 walk does not
+        # enter, so every chunk two workers get holds a class-2 member; the
+        # unfiltered roots leave some chunks without one
+        def idle_chunks(roots):
+            return sum(not any(next(_walk(3, top, 2, root=node), None) for node, top in chunk)
+                       for chunk in _fan_out(list, roots, 2))
+
+        roots = _tree_roots(11, 2)
+        assert len(roots) == 1 + 1588
+        assert idle_chunks(roots) == 0
+        assert idle_chunks(_tree_roots(11)) > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_class_roots_keep_the_codec_reports(self, tables11, monkeypatch, workers):
+        # the thm3 reports are those of the unfiltered roots, which the a = 2
+        # walk leaves at once
+        def reports():
+            return [dict(r.to_json_dict(), millis=0)
+                    for r in verify.suite_thm3(10, 9, tables11, workers=workers)]
+
+        filtered = reports()
+        monkeypatch.setattr(verify, "_tree_roots", lambda max_n, a=None: _tree_roots(max_n))
+        assert reports() == filtered
+        assert all(r["pass"] for r in filtered)
 
 
 class TestMemberStreams:

@@ -6,7 +6,7 @@ import pytest
 
 import permpos.verify
 from permpos.cli import main
-from permpos.dominoes import GriddedDomino, to_domino
+from permpos.dominoes import GriddedDomino, enumerate_dominoes, to_domino
 from permpos.enumeration import _walk, count_tables
 from permpos.permutations import DomainError, Permutation
 from permpos.products import _decode_raw
@@ -276,84 +276,120 @@ def _outside(monkeypatch):
 def _oracle_swap(monkeypatch):
     # the generator trades the domino of one size-9 primitive for an 8-point
     # domino; every count still agrees, so only the size check on its
-    # size-10 image can see it
-    real = permpos.verify.enumerate_dominoes
+    # size-10 image can see it, before the tag check on its 8 tags
+    real = permpos.verify._tagged_dominoes
     first, _ = _size9_primitives()
     image = to_domino(first).to_text()
     # an 8-point domino is never the image of a size-9 primitive
-    stranger = next(real(8))
+    stranger = next(enumerate_dominoes(8))
 
-    def swapped(p):
-        for d in real(p):
+    def swapped(cols):
+        for d in real(cols):
             yield stranger if d.to_text() == image else d
 
-    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", swapped)
+    monkeypatch.setattr(permpos.verify, "_tagged_dominoes", swapped)
 
 
 def _oracle_extra(monkeypatch):
-    # the generator gains an 8-point domino at p = 7: its image has the wrong
-    # size, and the dominoes outnumber the primitives
-    real = permpos.verify.enumerate_dominoes
-    stranger = next(real(8))
+    # the generator gains an 8-point domino under one 7-point tag vector:
+    # its image has the wrong size, and the dominoes outnumber the primitives
+    real = permpos.verify._tagged_dominoes
+    stranger = next(enumerate_dominoes(8))
 
-    def extended(p):
-        yield from real(p)
-        if p == 7:
+    def extended(cols):
+        yield from real(cols)
+        if cols == ("t",) * 7:
             yield stranger
 
-    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", extended)
+    monkeypatch.setattr(permpos.verify, "_tagged_dominoes", extended)
 
 
 def _oracle_repeat(monkeypatch):
-    # the generator yields one 7-point domino twice in place of another; the
-    # count still agrees, so only the distinct images can see it
-    real = permpos.verify.enumerate_dominoes
+    # the generator yields one 7-point domino twice in place of another with
+    # the same tags; the count still agrees, so only the distinct images
+    # can see it
+    real = permpos.verify._tagged_dominoes
     first, second = (to_domino(sigma) for sigma in _size9_primitives())
+    assert first.cols == second.cols
 
-    def repeated(p):
-        for d in real(p):
+    def repeated(cols):
+        for d in real(cols):
             yield first if d == second else d
 
-    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", repeated)
+    monkeypatch.setattr(permpos.verify, "_tagged_dominoes", repeated)
+
+
+def _oracle_moved(monkeypatch):
+    # the generator yields a 7-point domino of another tag vector in place
+    # of one of this tag vector's dominoes; its image is new under this root
+    # and maps back to it, so every count agrees and only the tag check can
+    # see it
+    real = permpos.verify._tagged_dominoes
+    first, _ = _size9_primitives()
+    image = to_domino(first)
+    moved = next(d for d in enumerate_dominoes(7) if d.cols != image.cols)
+
+    def replaced(cols):
+        return (moved if d == image else d for d in real(cols))
+
+    monkeypatch.setattr(permpos.verify, "_tagged_dominoes", replaced)
 
 
 def _oracle_drop(monkeypatch):
     # the generator drops one 7-point domino; every other image is good, so
     # only the comparison with the table's primitive count can see it
-    real = permpos.verify.enumerate_dominoes
+    real = permpos.verify._tagged_dominoes
     first, _ = _size9_primitives()
     image = to_domino(first)
 
-    def dropped(p):
-        return (d for d in real(p) if d != image)
+    def dropped(cols):
+        return (d for d in real(cols) if d != image)
 
-    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", dropped)
+    monkeypatch.setattr(permpos.verify, "_tagged_dominoes", dropped)
 
 
 def _oracle_invalid(monkeypatch):
     # the generator trades one 7-point domino for one whose bottom cell
-    # contains 132, so from_domino raises on it instead of giving a primitive
-    real = permpos.verify.enumerate_dominoes
+    # contains 132, so from_domino raises on it instead of giving a
+    # primitive, before the tag check could see its other tags
+    real = permpos.verify._tagged_dominoes
     first, _ = _size9_primitives()
     image = to_domino(first)
     invalid = GriddedDomino(("b",) * 7, Permutation((1, 2, 3, 4, 5, 7, 6)),
                             Permutation(()), validate=False)
 
-    def traded(p):
-        return (invalid if d == image else d for d in real(p))
+    def traded(cols):
+        return (invalid if d == image else d for d in real(cols))
 
-    monkeypatch.setattr(permpos.verify, "enumerate_dominoes", traded)
+    monkeypatch.setattr(permpos.verify, "_tagged_dominoes", traded)
 
 
 @pytest.mark.parametrize("fault", [None, _collide, _outside, _oracle_swap, _oracle_extra,
-                                   _oracle_repeat, _oracle_drop, _oracle_invalid])
+                                   _oracle_repeat, _oracle_moved, _oracle_drop,
+                                   _oracle_invalid])
 def test_domino_map_names_the_faulty_point_count(monkeypatch, fault):
+    # at two workers the map runs in forked workers, which inherit the fault
     tables = count_tables(10)
     if fault is not None:
         fault(monkeypatch)
-    bijection = suite_prop1(10, tables)[0].to_json_dict()
-    assert bijection["identity"] == "primitive-domino-bijection"
-    assert bijection["residual"] == ([] if fault is None else [[7, 0, "1"]])
+    for workers in (1, 2):
+        bijection = suite_prop1(10, tables, workers=workers)[0].to_json_dict()
+        assert bijection["identity"] == "primitive-domino-bijection"
+        assert bijection["residual"] == ([] if fault is None else [[7, 0, "1"]]), workers
+
+
+@pytest.mark.parametrize("max_n", [10, 11])
+def test_domino_split_is_invisible(tables11, max_n):
+    # one worker maps every tag vector in this process; two and three split
+    # the tag vectors over a Pool and must report the same
+    def reports(workers):
+        return [dict(r.to_json_dict(), millis=0)
+                for r in suite_prop1(max_n, tables11, workers=workers)]
+
+    alone = reports(1)
+    assert all(r["pass"] for r in alone)
+    assert reports(2) == alone
+    assert reports(3) == alone
 
 
 # -- one injected fault per failure branch --------------------------------

@@ -10,9 +10,10 @@ encoding; the underlying permutation is always derived, never stored.
 A primitive of size n maps to a domino with n - 2 points through its
 inverse: the first letter i of the inverse becomes a separator, middle
 letters below i form the bottom cell and letters above i + 1 the top
-cell. An independent exhaustive generator (enumerate_dominoes) provides
-the side the correspondence is verified from, one column-tag vector at a
-time (_tagged_dominoes), as the verify suite splits it over its workers.
+cell. The exhaustive generator enumerate_dominoes is independent of that
+map. to_domino, from_domino and enumerate_dominoes wrap raw helpers on
+value tuples, which the verify suite calls: _to_domino_raw,
+_from_domino_raw and _tagged_dominoes (one column-tag vector's words).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .permutations import (
     _word_contains_132,
     _word_contains_1324,
     parse_permutation,
-    inverse,
     word_contains,
 )
 from .products import is_primitive
@@ -56,22 +56,9 @@ class GriddedDomino:
             raise DomainError(f"bottom word {self.bottom!r} contains 132")
         if word_contains(self.top.values, (2, 1, 3)):
             raise DomainError(f"top word {self.top!r} contains 213")
-        if _word_contains_1324(self._underlying_values()):
+        bit, tit = iter(self.bottom.values), iter(self.top.values)
+        if _word_contains_1324([next(bit) if c == "b" else next(tit) + b for c in self.cols]):
             raise DomainError("underlying permutation contains 1324")
-
-    @property
-    def points(self) -> int:
-        return len(self.cols)
-
-    def _underlying_values(self) -> tuple[int, ...]:
-        b = len(self.bottom)
-        bit = iter(self.bottom.values)
-        tit = iter(self.top.values)
-        return tuple(next(bit) if c == "b" else next(tit) + b for c in self.cols)
-
-    def underlying(self) -> Permutation:
-        """Bottom values 1..b below top values b+1..p, interleaved by column."""
-        return Permutation(self._underlying_values(), validate=False)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GriddedDomino) and self.cols == other.cols
@@ -98,6 +85,23 @@ def parse_domino(text: str) -> GriddedDomino:
                          parse_permutation(parts[1][2:]))
 
 
+def _to_domino_raw(sigma: Sequence[int]):
+    """(cols, bottom, top) of the primitive sigma's domino; not checked."""
+    q = [0] * len(sigma)
+    for pos, v in enumerate(sigma, 1):
+        q[v - 1] = pos
+    i = q[0]
+    cols, bottom, top = [], [], []
+    for v in q[1:-1]:
+        if v < i:
+            cols.append("b")
+            bottom.append(v)
+        else:
+            cols.append("t")
+            top.append(v - i - 1)
+    return tuple(cols), tuple(bottom), tuple(top)
+
+
 def to_domino(p: Permutation, validate: bool = True) -> GriddedDomino:
     """Domino with n - 2 points for a primitive of size n.
 
@@ -109,38 +113,45 @@ def to_domino(p: Permutation, validate: bool = True) -> GriddedDomino:
     """
     if validate and not is_primitive(p):
         raise DomainError(f"{p!r} is not primitive")
-    q = inverse(p).values
-    i = q[0]
-    mid = q[1:-1]
-    return GriddedDomino(["b" if v < i else "t" for v in mid],
-                         Permutation([v for v in mid if v < i], validate=False),
-                         Permutation([v - i - 1 for v in mid if v > i], validate=False),
-                         validate=False)
+    cols, bottom, top = _to_domino_raw(p.values)
+    return GriddedDomino(cols, Permutation(bottom, validate=False),
+                         Permutation(top, validate=False), validate=False)
+
+
+def _from_domino_raw(cols: Sequence[str], bottom: Sequence[int], top: Sequence[int]):
+    """The primitive of a domino: the inverse of q = (b + 1, the column
+    values, the top ones raised by b + 2, b + 2), written without q; raises
+    DomainError unless the words fit the tags and the image is primitive."""
+    b = len(bottom)
+    if cols.count("b") != b or len(cols) != b + len(top):
+        raise DomainError("cell word lengths do not match column tags")
+    sigma = [0] * (len(cols) + 2)
+    # q starts with b + 1 and ends with b + 2, so 1 sits just left of n
+    sigma[b], sigma[b + 1] = 1, len(sigma)
+    bit, tit = iter(bottom), iter(top)
+    for c, tag in enumerate(cols, 2):  # column c - 2 is q's entry c
+        if tag == "b":
+            sigma[next(bit) - 1] = c
+        else:
+            sigma[next(tit) + b + 1] = c
+    if _word_contains_1324(sigma):
+        raise DomainError(f"domino {''.join(cols)} {bottom} {top} does not map to a primitive")
+    return tuple(sigma)
 
 
 def from_domino(d: GriddedDomino) -> Permutation:
     """Exact inverse of to_domino; the result is primitive of size p + 2."""
-    b = len(d.bottom)
-    i = b + 1
-    bit = iter(d.bottom.values)
-    tit = iter(d.top.values)
-    q = [i]
-    q.extend(next(bit) if c == "b" else next(tit) + b + 2 for c in d.cols)
-    q.append(i + 1)
-    result = inverse(Permutation(q))
-    if not is_primitive(result):
-        raise DomainError(f"domino {d.to_text()} does not map to a primitive")
-    return result
+    return Permutation(_from_domino_raw(d.cols, d.bottom.values, d.top.values), validate=False)
 
 
 @lru_cache(maxsize=None)
-def _cell_words(size: int) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
+def _cell_words(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The 132-avoiding bottom words and 213-avoiding top words of one
-    size, built once per size for every enumerate_dominoes call."""
+    size, as value tuples, built once per size for every generator call."""
     from .enumeration import generate_avoiders
 
-    return (tuple(generate_avoiders(size, Permutation((1, 3, 2)))),
-            tuple(generate_avoiders(size, Permutation((2, 1, 3)))))
+    return (tuple(w.values for w in generate_avoiders(size, Permutation((1, 3, 2)))),
+            tuple(w.values for w in generate_avoiders(size, Permutation((2, 1, 3)))))
 
 
 def _tags(p: int, mask: int) -> tuple[str, ...]:
@@ -148,15 +159,22 @@ def _tags(p: int, mask: int) -> tuple[str, ...]:
     return tuple("b" if mask & (1 << c) else "t" for c in range(p))
 
 
-def _tagged_dominoes(cols: tuple[str, ...]) -> Iterator[GriddedDomino]:
-    """The valid dominoes with column tags ``cols``, in enumerate_dominoes
-    order."""
+def _tagged_dominoes(cols: tuple[str, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The (bottom, top) cell words of the valid dominoes with column tags
+    ``cols``, in enumerate_dominoes order."""
     b = cols.count("b")
+    bcols, tcols = ([c for c, tag in enumerate(cols) if tag == t] for t in "bt")
+    # the underlying word, refilled in place: bottom values lowered by b lie
+    # below every top value, and the 1324 scan reads only relative order
+    under = [0] * len(cols)
     for bw in _cell_words(b)[0]:
+        for c, v in zip(bcols, bw):
+            under[c] = v - b
         for tw in _cell_words(len(cols) - b)[1]:
-            d = GriddedDomino(cols, bw, tw, validate=False)
-            if not _word_contains_1324(d._underlying_values()):
-                yield d
+            for c, v in zip(tcols, tw):
+                under[c] = v
+            if not _word_contains_1324(under):
+                yield bw, tw
 
 
 def enumerate_dominoes(p: int) -> Iterator[GriddedDomino]:
@@ -167,4 +185,7 @@ def enumerate_dominoes(p: int) -> Iterator[GriddedDomino]:
     if p < 0:
         raise ValueError("p must be >= 0")
     for mask in range(1 << p):
-        yield from _tagged_dominoes(_tags(p, mask))
+        cols = _tags(p, mask)
+        for bw, tw in _tagged_dominoes(cols):
+            yield GriddedDomino(cols, Permutation(bw, validate=False),
+                                Permutation(tw, validate=False), validate=False)

@@ -171,16 +171,17 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
     the order of the values below it, so each of its ancestors of size a or
     more has a before every smaller value too. The size-a ancestor is then
     the child that starts with a, the only size-a child pushed; a root
-    that fails that test (_outside_class) is not walked at all.
+    that fails _outside_class is not walked at all.
     """
     every = a is None and k is None
     sig = root[0]
-    if _outside_class(sig, a):
+    if _outside_class(*root, a):
         return
     stack = [root] if len(sig) < max_n else []
     while stack:
         sig, L = stack.pop()
         child_n = len(sig) + 1
+        # _outside_class's bound test; every pushed node passes its other
         if a is not None and child_n > a and L <= sig.index(a):
             continue
         deeper = child_n < max_n
@@ -217,9 +218,10 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
             stack.append((child, Lc))
 
 
-def _outside_class(sig: tuple[int, ...], a: Optional[int]) -> bool:
-    """True when no descendant of the node sig can be in class a."""
-    return a is not None and len(sig) >= a and min(sig[:sig.index(a) + 1]) < a
+def _outside_class(sig: tuple[int, ...], L: int, a: Optional[int]) -> bool:
+    """True when no descendant of the node (sig, L) can be in class a."""
+    return a is not None and len(sig) >= a and (
+        L <= sig.index(a) or min(sig[:sig.index(a) + 1]) < a)
 
 
 def _split_workers(workers: int, max_n: int) -> int:
@@ -244,7 +246,7 @@ def _tree_roots(max_n: int, a: Optional[int] = None) -> list:
         return [(_ROOT, max_n)]
     # walked one size deeper than the seeds so that each carries its bound
     return [(_ROOT, seed)] + [((v, L), max_n) for n, _, _, v, L in _walk(seed, seed + 1)
-                              if n == seed and not _outside_class(v, a)]
+                              if n == seed and not _outside_class(v, L, a)]
 
 
 def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,

@@ -29,10 +29,10 @@ The scan's roots and walk skip the subtrees that hold no a = 2 member, and
 the encoder factors each member in one pass. The domino map walks no tree:
 its roots are the column-tag vectors, most points first so that the
 longest start first, and ``_fan_out`` splits them over the same workers;
-each maps its generated dominoes to their primitives and back. The README
-gives the measured times. A suite that raises is reported as one failing
-report that names the suite and the exception, and the suites after it
-still run.
+each maps its generated dominoes, as value tuples, to primitives and back.
+The README gives the measured times. A suite that raises is reported as
+one failing report that names the suite and the exception, and the suites
+after it still run.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .dominoes import _cell_words, _tagged_dominoes, _tags, from_domino, to_domino
+from .dominoes import _cell_words, _from_domino_raw, _tagged_dominoes, _tags, _to_domino_raw
 from .enumeration import (
     _add_counts,
     _fan_out,
@@ -338,20 +338,17 @@ def _domino_worker(roots):
         p = len(cols)
         images: set[bytes] = set()
         count = 0
-        for d in _tagged_dominoes(cols):
+        for bw, tw in _tagged_dominoes(cols):
             count += 1
-            try:
-                sigma = from_domino(d)  # raises unless the image is primitive
+            try:  # raises unless the words fit the tags and the image is primitive
+                sigma = _from_domino_raw(cols, bw, tw)
             except DomainError:
                 continue
-            # to_domino as a left inverse makes the map injective, so a domino
-            # that adds no image, or a repeated one, leaves the images short of
-            # the dominoes; the size check catches a generated domino with
-            # other than p points, which maps back to itself too, and the tag
-            # check one generated under another tag vector
-            if (len(sigma) == p + 2 and d.cols == cols
-                    and to_domino(sigma, validate=False) == d):
-                images.add(bytes(sigma.values))
+            # the map back as a left inverse makes the map injective, so a
+            # domino that adds no image, or a repeated one, leaves the images
+            # short of the dominoes
+            if _to_domino_raw(sigma) == (cols, bw, tw):
+                images.add(bytes(sigma))
         generated[p] = generated.get(p, 0) + count
         mapped[p] = mapped.get(p, 0) + len(images)
     return generated, mapped

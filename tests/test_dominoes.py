@@ -11,9 +11,9 @@ from permpos.dominoes import (
     parse_domino,
     to_domino,
 )
-from permpos.enumeration import iter_class_members
+from permpos.enumeration import _walk, iter_class_members
 from permpos.genfun import primitive_count_closed_form
-from permpos.permutations import DomainError, Permutation, parse_permutation
+from permpos.permutations import DomainError, Permutation, inverse, parse_permutation
 
 
 class TestDominoType:
@@ -28,16 +28,18 @@ class TestDominoType:
         # top cell must avoid 213
         with pytest.raises(DomainError):
             GriddedDomino(("t",) * 3, Permutation(()), parse_permutation("213"))
-        # underlying permutation must avoid 1324: bottom 1 then top 2,1,3
-        # gives 1,3,2,4 underneath
+        # underlying permutation must avoid 1324: bottom 1,2 and top 1,2 by
+        # tags b, t, b, t give 1,3,2,4 underneath, with both cells valid
         with pytest.raises(DomainError):
-            GriddedDomino(("b", "t", "t", "t"), parse_permutation("1"),
-                          parse_permutation("213"))
+            GriddedDomino(("b", "t", "b", "t"), parse_permutation("12"),
+                          parse_permutation("12"))
 
     def test_underlying(self):
-        d = GriddedDomino(("b", "t", "b"), parse_permutation("12"),
-                          parse_permutation("1"))
-        assert d.underlying() == parse_permutation("132")
+        # the generator filters on the underlying word, the bottom values
+        # below the top ones by column: bottom 1,2 and top 2,1 by tags
+        # b, t, b, t give 1,4,2,3, and with top 1,2 they give 1,3,2,4
+        assert ((1, 2), (2, 1)) in _tagged_dominoes(("b", "t", "b", "t"))
+        assert ((1, 2), (1, 2)) not in _tagged_dominoes(("b", "t", "b", "t"))
 
     def test_text_roundtrip(self):
         d = GriddedDomino(("b", "t"), parse_permutation("1"), parse_permutation("1"))
@@ -51,7 +53,7 @@ class TestDominoType:
 
 class TestBijection:
     def test_examples(self):
-        assert to_domino(parse_permutation("12")).points == 0
+        assert to_domino(parse_permutation("12")).cols == ()
         d = to_domino(parse_permutation("2143"))
         assert d.to_text() == "B:1|T:1|cols:bt"
         assert from_domino(d) == parse_permutation("2143")
@@ -103,10 +105,35 @@ class TestBijection:
         for p in range(9):
             chained = []
             for mask in range(1 << p):
-                tagged = list(_tagged_dominoes(_tags(p, mask)))
-                assert all(d.cols == _tags(p, mask) for d in tagged)
-                chained += tagged
-            assert chained == list(enumerate_dominoes(p)), p
+                cols = _tags(p, mask)
+                for bw, tw in _tagged_dominoes(cols):
+                    assert (len(bw), len(tw)) == (cols.count("b"), cols.count("t"))
+                    chained.append((cols, bw, tw))
+            assert chained == [(d.cols, d.bottom.values, d.top.values)
+                               for d in enumerate_dominoes(p)], p
+
+    def test_one_pass_maps_match_their_references(self):
+        # from_domino builds the inverse of q directly, without q
+        for p in range(9):
+            for d in enumerate_dominoes(p):
+                b = len(d.bottom)
+                bit, tit = iter(d.bottom.values), iter(d.top.values)
+                q = [b + 1] + [next(bit) if c == "b" else next(tit) + b + 2
+                               for c in d.cols] + [b + 2]
+                assert from_domino(d) == inverse(Permutation(q)), d
+        # to_domino splits the inverse in one pass, as the three
+        # comprehensions did
+        for _, _, _, values, _ in _walk(2, 10, 1, 1):
+            q = inverse(Permutation(values)).values
+            i, mid = q[0], q[1:-1]
+            d = to_domino(Permutation(values))
+            assert d.cols == tuple("b" if v < i else "t" for v in mid)
+            assert d.bottom.values == tuple(v for v in mid if v < i)
+            assert d.top.values == tuple(v - i - 1 for v in mid if v > i)
+        # a bottom word with a 132 gives an image with a 1324
+        with pytest.raises(DomainError):
+            from_domino(GriddedDomino(("b",) * 7, Permutation((1, 2, 3, 4, 5, 7, 6)),
+                                      Permutation(()), validate=False))
 
     def test_six_two_point_dominoes(self):
         texts = sorted(d.to_text() for d in enumerate_dominoes(2))

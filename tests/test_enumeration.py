@@ -535,10 +535,16 @@ class TestWalk:
             return sum(not any(next(_walk(3, top, 2, root=node), None) for node, top in chunk)
                        for chunk in _fan_out(list, roots, 2))
 
-        roots = _tree_roots(11, 2)
-        assert len(roots) == 1 + 1588
-        assert idle_chunks(roots) == 0
+        assert idle_chunks(_tree_roots(11, 2)) == 0
         assert idle_chunks(_tree_roots(11)) > 0
+
+    def test_every_class_root_holds_class_members(self):
+        # besides the size-7 nodes with a smaller value before 2, the a = 2
+        # roots leave out the 160 of the other 1,588 whose bound L is at
+        # most the index of 2, so every root left holds a class-2 member
+        roots = _tree_roots(11, 2)
+        assert len(roots) == 1 + 1428
+        assert all(next(_walk(3, top, 2, root=node), None) for node, top in roots)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_class_roots_keep_the_codec_reports(self, tables11, monkeypatch, workers):

@@ -6,7 +6,7 @@ import pytest
 
 import permpos.verify
 from permpos.cli import main
-from permpos.dominoes import GriddedDomino, enumerate_dominoes, to_domino
+from permpos.dominoes import enumerate_dominoes, to_domino
 from permpos.enumeration import _walk, count_tables
 from permpos.permutations import DomainError, Permutation
 from permpos.products import _decode_raw
@@ -254,52 +254,61 @@ def _size9_primitives():
     return [Permutation(next(walk)[3], validate=False) for _ in range(2)]
 
 
+def _words(sigma):
+    # the tags and the (bottom, top) words of a primitive's domino, as the
+    # generator's fakes match them
+    d = to_domino(sigma)
+    return d.cols, (d.bottom.values, d.top.values)
+
+
 def _collide(monkeypatch):
     # two size-9 primitives (p = 7) sent to one domino, so the second one's
     # domino does not map back to itself
-    real = permpos.verify.to_domino
-    first, second = _size9_primitives()
-    monkeypatch.setattr(permpos.verify, "to_domino", lambda sigma, validate=True: real(
-        first if sigma == second else sigma, validate))
+    real = permpos.verify._to_domino_raw
+    first, second = (sigma.values for sigma in _size9_primitives())
+    monkeypatch.setattr(permpos.verify, "_to_domino_raw", lambda sigma: real(
+        first if sigma == second else sigma))
 
 
 def _outside(monkeypatch):
     # one size-9 primitive sent to a domino with 8 points, so its own domino
     # does not map back to itself
-    real = permpos.verify.to_domino
-    first, _ = _size9_primitives()
-    other = Permutation(next(_walk(10, 10, 1, 1))[3], validate=False)
-    monkeypatch.setattr(permpos.verify, "to_domino", lambda sigma, validate=True: real(
-        other if sigma == first else sigma, validate))
+    real = permpos.verify._to_domino_raw
+    first = _size9_primitives()[0].values
+    other = next(_walk(10, 10, 1, 1))[3]
+    monkeypatch.setattr(permpos.verify, "_to_domino_raw", lambda sigma: real(
+        other if sigma == first else sigma))
 
 
 def _oracle_swap(monkeypatch):
-    # the generator trades the domino of one size-9 primitive for an 8-point
-    # domino; every count still agrees, so only the size check on its
-    # size-10 image can see it, before the tag check on its 8 tags
+    # the generator trades the domino of one size-9 primitive for the words
+    # of an 8-point domino; the generated count still agrees, and the tag
+    # check rejects the words, which do not fit the 7 tags
     real = permpos.verify._tagged_dominoes
-    first, _ = _size9_primitives()
-    image = to_domino(first).to_text()
+    cols, words = _words(_size9_primitives()[0])
     # an 8-point domino is never the image of a size-9 primitive
     stranger = next(enumerate_dominoes(8))
+    assert stranger.bottom.values == words[0] == ()
 
-    def swapped(cols):
-        for d in real(cols):
-            yield stranger if d.to_text() == image else d
+    def swapped(tags):
+        for pair in real(tags):
+            yield ((stranger.bottom.values, stranger.top.values)
+                   if tags == cols and pair == words else pair)
 
     monkeypatch.setattr(permpos.verify, "_tagged_dominoes", swapped)
 
 
 def _oracle_extra(monkeypatch):
-    # the generator gains an 8-point domino under one 7-point tag vector:
-    # its image has the wrong size, and the dominoes outnumber the primitives
+    # the generator gains the words of an 8-point domino under one 7-point
+    # tag vector: they do not fit its tags, and the dominoes outnumber the
+    # primitives
     real = permpos.verify._tagged_dominoes
     stranger = next(enumerate_dominoes(8))
 
-    def extended(cols):
-        yield from real(cols)
-        if cols == ("t",) * 7:
-            yield stranger
+    def extended(tags):
+        yield from real(tags)
+        if tags == ("t",) * 7:
+            yield stranger.bottom.values, stranger.top.values
 
     monkeypatch.setattr(permpos.verify, "_tagged_dominoes", extended)
 
@@ -309,28 +318,28 @@ def _oracle_repeat(monkeypatch):
     # the same tags; the count still agrees, so only the distinct images
     # can see it
     real = permpos.verify._tagged_dominoes
-    first, second = (to_domino(sigma) for sigma in _size9_primitives())
-    assert first.cols == second.cols
+    (cols, first), (other_cols, second) = (_words(sigma) for sigma in _size9_primitives())
+    assert cols == other_cols
 
-    def repeated(cols):
-        for d in real(cols):
-            yield first if d == second else d
+    def repeated(tags):
+        for pair in real(tags):
+            yield first if tags == cols and pair == second else pair
 
     monkeypatch.setattr(permpos.verify, "_tagged_dominoes", repeated)
 
 
 def _oracle_moved(monkeypatch):
-    # the generator yields a 7-point domino of another tag vector in place
-    # of one of this tag vector's dominoes; its image is new under this root
-    # and maps back to it, so every count agrees and only the tag check can
-    # see it
+    # the generator yields the words of a 7-point domino of another tag
+    # vector, with another bottom size, in place of one of this tag vector's
+    # dominoes; the generated count agrees, and only the tag check keeps the
+    # map from reading past the end of a cell word
     real = permpos.verify._tagged_dominoes
-    first, _ = _size9_primitives()
-    image = to_domino(first)
-    moved = next(d for d in enumerate_dominoes(7) if d.cols != image.cols)
+    cols, words = _words(_size9_primitives()[0])
+    moved = next(d for d in enumerate_dominoes(7) if d.cols.count("b") != cols.count("b"))
 
-    def replaced(cols):
-        return (moved if d == image else d for d in real(cols))
+    def replaced(tags):
+        return ((moved.bottom.values, moved.top.values) if tags == cols and pair == words
+                else pair for pair in real(tags))
 
     monkeypatch.setattr(permpos.verify, "_tagged_dominoes", replaced)
 
@@ -339,27 +348,25 @@ def _oracle_drop(monkeypatch):
     # the generator drops one 7-point domino; every other image is good, so
     # only the comparison with the table's primitive count can see it
     real = permpos.verify._tagged_dominoes
-    first, _ = _size9_primitives()
-    image = to_domino(first)
+    cols, words = _words(_size9_primitives()[0])
 
-    def dropped(cols):
-        return (d for d in real(cols) if d != image)
+    def dropped(tags):
+        return (pair for pair in real(tags) if tags != cols or pair != words)
 
     monkeypatch.setattr(permpos.verify, "_tagged_dominoes", dropped)
 
 
 def _oracle_invalid(monkeypatch):
-    # the generator trades one 7-point domino for one whose bottom cell
-    # contains 132, so from_domino raises on it instead of giving a
-    # primitive, before the tag check could see its other tags
+    # the generator trades one all-bottom 7-point domino for one whose
+    # bottom cell contains 132 (its underlying word avoids 1324), so the
+    # map raises on it instead of giving a primitive
     real = permpos.verify._tagged_dominoes
-    first, _ = _size9_primitives()
-    image = to_domino(first)
-    invalid = GriddedDomino(("b",) * 7, Permutation((1, 2, 3, 4, 5, 7, 6)),
-                            Permutation(()), validate=False)
+    cols = ("b",) * 7
+    words = next(real(cols))
+    invalid = ((1, 2, 3, 4, 5, 7, 6), ())
 
-    def traded(cols):
-        return (invalid if d == image else d for d in real(cols))
+    def traded(tags):
+        return (invalid if tags == cols and pair == words else pair for pair in real(tags))
 
     monkeypatch.setattr(permpos.verify, "_tagged_dominoes", traded)
 

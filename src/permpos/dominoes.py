@@ -147,11 +147,24 @@ def from_domino(d: GriddedDomino) -> Permutation:
 @lru_cache(maxsize=None)
 def _cell_words(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The 132-avoiding bottom words and 213-avoiding top words of one
-    size, as value tuples, built once per size for every generator call."""
-    from .enumeration import generate_avoiders
-
-    return (tuple(w.values for w in generate_avoiders(size, Permutation((1, 3, 2)))),
-            tuple(w.values for w in generate_avoiders(size, Permutation((2, 1, 3)))))
+    size, as value tuples in lexicographic order, built once per size from
+    the smaller sizes: a word avoids 132 iff it is alpha, size, beta with
+    alpha above beta (a of alpha below b of beta makes a, size, b a 132)
+    and both avoiding 132, and avoids 213 iff it is alpha, 1, beta with
+    alpha above beta and both avoiding 213."""
+    if size == 0:
+        return ((),), ((),)
+    bottom, top = [], []
+    for j in range(size):  # the length of alpha
+        k = size - 1 - j  # the length of beta, whose values alpha's lie above
+        for alpha in _cell_words(j)[0]:
+            head = tuple(v + k for v in alpha) + (size,)
+            bottom += [head + beta for beta in _cell_words(k)[0]]
+        tails = [(1,) + tuple(v + 1 for v in beta) for beta in _cell_words(k)[1]]
+        for alpha in _cell_words(j)[1]:
+            head = tuple(v + k + 1 for v in alpha)
+            top += [head + tail for tail in tails]
+    return tuple(sorted(bottom)), tuple(sorted(top))
 
 
 def _tags(p: int, mask: int) -> tuple[str, ...]:

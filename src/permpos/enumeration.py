@@ -20,14 +20,15 @@ cross-checked in the test suite:
 * :func:`count_tables` counts the tree without visiting it node by node:
   nodes with alike subtrees merge into one state (Marinov & Radoicic,
   "Counting 1324-avoiding permutations", EJC 2003). A state is a shape, a
-  node's bound L and its first L entries coded by prefix-minimum rank, with
-  labels, the prefix-minimum values with their multiplicities; every count
-  is linear in a label, so the subtrees of one shape are expanded once,
-  whatever their values. The shapes of a level are merged in sorted
-  batches, so equal shapes, which come from parents with a common prefix,
-  meet in one batch while memory stays flat; the last two levels are
-  counted from each shape's prefix-minimum runs without building them.
-  The README gives the measured times.
+  node's bound L and its first L entries coded by prefix-minimum rank,
+  with a vector of per-rank value counts, each packed into one int, exact
+  since |S_n(1324)| <= 16^n; the count reads one rank's value at a time,
+  so the subtrees of one shape are expanded once, whatever their values.
+  The shapes of a level are merged in sorted batches, so equal shapes,
+  which come from parents with a common prefix, meet in one batch while
+  memory stays flat; the last two levels are counted from each shape's
+  prefix-minimum runs without building them. The README gives the
+  measured times.
 
 Both sweeps cut the tree at size min(_SEED_SIZE, max_n), whatever the
 worker count, and :func:`_fan_out`, the one parallel helper, runs a
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -255,7 +257,7 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
     one per chunk, in completion order.
 
     A root is whatever the worker expands: a (node, top) generating-tree
-    seed from _tree_roots, or a (shape, labels) count state of the seed
+    seed from _tree_roots, or a (shape, vector) count state of the seed
     level. With one worker that is a single call in this process on
     ``roots`` as given, so an iterable is never listed. Otherwise the roots
     are listed and cut into about _CHUNKS_PER_WORKER chunks per worker, so
@@ -289,20 +291,25 @@ def _add_counts(into: dict, part: dict) -> None:
 # is none, so entry L + 1 only ever gives Lc = L + 1, the bound without it;
 # and a child's first Lc entries are the new maximum and entries before Lc.
 # Of those the rule above reads each prefix minimum's value and, for any
-# other entry x, which prefix minima lie below x. So a state is a shape with
-# labels. The shape is the bytes L, then the L entries, coded by rank: the
-# prefix minima are ranks 0, 1, ... from the left, a prefix minimum is coded
-# as its rank, and any other x as the rank of the leftmost prefix minimum
-# below x. Under a running minimum of rank i, a later entry is a new prefix
-# minimum iff its code is above i, and lies above the running minimum iff
-# its code is <= i; the maximum inserted at p >= 2 is coded 0. The labels
-# map the values of the shape's prefix minima, as bytes in rank order, to
-# multiplicities. Every class count is linear in a label, so a shape scans
-# for its children's bounds and tallies its runs once, and only the
-# additions loop over its labels. The child at p >= 2 keeps the labels of
-# the prefix minima left of its bound; the child at p = 1 puts the maximum
-# in front as rank 0, every code one rank later, and its value in front of
-# each label. Equal shapes merge, adding their labels.
+# other entry x, which prefix minima lie below x. The shape is the bytes L,
+# then the L entries, coded by rank: the prefix minima are ranks 0, 1, ...
+# from the left, a prefix minimum is coded as its rank, and any other x as
+# the rank of the leftmost prefix minimum below x. Under a running minimum
+# of rank i, a later entry is a new prefix minimum iff its code is above i,
+# and lies above the running minimum iff its code is <= i; the maximum
+# inserted at p >= 2 is coded 0.
+#
+# The count never reads the values of two ranks together: a tally reads one
+# rank's value, the child at p >= 2 keeps the ranks left of its bound, the
+# child at p = 1 puts its maximum in front as rank 0, and merging adds. So a
+# state is a shape with a vector [weight, vec_0, ..., vec_{r-1}]: the number
+# of merged nodes, and per rank j one int with a _slot_bits(max_n)-bit slot
+# per value v, holding how many of those nodes have value v at rank j. A
+# tally of rank j's K children is one addition of vec_j into runs[n][K], an
+# int packed over a, and the tables are unpacked once, at the end. A slot
+# counts nodes of one size n <= max_n, fewer than |S_n(1324)| <= 16^n
+# (Claesson, Jelinek & Steingrimsson, JCTA 2012, with Arratia's
+# |S_n(p)| <= L(p)^n), so 4 * max_n + 8 bits never carry into the next.
 #
 # A child at p >= 2 copies its parent's codes 1..p-1, so equal shapes come
 # from parents with a common prefix. The shapes of a level are therefore
@@ -328,35 +335,40 @@ def _add_counts(into: dict, part: dict) -> None:
 _SHIFT = bytes(range(1, 256)) + bytes(1)  # translate table: each code one rank later
 
 
-def _expand_state(shape: bytes, labels: dict, size: int, max_n: int, runs: list,
+def _slot_bits(max_n: int) -> int:
+    """Bits per value slot of a packed count vector, for a count to size
+    max_n: 16^max_n fits with room to spare (see above)."""
+    return 4 * max_n + 8
+
+
+def _expand_state(shape: bytes, st: list, size: int, max_n: int, runs: list,
                   totals: list[int], merged: dict) -> None:
-    """Count the children of a shape of the given size, once per unit of
-    its labels' multiplicities: into ``totals``, and into ``runs[n][a][K]``
-    once per prefix minimum a followed by K children of class a. At size
-    max_n - 2, count the grandchildren too, from the shape's own runs.
-    Otherwise, below size max_n, file each child's labels in ``merged``
+    """Count the children of a shape of the given size, once per node its
+    vector ``st`` merges: into ``totals``, and into ``runs[n][K]`` in the
+    slot of each prefix minimum a followed by K children of class a. At
+    size max_n - 2, count the grandchildren too, from the shape's own runs.
+    Otherwise, below size max_n, file each child's vector in ``merged``
     under its shape."""
     L = shape[0]
     child_n = size + 1
-    weight = sum(labels.values())
+    weight = st[0]
     totals[child_n] += (L + 1) * weight
-    r = len(next(iter(labels)))
     # the prefix minima's positions: rank i first occurs at its own
-    at = [shape.index(i, 1) for i in range(r)]
+    at = [shape.index(i, 1) for i in range(len(st) - 1)]
     at.append(L + 1)
     row = runs[child_n]
-    lengths = [y - x for x, y in zip(at, at[1:])]
-    for vals, m in labels.items():
-        for a, K in zip(vals, lengths):
-            row[a][K] += m
+    for x, y, vec in zip(at, at[1:], islice(st, 1, None)):
+        row[y - x] += vec
     if child_n == max_n:
         return
     if child_n + 1 == max_n:
-        _count_grandchildren(shape, labels, at, weight, max_n, runs, totals)
+        _count_grandchildren(shape, st, at, max_n, runs, totals)
         return
-    front = bytes((child_n,))
-    _add_counts(merged.setdefault(bytes((L + 1, 0)) + shape[1:].translate(_SHIFT), {}),
-                {front + vals: m for vals, m in labels.items()})
+    key = bytes((L + 1, 0)) + shape[1:].translate(_SHIFT)
+    vec = [weight, weight << _slot_bits(max_n) * child_n]
+    vec += islice(st, 1, None)
+    into = merged.get(key)
+    merged[key] = vec if into is None else list(map(add, into, vec))
     i = 0  # the rank of the running minimum of entries 1..p-1
     for p in range(2, L + 2):
         if shape[p - 1] > i:
@@ -366,36 +378,36 @@ def _expand_state(shape: bytes, labels: dict, size: int, max_n: int, runs: list,
             if shape[q] <= i:
                 Lc = q
                 break
-        kept = bisect_left(at, Lc)  # the prefix minima left of Lc, and their labels
-        into = merged.setdefault(bytes((Lc,)) + shape[1:p] + b"\0" + shape[p:Lc], {})
-        for vals, m in labels.items():
-            key = vals[:kept]
-            into[key] = into.get(key, 0) + m
+        key = bytes((Lc,)) + shape[1:p] + b"\0" + shape[p:Lc]
+        into = merged.get(key)
+        # the weight and the vectors of the prefix minima left of Lc
+        merged[key] = (st[:bisect_left(at, Lc) + 1] if into is None
+                       else list(map(add, into, st)))
 
 
-def _count_grandchildren(shape: bytes, labels: dict, at: list[int], weight: int,
-                         max_n: int, runs: list, totals: list[int]) -> None:
+def _count_grandchildren(shape: bytes, st: list, at: list[int], max_n: int,
+                         runs: list, totals: list[int]) -> None:
     """Count the size-max_n grandchildren of a shape of size max_n - 2, once
-    per unit of the ``weight`` of its labels, into ``totals`` and ``runs``,
-    from the shape's runs (see above); ``at`` lists its prefix minima and
-    then L + 1. The runs a child keeps whole are added once per run, with a
-    suffix count over the index J of each child's cut run; each (rank, K)
-    tally is added once per label."""
+    per node its vector ``st`` merges, into ``totals`` and ``runs``, from
+    the shape's runs (see above); ``at`` lists its prefix minima and then
+    L + 1. Rank j's vector is added once per child that cuts its run, and
+    times the number of children that keep the run whole or one longer."""
     L = shape[0]
+    weight = st[0]
     r = len(at) - 1
     full = [0] * (r + 1)  # full[J]: children whose runs before run J are whole
     longer = [0] * r  # longer[i]: of those, children whose run i is one longer
-    cut = [[] for _ in range(r)]  # cut[J]: the length of each child's cut run J
+    row = runs[max_n]
     full[r] += 1  # p = 1
-    runs[max_n][max_n - 1][1] += weight
+    row[1] += weight << _slot_bits(max_n) * (max_n - 1)
     full[r - 1] += 1  # p = L + 1
-    cut[r - 1].append(L + 2 - at[r - 1])
+    row[L + 2 - at[r - 1]] += st[r]
     total = 2 * (L + 2)
     i = 0  # the rank of the last prefix minimum left of p
     for p in range(2, L + 1):
         if shape[p] <= i:  # above the running minimum: Lc = p
             full[i] += 1
-            cut[i].append(p + 1 - at[i])
+            row[p + 1 - at[i]] += st[i + 1]  # run i cut at p
             total += p + 1
             continue
         Lc = L + 1
@@ -406,47 +418,43 @@ def _count_grandchildren(shape: bytes, labels: dict, at: list[int], weight: int,
         J = bisect_left(at, Lc) - 1  # the last prefix minimum left of Lc
         longer[i] += 1
         full[J] += 1
-        cut[J].append(Lc - at[J])  # run J, one place later, cut at Lc
+        row[Lc - at[J]] += st[J + 1]  # run J, one place later, cut at Lc
         total += Lc + 1
         i += 1
     totals[max_n] += total * weight
     whole = 0
-    plan = []  # per rank j: its whole run's length K, and how many keep it or one more
     for j in range(r - 1, -1, -1):
         whole += full[j + 1]
-        plan.append((j, at[j + 1] - at[j], whole - longer[j], longer[j], cut[j]))
-    row = runs[max_n]
-    for vals, m in labels.items():
-        for j, K, same, more, cuts in plan:
-            counts = row[vals[j]]
-            counts[K] += same * m
-            counts[K + 1] += more * m
-            for Kc in cuts:
-                counts[Kc] += m
+        vec = st[j + 1]
+        K = at[j + 1] - at[j]
+        more = longer[j]
+        row[K] += (whole - more) * vec
+        if more:
+            row[K + 1] += more * vec
 
 
 def _count_arrays(max_n: int) -> tuple[list, list[int]]:
-    """Zeroed ``runs[n][a][K]`` and ``totals[n]`` for sizes up to max_n."""
-    return ([[[0] * (max_n + 2) for _ in range(max_n + 1)] for _ in range(max_n + 1)],
-            [0] * (max_n + 1))
+    """Zeroed ``runs[n][K]``, each packed over a, and ``totals[n]`` for
+    sizes up to max_n."""
+    return [[0] * (max_n + 2) for _ in range(max_n + 1)], [0] * (max_n + 1)
 
 
-def _entries(item: tuple[bytes, dict]) -> bytes:
-    """Sort key of a (shape, labels) item: the shape's entries."""
+def _entries(item: tuple[bytes, list]) -> bytes:
+    """Sort key of a (shape, vector) item: the shape's entries."""
     return item[0][1:]
 
 
 def _merge_count(states: Iterable, size: int, max_n: int, runs: list,
                  totals: list[int]) -> None:
-    """Count the tree below (shape, labels) pairs of the given size, taken
+    """Count the tree below (shape, vector) pairs of the given size, taken
     in sorted order, into ``runs`` and ``totals``: each batch of _BATCH
     shapes files its children in one dict, which is merged the same way one
     level down."""
     states = iter(states)
     while batch := list(islice(states, _BATCH)):
         merged: dict = {}
-        for shape, labels in batch:
-            _expand_state(shape, labels, size, max_n, runs, totals, merged)
+        for shape, st in batch:
+            _expand_state(shape, st, size, max_n, runs, totals, merged)
         if merged:
             # the shapes of size max_n - 2 file no children, so need no order
             _merge_count(merged.items() if size + 3 == max_n
@@ -455,7 +463,7 @@ def _merge_count(states: Iterable, size: int, max_n: int, runs: list,
 
 
 def _count_worker(size: int, max_n: int, roots: Iterable) -> tuple[list, list[int]]:
-    """Count the tree to size max_n below sorted (shape, labels) roots of
+    """Count the tree to size max_n below sorted (shape, vector) roots of
     the given size; a _fan_out worker once size and max_n are bound. Returns
     the chunk's runs and totals."""
     runs, totals = _count_arrays(max_n)
@@ -554,27 +562,31 @@ def count_tables(max_n: int, workers: int = 1,
 
     runs, totals = _count_arrays(max_n)
     totals[1] = 1
-    level = [(bytes((1, 0)), {bytes((1,)): 1})]  # the root: L = 1, the entry 1
+    bits = _slot_bits(max_n)
+    level = [(bytes((1, 0)), [1, 1 << bits])]  # the root: L = 1, the entry 1
     seed = min(_SEED_SIZE, max_n)
     for size in range(1, seed):
         merged: dict = {}
-        for shape, labels in level:
-            _expand_state(shape, labels, size, max_n, runs, totals, merged)
+        for shape, st in level:
+            _expand_state(shape, st, size, max_n, runs, totals, merged)
         level = sorted(merged.items(), key=_entries)
     if max_n > 1:
         for part_runs, part_totals in _fan_out(partial(_count_worker, seed, max_n),
                                                level, workers):
             for n in range(seed + 1, max_n + 1):
                 totals[n] += part_totals[n]
-                runs[n] = [[x + y for x, y in zip(row, part_row)]
-                           for row, part_row in zip(runs[n], part_runs[n])]
+                runs[n] = list(map(add, runs[n], part_runs[n]))
+    mask = (1 << bits) - 1
     tables = {}
     for n in range(1, max_n + 1):
+        row = runs[n]
+        for k in range(max_n, 0, -1):  # class k: every run of length >= k
+            row[k] += row[k + 1]
         counts = {}
-        for a, row in enumerate(runs[n]):
-            for k in range(max_n, 0, -1):  # class k: every run of length >= k
-                row[k] += row[k + 1]
-            counts.update(((a, k), c) for k, c in enumerate(row) if c and k)
+        for a in range(1, max_n + 1):
+            for k in range(1, max_n + 1):
+                if c := row[k] >> bits * a & mask:
+                    counts[(a, k)] = c
         tables[n] = ClassCountTable(n=n, total=totals[n], counts=counts)
 
     if cache_dir is not None:

@@ -4,6 +4,7 @@ import pytest
 
 from permpos.dominoes import (
     GriddedDomino,
+    _cell_words,
     _tagged_dominoes,
     _tags,
     enumerate_dominoes,
@@ -11,7 +12,7 @@ from permpos.dominoes import (
     parse_domino,
     to_domino,
 )
-from permpos.enumeration import _walk, iter_class_members
+from permpos.enumeration import _walk, generate_avoiders, iter_class_members
 from permpos.genfun import primitive_count_closed_form
 from permpos.permutations import DomainError, Permutation, inverse, parse_permutation
 
@@ -100,6 +101,16 @@ class TestBijection:
         for p, digest in enumerate(want):
             text = "".join(d.to_text() + "\n" for d in enumerate_dominoes(p))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, p
+
+    def test_cell_words_are_the_lex_avoiders(self):
+        # the cell words are built from smaller ones, with no pattern scan;
+        # the backtracking generator scans every prefix
+        for size in range(10):
+            bottom, top = _cell_words(size)
+            assert bottom == tuple(w.values for w in
+                                   generate_avoiders(size, Permutation((1, 3, 2))))
+            assert top == tuple(w.values for w in
+                                generate_avoiders(size, Permutation((2, 1, 3))))
 
     def test_tag_vectors_chain_to_the_generator(self):
         for p in range(9):

@@ -11,8 +11,10 @@ from permpos.enumeration import (
     _count_arrays,
     _expand_state,
     _fan_out,
+    _slot_bits,
     _tree_roots,
     _walk,
+    COUNT_MAX_N,
     ClassCountTable,
     PositionalClass,
     classify,
@@ -138,84 +140,153 @@ def state_children(state, size):
 
 def count_children_by_scan(state, size, mult, runs, totals):
     """Count a value state's children, mult times each, by scanning its
-    prefix minima: into totals, and into runs once per prefix minimum a
-    followed by K children of class a."""
+    prefix minima: into totals, and into runs[(n, a, K)] once per prefix
+    minimum a followed by K children of class a."""
     L = state[0]
     totals[size + 1] += (L + 1) * mult
-    row = runs[size + 1]
     pm, pmpos = state[1], 1
     for q in range(2, L + 1):
         if state[q] < pm:
-            row[pm][q - pmpos] += mult
+            runs[(size + 1, pm, q - pmpos)] += mult
             pm, pmpos = state[q], q
-    row[pm][L + 1 - pmpos] += mult
+    runs[(size + 1, pm, L + 1 - pmpos)] += mult
 
 
-def decoded(level):
-    """The value states of (shape, labels) pairs, with their multiplicities:
-    a code above the running rank is the next prefix minimum, its label's
-    value; any other code c is ABOVE + label value c."""
-    states = Counter()
-    for shape, labels in level.items():
-        for vals, mult in labels.items():
-            entries, i = [], -1
-            for c in shape[1:]:
-                assert c <= i + 1, shape  # ranks rise by one at a time
-                entries.append(vals[c] if c > i else ABOVE + vals[c])
-                i = max(i, c)
-            assert i + 1 == len(vals), (shape, vals)
-            states[bytes(shape[:1]) + bytes(entries)] += mult
-    return states
+def value_levels(top):
+    """The value states of sizes 1..top with their multiplicities, entry
+    L + 1 dropped, built one child at a time by state_children from the
+    root: the oracle for the count's shapes."""
+    levels = []
+    values = Counter({bytes((1, 1)): 1})  # the root in value codes
+    for size in range(1, top + 1):
+        dropped = Counter()
+        for state, mult in values.items():
+            dropped[state[:state[0] + 1]] += mult
+        levels.append(dropped)
+        if size == top:
+            break
+        children = Counter()
+        for state, mult in values.items():
+            for child in state_children(state, size):
+                children[child] += mult
+        values = children
+    return levels
+
+
+def shape_of(state):
+    """The shape of a value state: a prefix minimum coded as its rank, any
+    other entry ABOVE + v as the rank of the prefix minimum v; and the
+    prefix-minimum values in rank order."""
+    ranks = {}
+    codes = []
+    for x in state[1:]:
+        if x < ABOVE:
+            ranks[x] = len(ranks)
+        codes.append(ranks[x if x < ABOVE else x - ABOVE])
+    return bytes(state[:1]) + bytes(codes), list(ranks)
+
+
+def value_distributions(states):
+    """{shape: [weight, {value: mult} per rank]} of value states: how many
+    states have each shape, and per rank the values their prefix minima
+    take."""
+    out = {}
+    for state, mult in states.items():
+        shape, vals = shape_of(state)
+        dist = out.setdefault(shape, [0] + [Counter() for _ in vals])
+        dist[0] += mult
+        for rank, v in enumerate(vals, 1):
+            dist[rank][v] += mult
+    return out
+
+
+def unpack(vec, bits, top):
+    """{value: count} of a packed vector with a bits-wide slot per value
+    1..top; no bit may lie outside those slots."""
+    mask = (1 << bits) - 1
+    assert vec & mask == 0 and vec >> bits * (top + 1) == 0
+    return Counter({v: c for v in range(1, top + 1) if (c := vec >> bits * v & mask)})
+
+
+def unpacked_runs(runs, bits):
+    """``runs[n][K]``, packed over a, as {(n, a, K): count}."""
+    top = len(runs) - 1
+    return {(n, a, K): c for n, row in enumerate(runs) for K, vec in enumerate(row)
+            for a, c in unpack(vec, bits, top).items()}
 
 
 def shape_levels(top):
-    """The {shape: labels} levels of sizes 1..top that the count files, from
+    """The {shape: vector} levels of sizes 1..top that the count files, from
     the root down, each level merged whole."""
-    levels = [{bytes((1, 0)): {bytes((1,)): 1}}]  # the root
+    bits = _slot_bits(top + 2)
+    levels = [{bytes((1, 0)): [1, 1 << bits]}]  # the root
     arrays = _count_arrays(top + 2)
     for size in range(1, top):
         merged = {}
-        for shape, labels in levels[-1].items():
-            _expand_state(shape, labels, size, top + 2, *arrays, merged)
+        for shape, st in levels[-1].items():
+            _expand_state(shape, st, size, top + 2, *arrays, merged)
         levels.append(merged)
     return levels
 
 
+def walk_tables(max_n):
+    """The totals and the {(n, a, k): count} class counts of the
+    node-by-node walk to size max_n."""
+    totals = Counter({1: 1})
+    classes = Counter()
+    for n, a, k, _, _ in _walk(2, max_n):
+        totals[n] += 1
+        if a is not None:
+            classes[(n, a, k)] += 1
+    return totals, classes
+
+
 class TestCountTables:
     def test_shapes_decode_to_the_value_states(self):
-        # every (shape, labels) the count files for sizes <= 8, decoded to
-        # value codes, is exactly the value states that state_children
-        # builds, with entry L + 1 dropped and the same multiplicities
-        values = Counter({bytes((1, 1)): 1})  # the root in value codes
+        # every (shape, vector) the count files for sizes <= 8, unpacked, is
+        # the weight and the per-rank value distributions of the value states
+        # that state_children builds, grouped by shape; ranks rise one at a
+        # time, and the vector holds one int per rank
+        bits = _slot_bits(10)
+        values = value_levels(9)
         for size, level in enumerate(shape_levels(8), 1):
-            dropped = Counter()
-            for state, mult in values.items():
-                dropped[state[:state[0] + 1]] += mult
-            assert decoded(level) == dropped, size
-            children = Counter()
-            for state, mult in values.items():
-                for child in state_children(state, size):
-                    children[child] += mult
-            values = children
-        assert sum(values.values()) == 94776  # the size-9 nodes, each once
+            got = {}
+            for shape, st in level.items():
+                i = -1
+                for c in shape[1:]:
+                    assert c <= i + 1, shape
+                    i = max(i, c)
+                assert len(st) == i + 2, shape
+                got[shape] = [st[0]] + [unpack(vec, bits, 10) for vec in st[1:]]
+            assert got == value_distributions(values[size - 1]), size
+        assert sum(values[8].values()) == 94776  # the size-9 nodes, each once
 
     def test_grandchild_count_matches_the_two_level_expansion(self):
         # every shape of size <= 8, counted to max_n = size + 2 from its own
-        # runs, against the children of its decoded value states built one by
-        # one and each child's children counted by a scan of that child
-        levels = shape_levels(9)
-        for size, level in enumerate(levels[:8], 1):
-            for shape, labels in level.items():
+        # runs, against the children of its value states built one by one and
+        # each child's children counted by a scan of that child; the packed
+        # rows are unpacked to compare
+        levels = shape_levels(8)
+        for size, states in enumerate(value_levels(8), 1):
+            bits = _slot_bits(size + 2)
+            by_shape = {}
+            for state, mult in states.items():
+                by_shape.setdefault(shape_of(state)[0], Counter())[state] += mult
+            assert by_shape.keys() == levels[size - 1].keys()
+            for shape, group in by_shape.items():
+                weight, *dists = value_distributions(group)[shape]
+                st = [weight] + [sum(m << bits * v for v, m in dist.items())
+                                 for dist in dists]
                 got = _count_arrays(size + 2)
-                _expand_state(shape, labels, size, size + 2, *got, None)
-                want = _count_arrays(size + 2)
-                for state, mult in decoded({shape: labels}).items():
-                    count_children_by_scan(state, size, mult, *want)
+                _expand_state(shape, st, size, size + 2, *got, None)
+                want = Counter()
+                want_totals = [0] * (size + 3)
+                for state, mult in group.items():
+                    count_children_by_scan(state, size, mult, want, want_totals)
                     for child in state_children(state, size):
-                        count_children_by_scan(child, size + 1, mult, *want)
-                assert got == want, (size, shape)
-        # the size-9 nodes, each once
-        assert sum(sum(labels.values()) for labels in levels[8].values()) == 94776
+                        count_children_by_scan(child, size + 1, mult, want, want_totals)
+                assert got[1] == want_totals, (size, shape)
+                assert unpacked_runs(got[0], bits) == want, (size, shape)
         # count_tables(3) is the smallest count that takes the grandchild
         # route, straight from the root
         tables = count_tables(3)
@@ -290,12 +361,7 @@ class TestCountTables:
 
     def test_states_match_the_walk(self):
         # the node-by-node walk, tallied by class, is the oracle for n <= 10
-        totals = Counter({1: 1})
-        classes = Counter()
-        for n, a, k, _, _ in _walk(2, 10):
-            totals[n] += 1
-            if a is not None:
-                classes[(n, a, k)] += 1
+        totals, classes = walk_tables(10)
         for max_n in range(1, 11):
             tables = count_tables(max_n)
             assert sorted(tables) == list(range(1, max_n + 1))
@@ -303,6 +369,21 @@ class TestCountTables:
                 assert table.n == n and table.total == totals[n]
                 assert table.counts == {(a, k): c for (m, a, k), c in classes.items()
                                         if m == n}
+
+    def test_a_slot_too_narrow_carries_and_the_walk_catches_it(self, monkeypatch):
+        # a slot of b bits holds counts below 2^b; |S_n(1324)| <= 16^n, so
+        # the width holds every slot up to COUNT_MAX_N and any n count_tables
+        # takes. At 3 bits the slots carry into their neighbours long before
+        # n = 9: the totals, which are not packed, stay right, and the class
+        # counts no longer match the walk
+        assert 16 ** COUNT_MAX_N < 1 << _slot_bits(COUNT_MAX_N)
+        assert all(16 ** n < 1 << _slot_bits(n) for n in range(1, 256))
+        totals, classes = walk_tables(9)
+        monkeypatch.setattr(enumeration, "_slot_bits", lambda max_n: 3)
+        tables = count_tables(9)
+        assert all(tables[n].total == totals[n] for n in range(1, 10))
+        assert {(n, a, k): c for n, table in tables.items()
+                for (a, k), c in table.counts.items()} != classes
 
     def test_states_match_the_lex_generator(self):
         tables = count_tables(9)
@@ -321,23 +402,25 @@ class TestCountTables:
     def test_no_merge_dict_holds_more_than_a_batch(self, monkeypatch):
         # with one worker every level is merged in batches, so a merge dict
         # holds the children of at most _BATCH shapes, each with at most
-        # size + 1 children, however large the level; and each labelled
-        # state of the batch files at most size + 1 labelled children
+        # size + 1 children, however large the level; each child's vector
+        # holds its weight and one int per rank, at most one more than its
+        # parent's, and a child of size s has at most s ranks
         held = Counter()
         calls = Counter()
         batch = {"merged": None}
         real = enumeration._expand_state
 
-        def spy(shape, labels, size, max_n, runs, totals, merged):
-            real(shape, labels, size, max_n, runs, totals, merged)
+        def spy(shape, st, size, max_n, runs, totals, merged):
+            real(shape, st, size, max_n, runs, totals, merged)
             calls[size] += 1
             if size + 2 < max_n:
                 if merged is not batch["merged"]:  # a batch's calls share its dict
-                    batch.update(merged=merged, shapes=0, labelled=0)
+                    batch.update(merged=merged, shapes=0, ints=0)
                 batch["shapes"] += 1
-                batch["labelled"] += len(labels)
+                batch["ints"] += (len(st) + 1) * (size + 1)
                 assert batch["shapes"] <= _BATCH
-                assert sum(map(len, merged.values())) <= batch["labelled"] * (size + 1)
+                assert sum(map(len, merged.values())) <= batch["ints"]
+                assert all(len(vec) <= size + 2 for vec in merged.values())
                 held[size] = max(held[size], len(merged))
 
         monkeypatch.setattr(enumeration, "_expand_state", spy)

@@ -102,16 +102,15 @@ def _to_domino_raw(sigma: Sequence[int]):
     return tuple(cols), tuple(bottom), tuple(top)
 
 
-def to_domino(p: Permutation, validate: bool = True) -> GriddedDomino:
+def to_domino(p: Permutation) -> GriddedDomino:
     """Domino with n - 2 points for a primitive of size n.
 
     With q the inverse permutation, i = q(1) and q(n) = i + 1. The middle
     letters q(2..n-1) split by value: 1..i-1, already reduced, to the
-    bottom cell, and i+2..n, lowered by i + 1, to the top.
-    ``validate=False`` skips the primitivity check, for callers whose p is
-    primitive by construction.
+    bottom cell, and i+2..n, lowered by i + 1, to the top. Raises
+    DomainError unless p is primitive; _to_domino_raw is the unchecked map.
     """
-    if validate and not is_primitive(p):
+    if not is_primitive(p):
         raise DomainError(f"{p!r} is not primitive")
     cols, bottom, top = _to_domino_raw(p.values)
     return GriddedDomino(cols, Permutation(bottom, validate=False),

@@ -80,15 +80,15 @@ class PositionalClass(NamedTuple):
     k: int
 
 
-def classify(p: Permutation, validate: bool = True) -> Optional[PositionalClass]:
+def classify(p: Permutation) -> Optional[PositionalClass]:
     """Positional class of a 1324-avoider, or None if it starts with its
     maximum (or n <= 1).
 
     a is the smallest value left of the maximum; every value below a is
     then automatically right of the maximum. k is the position distance
-    from a to the maximum.
+    from a to the maximum. Raises DomainError unless p avoids 1324.
     """
-    if validate and _word_contains_1324(p.values):
+    if _word_contains_1324(p.values):
         raise DomainError(f"{p!r} does not avoid 1324")
     n = len(p)
     if n <= 1 or p.values[0] == n:

@@ -114,10 +114,14 @@ def inverse(p: Permutation) -> Permutation:
     return Permutation(inv, validate=False)
 
 
+def _reverse_complement_raw(values: Sequence[int]) -> tuple[int, ...]:
+    n = len(values)
+    return tuple(n + 1 - v for v in reversed(values))
+
+
 def reverse_complement(p: Permutation) -> Permutation:
     """The involution i -> n+1-p(n+1-i)."""
-    n = len(p)
-    return Permutation((n + 1 - v for v in reversed(p.values)), validate=False)
+    return Permutation(_reverse_complement_raw(p.values), validate=False)
 
 
 # -- containment checks on words -------------------------------------------

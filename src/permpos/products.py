@@ -60,18 +60,34 @@ def is_marked_component(p: Permutation) -> bool:
     immediately left of its maximum, its 1 is right of the maximum but not
     last, and it avoids 1324. The smallest such size is 4 (e.g. 2413)."""
     n = len(p)
-    if n < 4 or p.values[-1] == 1:
+    vals = p.values
+    if n < 4 or vals[-1] == 1:
         return False
-    if _word_contains_1324(p.values):
+    # class (2, 1): 2 adjacent-left of the maximum, and 1 right of it
+    if not vals.index(2) + 1 == vals.index(n) < vals.index(1):
         return False
-    return classify(p, validate=False) == PositionalClass(2, 1)
+    return not _word_contains_1324(vals)
 
 
 # -- raw helpers on value sequences ------------------------------------------
 #
 # The verification sweeps run these over hundreds of thousands of members,
-# so they work on bare value sequences and assume class membership was
-# established by the caller (the public wrappers validate).
+# so they work on bare value sequences and do not check the class they
+# assume. They are the only unchecked path: each public wrapper below checks
+# its argument on every call, unless decode_tuple or encode_perm is passed
+# validate=False.
+
+
+def _expand_raw(t: Sequence[int]) -> list[tuple[int, ...]]:
+    """The children of a class-(1, k) avoider t: t raised by one, with 1
+    inserted into each gap strictly right of the maximum."""
+    up = tuple(v + 1 for v in t)
+    return [up[:g] + (1,) + up[g:] for g in range(t.index(len(t)) + 1, len(t) + 1)]
+
+
+def _contract_raw(t: Sequence[int]) -> tuple[int, ...]:
+    """t without its 1, reduced."""
+    return tuple(v - 1 for v in t if v != 1)
 
 
 def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int]:
@@ -199,16 +215,13 @@ def _require_one_left_of_max(p: Permutation, who: str) -> PositionalClass:
     return cls
 
 
-def odot(p1: Permutation, p2: Permutation, validate: bool = True) -> Permutation:
+def odot(p1: Permutation, p2: Permutation) -> Permutation:
     """Splice product of a primitive p1 with an avoider p2 whose 1 is left
     of its maximum. If p2 is in class (1, k), the result is in (1, k+1).
-
-    Computed as the right-nested product of p1 and p2's factors, so even
-    without validation an operand of the wrong shape raises DomainError."""
-    if validate:
-        if not is_primitive(p1):
-            raise DomainError(f"left factor {p1!r} is not primitive")
-        _require_one_left_of_max(p2, "right factor")
+    Computed as the right-nested product of p1 and p2's factors."""
+    if not is_primitive(p1):
+        raise DomainError(f"left factor {p1!r} is not primitive")
+    _require_one_left_of_max(p2, "right factor")
     return Permutation(_decode_raw([p1.values] + _factorize_raw(p2.values)[0]),
                        validate=False)
 
@@ -243,26 +256,21 @@ def factorize(p: Permutation) -> PrimitiveDecomposition:
         Permutation(f, validate=False) for f in factors))
 
 
-def expand_with_one(p: Permutation, validate: bool = True) -> list[Permutation]:
+def expand_with_one(p: Permutation) -> list[Permutation]:
     """All ways of turning a class-(1, k) avoider of size n-1 into a
     class-(2, k) avoider of size n: raise every value by one, then insert
     1 into each gap strictly right of the maximum."""
-    if validate:
-        _require_one_left_of_max(p, "expand_with_one")
-    up = tuple(v + 1 for v in p.values)
-    posmax = p.values.index(len(p)) + 1
-    return [Permutation(up[:t - 1] + (1,) + up[t - 1:], validate=False)
-            for t in range(posmax + 1, len(p) + 2)]
+    _require_one_left_of_max(p, "expand_with_one")
+    return [Permutation(c, validate=False) for c in _expand_raw(p.values)]
 
 
-def contract_one(p: Permutation, validate: bool = True) -> Permutation:
+def contract_one(p: Permutation) -> Permutation:
     """Remove the 1 and reduce; left inverse of every expand_with_one
     branch. Requires a class-(2, k) avoider."""
-    if validate:
-        cls = classify(p)
-        if cls is None or cls.a != 2:
-            raise DomainError(f"contract_one: {p!r} is not in a class with a = 2")
-    return Permutation((v - 1 for v in p.values if v != 1), validate=False)
+    cls = classify(p)
+    if cls is None or cls.a != 2:
+        raise DomainError(f"contract_one: {p!r} is not in a class with a = 2")
+    return Permutation(_contract_raw(p.values), validate=False)
 
 
 @dataclass(frozen=True)

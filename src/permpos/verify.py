@@ -7,7 +7,7 @@ oracle and returns IdentityReports with exact residuals. Suites:
                 vs coefficients of x f(x)^k.
 * thm2       -- the halving identity |class(2,k) at n| = (n-k)/2 a_{n-1,k},
                 plus the insert-a-1 accounting (unique preimages, the
-                reverse-complement gap mirror, gap sums).
+                reverse-complement mirror of class (1, k), gap sums).
 * thm3       -- a = 2 series expansion vs brute force, agreement of the two
                 g2 assemblies, and the marked-tuple codec bijection.
 * prop1      -- primitive/domino correspondence, checked from the domino
@@ -23,8 +23,9 @@ part; it walks every size in one pass. It and the count tables cut the tree
 at the same seed size at every worker count, and ``enumeration._fan_out``
 splits the seeds over the workers; the parts merge by addition, so any
 worker count does the same work and produces identical reports (timings
-aside). Members the walk produced are not validated again: the codec runs
-with ``validate=False``, and the checks compare its images with the walk.
+aside). The checks run the unchecked raw helpers of ``products`` and
+``dominoes`` on the walk's bare value tuples and compare their images with
+the walk; the public wrappers, which check their arguments, are not called.
 The scan's roots and walk skip the subtrees that hold no a = 2 member, and
 the encoder factors each member in one pass. The domino map walks no tree:
 its roots are the column-tag vectors, most points first so that the
@@ -43,15 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dominoes import _cell_words, _from_domino_raw, _tagged_dominoes, _tags, _to_domino_raw
-from .enumeration import (
-    _add_counts,
-    _fan_out,
-    _split_workers,
-    _tree_roots,
-    _walk,
-    Permutation,
-    count_tables,
-)
+from .enumeration import _add_counts, _fan_out, _split_workers, _tree_roots, _walk, count_tables
 from .genfun import (
     IdentityReport,
     Tables,
@@ -67,16 +60,8 @@ from .genfun import (
     t2k_series,
     t_ak_bruteforce,
 )
-from .permutations import DomainError, reverse_complement
-from .products import (
-    MarkedTuple,
-    _decode_raw,
-    _factorize_raw,
-    contract_one,
-    decode_tuple,
-    encode_perm,
-    expand_with_one,
-)
+from .permutations import DomainError, _reverse_complement_raw
+from .products import _contract_raw, _decode_raw, _expand_raw, _factorize_raw
 from .series import TruncatedSeries
 
 SUITES = ("thm1", "thm2", "thm3", "prop1", "conjecture", "gidentity")
@@ -133,25 +118,30 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
     for size, _, k, v, _ in _walk(2, acc_max - 1, 1):
         parents.setdefault((size + 1, k), []).append(v)
     for n in range(3, acc_max + 1):
+        size = n - 1
         for k in range(1, n - 1):
             seen: set[tuple[int, ...]] = set()
             gap_sum = 0
             ok = True
-            for parent in (Permutation(v, validate=False) for v in parents.get((n, k), ())):
-                size = n - 1
-                j_stat = size - 1 - parent.values.index(size)
-                rc = reverse_complement(parent)
-                if rc.values.index(1) != j_stat:
+            for parent in parents.get((n, k), ()):
+                j = size - 1 - parent.index(size)  # entries right of the maximum
+                # the mirror: rc(parent) has its 1 k places left of its
+                # maximum, at index k + j, so it is in class (1, k) with
+                # n - 2 - k - j entries right of its maximum; its gaps and the
+                # parent's add up to n - k, and the gap sum to (n - k)/2 a_{n-1,k}
+                rc = _reverse_complement_raw(parent)
+                top = rc.index(size)
+                if top - rc.index(1) != k or top != k + j:
                     ok = False
-                children = expand_with_one(parent, validate=False)
+                children = _expand_raw(parent)
                 gap_sum += len(children)
-                if len(children) != j_stat + 1:
+                if len(children) != j + 1:
                     ok = False
                 for child in children:
-                    if child.values in seen:
+                    if child in seen:
                         ok = False
-                    seen.add(child.values)
-                    if contract_one(child, validate=False) != parent:
+                    seen.add(child)
+                    if _contract_raw(child) != parent:
                         ok = False
             # a repeated child clears ok, so the children are all distinct
             if not ok or gap_sum != tables[n].count(2, k):
@@ -215,33 +205,31 @@ def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]
     two-sided inverse. Returns the first (n, k) that disagrees, or None; a
     roundtrip that raises DomainError is a disagreement too.
 
-    The components come from the tree walk, so they are valid by
-    construction and the codec runs without re-validating them; the set
-    equality with the walked members is the check on the decoded side."""
-    prims: dict[int, list[Permutation]] = {
-        m: [Permutation(v, validate=False) for _, _, _, v, _ in _walk(m, m, 1, 1)]
-        for m in range(2, max_n)}
-    # the marked components: class-(2, 1) members not ending in 1
-    marked: dict[int, list[Permutation]] = {
-        m: [Permutation(v, validate=False) for v in not1_sets.get((m, 1), ())]
-        for m in range(4, max_n + 1)}
+    The components are the tree walk's value tuples, and the codec scan's
+    raw pair decodes and encodes them unchecked: _decode_raw, and
+    _factorize_raw with low cut 2. The set equality with the walked
+    members is the check on the decoded side."""
+    prims: dict[int, list[tuple[int, ...]]] = {}
+    for m, _, _, v, _ in _walk(2, max_n - 1, 1, 1):
+        prims.setdefault(m, []).append(v)
     for (n, k), expected in sorted(not1_sets.items()):
         decoded: set[tuple[int, ...]] = set()
         total = n + k - 1
         for slot in range(k):
             mins = [4 if i == slot else 2 for i in range(k)]
             for sizes in _compositions(total, mins):
-                pools = [marked.get(s, []) if i == slot else prims.get(s, [])
+                # the marked components: class-(2, 1) members not ending in 1
+                pools = [not1_sets.get((s, 1), ()) if i == slot else prims.get(s, ())
                          for i, s in enumerate(sizes)]
                 for combo in itertools.product(*pools):
-                    t = MarkedTuple(tuple(combo), slot + 1)
                     try:
-                        sigma = decode_tuple(t, validate=False)
-                        if sigma.values in decoded or encode_perm(sigma, validate=False) != t:
+                        sigma = _decode_raw(combo, slot)
+                        comps, idx = _factorize_raw(sigma, 2)
+                        if sigma in decoded or (tuple(map(tuple, comps)), idx) != (combo, slot):
                             return n, k
                     except DomainError:  # an image outside the domain disagrees
                         return n, k
-                    decoded.add(sigma.values)
+                    decoded.add(sigma)
         if decoded != expected:
             return n, k
     return None

@@ -40,7 +40,7 @@ def lex_members(sizes, a=None, k=None):
     out = Counter()
     for n in sizes:
         for p in generate_avoiders(n):
-            cls = classify(p, validate=False)
+            cls = classify(p)
             if a is None and k is None and cls is None:
                 out[(n, None, None, p.values)] += 1
             elif cls is not None and (a is None or cls.a == a) and (k is None or cls.k == k):
@@ -96,8 +96,6 @@ class TestClassify:
     def test_validates_avoidance(self):
         with pytest.raises(DomainError):
             classify(Permutation((1, 3, 2, 4)))
-        assert classify(Permutation((1, 3, 2, 4)), validate=False) == \
-            PositionalClass(1, 3)
 
     def test_partitions_avoiders(self):
         # every avoider not starting with n gets exactly one class; the rest
@@ -300,7 +298,7 @@ class TestCountTables:
             assert tables8[n].total == len(avoiders)
             by_class = {}
             for values in avoiders:
-                cls = classify(Permutation(values, validate=False), validate=False)
+                cls = classify(Permutation(values))
                 if cls is not None:
                     by_class[cls] = by_class.get(cls, 0) + 1
             assert tables8[n].counts == {(a, k): c for (a, k), c in by_class.items()}
@@ -391,7 +389,7 @@ class TestCountTables:
             avoiders = list(generate_avoiders(n))
             assert tables[n].total == len(avoiders)
             assert tables[n].counts == Counter(
-                classify(p, validate=False) for p in avoiders if p.values[0] != n)
+                classify(p) for p in avoiders if p.values[0] != n)
 
     def test_totals_to_twelve_are_oeis_a061552(self):
         a061552 = [1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112,

@@ -1,8 +1,10 @@
+import inspect
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
+import permpos
 from permpos.enumeration import PositionalClass, classify, iter_class_members
 from permpos.permutations import (
     DomainError,
@@ -38,6 +40,17 @@ def one_left_of_max_members(n):
     for k in range(1, n):
         out.extend(iter_class_members(n, 1, k))
     return out
+
+
+def test_only_trusted_constructors_and_the_codec_take_validate():
+    # the _raw helpers are the unchecked path; of the public callables,
+    # only the constructors of trusted values and the codec, whose unchecked
+    # round trip perfbench times, can skip their checks
+    flagged = {name for name in permpos.__all__
+               if callable(obj := getattr(permpos, name))
+               and not (isinstance(obj, type) and issubclass(obj, Exception))
+               and "validate" in inspect.signature(obj).parameters}
+    assert flagged == {"Permutation", "GriddedDomino", "decode_tuple", "encode_perm"}
 
 
 class TestIsPrimitive:
@@ -78,12 +91,6 @@ class TestOdot:
         with pytest.raises(DomainError):
             odot(perm("12"), perm("1324"))  # right factor not an avoider
 
-    def test_unvalidated_right_factor_outside_class(self):
-        # the product factors its right operand, so a wrong shape raises
-        # instead of splicing a word that is not a permutation
-        with pytest.raises(DomainError):
-            odot(perm("12"), perm("21"), validate=False)
-
     def test_closure_exhaustive(self):
         # primitives of size <= 6 against class members of size <= 6
         prims = [p for m in range(2, 7) for p in iter_class_members(m, 1, 1)]
@@ -91,7 +98,7 @@ class TestOdot:
             for p2 in one_left_of_max_members(n):
                 k = classify(p2).k
                 for p1 in prims:
-                    prod = odot(p1, p2, validate=False)
+                    prod = odot(p1, p2)
                     assert avoids(prod, PATTERN_1324)
                     assert classify(prod) == PositionalClass(1, k + 1)
                     assert len(prod) == len(p1) + len(p2) - 1
@@ -150,13 +157,12 @@ class TestFactorize:
             for m in range(2, n):
                 for p1 in prims.get(m, []):
                     for p2 in one_left_of_max_members(n - m + 1):
-                        products[odot(p1, p2, validate=False).values] += 1
+                        products[odot(p1, p2).values] += 1
             assert products, n
             assert max(products.values()) == 1
             members = {p.values for p in one_left_of_max_members(n)}
             non_primitive = {v for v in members
-                             if classify(Permutation(v, validate=False),
-                                         validate=False).k > 1}
+                             if classify(Permutation(v)).k > 1}
             assert set(products) == non_primitive
 
 
@@ -173,6 +179,8 @@ class TestExpandContract:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             expand_with_one(perm("21"))
+        with pytest.raises(DomainError):
+            expand_with_one(perm("231"))  # class (2, 1), not (1, k)
         with pytest.raises(DomainError):
             contract_one(perm("132"))  # class has a = 1
 

@@ -122,9 +122,12 @@ def test_codec_failures_do_not_depend_on_worker_count(monkeypatch):
     # with every roundtrip broken, far more than ten members fail; each part
     # keeps its smallest failures, so one worker and two (the tree split at
     # n = 9; the forked workers see the patch) report the same ten members,
-    # smallest first
+    # smallest first; the explicit check decodes with the same decoder, so
+    # it names its first class, (4, 1), after them
+    real = permpos.verify._decode_raw
+
     def mismatch(comps, idx):
-        return ()
+        return real(comps, idx)[::-1]
 
     monkeypatch.setattr(permpos.verify, "_decode_raw", mismatch)
     tables = count_tables(9)
@@ -136,7 +139,7 @@ def test_codec_failures_do_not_depend_on_worker_count(monkeypatch):
     assert runs[0] == runs[1]
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
                       key=lambda v: (len(v), v))[:10]
-    assert runs[0]["residual"] == [[len(v), 0, "1"] for v in smallest]
+    assert runs[0]["residual"] == [[len(v), 0, "1"] for v in smallest] + [[4, 1, "1"]]
 
 
 def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tables8):
@@ -147,17 +150,19 @@ def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tab
     assert _explicit_codec_check(8, not1_sets) is None
 
     # a decoder that sends every tuple of size 7 with three components to
-    # the image of the first one
-    real = permpos.verify.decode_tuple
+    # the image of the first one; only the explicit check's calls, whose
+    # components come as a tuple from itertools.product, are broken, and
+    # the codec scan's, with a list from the encoder, are not
+    real = permpos.verify._decode_raw
     first = {}
 
-    def broken(t, validate=True):
-        sigma = real(t, validate)
-        if t.k == 3 and t.target_size == 7:
+    def broken(comps, marked_idx=-1):
+        sigma = real(comps, marked_idx)
+        if isinstance(comps, tuple) and len(comps) == 3 and len(sigma) == 7:
             return first.setdefault("image", sigma)
         return sigma
 
-    monkeypatch.setattr(permpos.verify, "decode_tuple", broken)
+    monkeypatch.setattr(permpos.verify, "_decode_raw", broken)
     assert _explicit_codec_check(8, not1_sets) == (7, 3)
     codec = _codec_report(suite_thm3(8, 8, tables8))
     assert not codec.passed
@@ -171,17 +176,18 @@ def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tab
 
 
 def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
-    # reversing every size-7, k = 3 image gives permutations encode rejects;
+    # reversing every size-7, k = 3 image of the explicit check (its
+    # components come as a tuple) gives permutations the encoder rejects;
     # that is a codec disagreement at (7, 3), not a thm3 crash
-    real = permpos.verify.decode_tuple
+    real = permpos.verify._decode_raw
 
-    def reversed_image(t, validate=True):
-        sigma = real(t, validate)
-        if t.k == 3 and t.target_size == 7:
-            return Permutation(sigma.values[::-1], validate=False)
+    def reversed_image(comps, marked_idx=-1):
+        sigma = real(comps, marked_idx)
+        if isinstance(comps, tuple) and len(comps) == 3 and len(sigma) == 7:
+            return sigma[::-1]
         return sigma
 
-    monkeypatch.setattr(permpos.verify, "decode_tuple", reversed_image)
+    monkeypatch.setattr(permpos.verify, "_decode_raw", reversed_image)
     reports = run_suites(["thm3"], max_n=8, max_k=8)
     assert [r.identity for r in reports] == [
         "a2-series-expansion", "g2-two-routes", "marked-tuple-codec"]
@@ -211,8 +217,9 @@ def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
 def _encoder_defect_fails_the_codec(monkeypatch, workers, fault):
     # an encoder whose every tuple the decoder rejects: every member fails
     # marked-tuple-codec, whose residual names the ten smallest whatever the
-    # worker count, and thm3 is no suite error; only the encoder's calls,
-    # with low cut 2, pass through fault(comps, marked index)
+    # worker count, then the explicit check's first class, (4, 1), as it
+    # encodes with the same encoder; thm3 is no suite error. Only the
+    # encoder's calls, with low cut 2, pass through fault(comps, marked index)
     real = permpos.verify._factorize_raw
 
     def broken(values, low=1):
@@ -228,7 +235,8 @@ def _encoder_defect_fails_the_codec(monkeypatch, workers, fault):
         ("a2-series-expansion", True), ("g2-two-routes", True), ("marked-tuple-codec", False)]
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
                       key=lambda v: (len(v), v))[:10]
-    assert _codec_report(reports).residual == [(len(v), 0, Fraction(1)) for v in smallest]
+    assert _codec_report(reports).residual == [
+        (len(v), 0, Fraction(1)) for v in smallest] + [(4, 1, Fraction(1))]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -402,15 +410,14 @@ def test_domino_split_is_invisible(tables11, max_n):
 # -- one injected fault per failure branch --------------------------------
 #
 # Each fault patches one route in verify's namespace, or one table cell, so
-# that one identity of thm2, thm3 or prop1 fails at max_n = 8 and names the
-# (n, k) the fault acts on. The accounting faults act on one parent of
-# class (1, 3) and size 6, so on (7, 3).
+# that one identity of thm1, thm2, thm3 or prop1 fails at max_n = 8 and
+# names the (n, k) the fault acts on. The accounting faults act on one
+# parent of class (1, 3) and size 6, so on (7, 3).
 
 
 def _parent():
     # the first one with an entry right of its maximum, so two children
-    return next(Permutation(v, validate=False) for _, _, _, v, _ in _walk(6, 6, 1, 3)
-                if v[-1] != 6)
+    return next(v for _, _, _, v, _ in _walk(6, 6, 1, 3) if v[-1] != 6)
 
 
 def _wrap(monkeypatch, name, change):
@@ -422,26 +429,36 @@ def _wrap(monkeypatch, name, change):
 
 def _rc_moves_the_one(monkeypatch, tables):
     parent = _parent()
-    _wrap(monkeypatch, "reverse_complement", lambda args, rc: Permutation(
-        rc.values[1:] + rc.values[:1], validate=False) if args[0] == parent else rc)
+    _wrap(monkeypatch, "_reverse_complement_raw",
+          lambda args, rc: rc[1:] + rc[:1] if args[0] == parent else rc)
 
 
 def _expand_drops_a_child(monkeypatch, tables):
     parent = _parent()
-    _wrap(monkeypatch, "expand_with_one",
+    _wrap(monkeypatch, "_expand_raw",
           lambda args, cs: cs[:-1] if args[0] == parent else cs)
 
 
 def _expand_repeats_a_child(monkeypatch, tables):
     parent = _parent()
-    _wrap(monkeypatch, "expand_with_one",
+    _wrap(monkeypatch, "_expand_raw",
           lambda args, cs: cs[:-1] + cs[:1] if args[0] == parent else cs)
 
 
 def _contract_misses_the_parent(monkeypatch, tables):
     parent = _parent()
-    _wrap(monkeypatch, "contract_one", lambda args, p: Permutation(
-        p.values[::-1], validate=False) if p == parent else p)
+    _wrap(monkeypatch, "_contract_raw",
+          lambda args, p: p[::-1] if p == parent else p)
+
+
+def _walk_swaps_two_labels(monkeypatch, tables):
+    # (5,1,2,6,3,4) is in class (1, 2) and (1,2,3,6,4,5) in class (1, 3);
+    # both have two entries right of their maximum, so with their k labels
+    # swapped every gap sum still matches, and only the mirror sees it
+    swap = {(5, 1, 2, 6, 3, 4): 3, (1, 2, 3, 6, 4, 5): 2}
+    real = permpos.verify._walk
+    monkeypatch.setattr(permpos.verify, "_walk", lambda *args: (
+        (n, a, swap.get(v, k), v, L) for n, a, k, v, L in real(*args)))
 
 
 def _table_cell(monkeypatch, tables):
@@ -489,6 +506,10 @@ def _f_series_off(monkeypatch, tables):
     (_a1_table_cell, "thm3", "marked-tuple-codec", [(7, 3, -1)]),
     (_closed_form_off, "prop1", "primitive-count-three-way", [(6, 0, -1)]),
     (_f_series_off, "prop1", "primitive-count-three-way", [(6, 1, 1)]),
+    (_walk_swaps_two_labels, "thm2", "a2-insertion-accounting", [(7, 2, 1), (7, 3, 1)]),
+    (_a1_table_cell, "thm1", "a1-recurrence", [(6, 3, -1)]),  # its k >= 2 branch
+    (_a1_table_cell, "thm1", "a1-power-series", [(6, 3, -1)]),
+    (_a1_table_cell, "thm2", "a2-halving-count", [(7, 3, -2)]),
 ])
 def test_injected_fault_fails_its_identity_at_its_cell(monkeypatch, tables8, fault, suite,
                                                         identity, residual):

@@ -7,7 +7,9 @@ strings. --cache-dir goes with the commands that build count tables;
 count and series split that build over one worker per CPU, and --threads
 sets the workers of verify, whose count tables, thm3 codec scan and prop1
 domino map are split over them. series rejects the flags its --which does
-not read. Exit codes: 0 ok, 1 a verification suite failed, 2 usage error.
+not read, and prints g1 and g2 to t^(order - 1), the last power of t whose
+column reaches x^order. Exit codes: 0 ok, 1 a verification suite failed,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -70,16 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("f", "t", "g1", "g2"))
     p.add_argument("--a", type=int, default=None, help="only with --which t")
     p.add_argument("--k", type=int, default=None, help="only with --which t")
-    p.add_argument("--order", type=int, default=DESK_MAX_N)
-    p.add_argument("--max-k", type=int, default=None, dest="max_k",
-                   help="only with --which g1 or g2 (default 9)")
+    p.add_argument("--order", type=int, default=DESK_MAX_N,
+                   help="highest power of x; g1 and g2 run to t^(order - 1)")
     add_output(p, "json", "csv", cache_dir=True)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",
                    choices=("all",) + SUITES)
     p.add_argument("--max-n", type=int, default=DESK_MAX_N, dest="max_n")
-    p.add_argument("--max-k", type=int, default=9, dest="max_k")
     p.add_argument("--a", type=int, default=None,
                    help="restrict the conjecture suite to one a (only with "
                         "--suite all or conjecture)")
@@ -195,26 +195,18 @@ def _print_bivariate(b: BivariateSeries, fmt: str | None) -> None:
         sys.stdout.write(b.to_csv())
 
 
-_SERIES_FLAGS = {"f": (), "t": ("--a", "--k", "--cache-dir"),
-                 "g1": ("--max-k",), "g2": ("--max-k",)}
-
-
 def _cmd_series(args, parser) -> int:
     _check_max_n(parser, "--order", args.order, COUNT_MAX_N)
-    given = {"--a": args.a, "--k": args.k, "--max-k": args.max_k,
-             "--cache-dir": args.cache_dir}
-    for flag, value in given.items():
-        if value is not None and flag not in _SERIES_FLAGS[args.which]:
-            parser.error(f"--which {args.which} does not read {flag}")
-    max_k = 9 if args.max_k is None else args.max_k
-    if args.which == "f":
-        _print_series(f_series(args.order), args.format)
-        return 0
-    if args.which == "g1":
-        _print_bivariate(g1_series(args.order, max_k), args.format)
-        return 0
-    if args.which == "g2":
-        _print_bivariate(g2_series(args.order, max_k), args.format)
+    if args.which != "t":
+        given = {"--a": args.a, "--k": args.k, "--cache-dir": args.cache_dir}
+        for flag, value in given.items():
+            if value is not None:
+                parser.error(f"--which {args.which} does not read {flag}")
+        if args.which == "f":
+            _print_series(f_series(args.order), args.format)
+        else:  # t^(order - 1) is the last power whose column reaches x^order
+            g = g1_series if args.which == "g1" else g2_series
+            _print_bivariate(g(args.order, args.order - 1), args.format)
         return 0
     if args.a is None or args.k is None:
         parser.error("--which t needs --a and --k")
@@ -234,9 +226,9 @@ def _cmd_series(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     _check_max_n(parser, "--max-n", args.max_n, DESK_OPT_IN_MAX_N)
     names = SUITES if args.suite == "all" else (args.suite,)
-    reports = run_suites(names, max_n=args.max_n, max_k=args.max_k,
-                         workers=args.threads, cache_dir=args.cache_dir,
-                         fail_fast=args.strict, conjecture_a=args.a)
+    reports = run_suites(names, max_n=args.max_n, workers=args.threads,
+                         cache_dir=args.cache_dir, fail_fast=args.strict,
+                         conjecture_a=args.a)
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]))
     else:

@@ -4,8 +4,10 @@ that pin them against the enumeration oracle.
 f(x) counts primitives by size shifted down one (coefficient of x^m is the
 number of primitives of size m + 1), with the closed form
 2(3m)!/((2m+1)!(m+1)!). Every power of f is read from one cached table of
-f^0..f^order per order. The class-(1, k) series is x f(x)^k, and the
-bivariate version x t f / (1 - t f) is assembled from those series as its
+f^0..f^order per order. ``expansion`` builds every class-(a, k) series from
+its first a series (form 3): x f(x)^k for a = 1 and the a = 2 series, the
+paper's theorems, and the conjectured a >= 3 series from table inputs. The
+bivariate x t f / (1 - t f) is assembled from the class-(1, k) series as its
 t^k columns. The a = 2 series follows either from the halving identity
 |class(2, k) at n| = (n-k)/2 * a_{n-1,k} or from the marked-tuple
 expansion; both assemblies are computed column by column and must agree
@@ -117,12 +119,34 @@ def f_power(j: int, order: int) -> TruncatedSeries:
     return powers[j] if j <= order else TruncatedSeries.zero(order)
 
 
+def expansion(a: int, k: int, order: int, T: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """Class-(a, k) size series from the inputs T[j] = T_{a,j}, j < a: T[k]
+    for k < a, else form 3, the sum over j < a of
+    (-1)^(a-j-1) C(k, j) C(k-j-1, a-j-1) f^(k-j) T[j].
+
+    The coefficient is the Lagrange basis polynomial of the node j among
+    0..a-1, evaluated at k: the product over i != j of (k - i)/(j - i) is
+    k!/(k-j)! * (k-j-1)!/(k-a)! over j! * (-1)^(a-j-1) (a-j-1)!. So form 3
+    says that T_{a,k} f^(-k), as a function of k, is the polynomial of
+    degree < a through the values T_{a,j} f^(-j) at j < a: T_{a,k} is
+    fixed by its first a series. For a = 1, with T = (x,), that is
+    x f^k, and for a = 2, with T = (T20, T21), the marked-tuple expansion:
+    the paper's two theorems. For a >= 3 it is the paper's conjecture."""
+    if a < 1 or k < 0 or len(T) != a:
+        raise ValueError(f"need a >= 1, k >= 0 and a inputs, got a={a}, k={k}, {len(T)}")
+    if k < a:
+        return T[k]
+    out = TruncatedSeries.zero(order)
+    for j in range(a):
+        c = (-1) ** (a - j - 1) * comb(k, j) * comb(k - j - 1, a - j - 1)
+        out = out + (T[j] * f_power(k - j, order)).scale(c)
+    return out
+
+
 def t1k_series(k: int, order: int) -> TruncatedSeries:
     """Class-(1, k) size series: x f(x)^k, so x for the k = 0 convention
     (the one permutation 1)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return f_power(k, order).shift(1).truncate(order)
+    return expansion(1, k, order, (TruncatedSeries.monomial(1, order),))
 
 
 def _g1_columns(order: int, torder: int) -> list[TruncatedSeries]:
@@ -157,17 +181,12 @@ def g2_series(order: int, torder: int) -> BivariateSeries:
 
 
 def t2k_series(k: int, order: int) -> TruncatedSeries:
-    """a = 2 size series by distance k: T20 = x^2 for k = 0, and for k >= 1
-    the tuple expansion f^k T20 + k f^{k-1} (T21 - f T20), where
-    T21 = x^2 (x f)' / 2; at k = 1 the expansion is T21."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    t20 = TruncatedSeries.monomial(2, order)
-    if k == 0:
-        return t20
-    f = f_series(order)
-    t21 = f.shift(1).truncate(order).dx().shift(2).truncate(order).scale(Fraction(1, 2))
-    return f_power(k, order) * t20 + f_power(k - 1, order) * (t21 - f * t20).scale(k)
+    """a = 2 size series by distance k: the expansion of T20 = x^2 and
+    T21 = x^2 (x f)' / 2, which is f^k T20 + k f^{k-1} (T21 - f T20) for
+    k >= 1."""
+    xf = f_series(order).shift(1).truncate(order)
+    t21 = xf.dx().shift(2).truncate(order).scale(Fraction(1, 2))
+    return expansion(2, k, order, (TruncatedSeries.monomial(2, order), t21))
 
 
 def t_ak_bruteforce(a: int, k: int, order: int, tables: Tables) -> TruncatedSeries:
@@ -184,18 +203,6 @@ def t_ak_bruteforce(a: int, k: int, order: int, tables: Tables) -> TruncatedSeri
         [tables[n].count(a, k) if n >= 1 else 0 for n in range(order + 1)])
 
 
-def _conjecture_prediction(a: int, k: int, order: int,
-                           T: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """The conjectured class-(a, k) series for k >= a in its explicit form 3,
-    sum over j < a of (-1)^(a-j-1) C(k, j) C(k-j-1, a-j-1) f^(k-j) T[j],
-    from the inputs T[j] = T_{a,j}."""
-    pred = TruncatedSeries.zero(order)
-    for j in range(a):
-        c = (-1) ** (a - j - 1) * comb(k, j) * comb(k - j - 1, a - j - 1)
-        pred = pred + (f_power(k - j, order) * T[j]).scale(c)
-    return pred
-
-
 def conjecture_check(a: int, k: int, order: int, tables: Tables) -> IdentityReport:
     """Compare the conjectured class-(a, k) series, in its explicit form 3
     with every T_{a,j} input (j < a) taken from brute force, with the
@@ -207,13 +214,11 @@ def conjecture_check(a: int, k: int, order: int, tables: Tables) -> IdentityRepo
     for every input, so they would check nothing more. Pass means the
     residual is identically zero.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
     if k < a:
         raise ValueError(f"conjecture scope is k >= a, got a={a}, k={k}")
     start = time.monotonic()
     T = [t_ak_bruteforce(a, j, order, tables) for j in range(a)]
-    diff = _conjecture_prediction(a, k, order, T) - t_ak_bruteforce(a, k, order, tables)
+    diff = expansion(a, k, order, T) - t_ak_bruteforce(a, k, order, tables)
     residual = [(n, 3, c) for n, c in enumerate(diff.coeffs) if c != 0]
     return _report("conjecture-expansion", {"a": a, "k": k, "order": order},
                    residual, start)

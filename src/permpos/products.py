@@ -98,23 +98,27 @@ def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int
     The band of an entry is the factor it joins. Left and right of the
     cuts the bands may only fall, or blocks interleave, so one pass with a
     falling pointer per side places every entry. Raises DomainError when
-    the maximum is not right of ``low``, theta is not increasing or blocks
-    interleave: the input is outside the class.
+    t lacks ``low``, 1 or its maximum, the maximum is not right of ``low``,
+    theta is not increasing or blocks interleave: the input is outside the
+    class.
 
     With low = 2, t's 1 is a mark and not a cut (the marked-tuple encoding
     of a class-(2, k) avoider): it joins the factor of its right neighbour,
     just before it, and the rest of that factor is raised by one. Returns
     (factors, index of the factor holding the 1), or (factors, -1)."""
     n = len(t)
-    i = t.index(low)
-    j = t.index(n)
+    try:
+        i = t.index(low)
+        j = t.index(n)
+        one = t.index(1) if low > 1 and j > i + 1 else -1
+    except ValueError:  # t lacks low, 1 or its maximum: it is no permutation
+        raise DomainError(f"{tuple(t)}: no {low}, 1 or maximum {n}") from None
     if j <= i:
         raise DomainError(f"{tuple(t)}: maximum not right of {low}")
     if low > 1 and t[-1] == 1:
         raise DomainError(f"{tuple(t)}: the marked 1 is last")
     if j == i + 1:
         return [list(t)], (0 if low > 1 else -1)  # t is its own single factor
-    one = t.index(1) if low > 1 else -1
     cuts = list(t[i:j + 1])
     if i < one < j:
         del cuts[one - i]

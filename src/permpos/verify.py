@@ -251,7 +251,7 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
 
     start = time.monotonic()
     residual = []
-    g2 = g2_series(max_n, min(max_k, 9))  # raises if the routes split
+    g2 = g2_series(max_n, max_k)  # raises if the routes split
     for n in range(g2.xorder + 1):
         for k in range(1, g2.torder + 1):
             expected = tables[n].count(2, k) if n >= 1 else 0
@@ -388,9 +388,8 @@ def suite_gidentity(max_n: int, tables: Tables) -> list[IdentityReport]:
     return [g_identity_check(max_n, tables)]
 
 
-def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
-               workers: int = 1, cache_dir=None,
-               fail_fast: bool = False,
+def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
+               cache_dir=None, fail_fast: bool = False,
                conjecture_a: Optional[int] = None,
                tables: Optional[Tables] = None) -> list[IdentityReport]:
     """Run the named suites in a fixed order and return all reports. A bad
@@ -398,8 +397,6 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    if max_k < 0:
-        raise ValueError("max_k must be >= 0")
     if conjecture_a is not None and not 1 <= conjecture_a <= _CONJECTURE_K_MAX:
         raise ValueError(f"conjecture a must be in 1..{_CONJECTURE_K_MAX}")
     if conjecture_a is not None and "conjecture" not in names:
@@ -411,7 +408,8 @@ def run_suites(names: Sequence[str], max_n: int = 11, max_k: int = 9,
     calls = {
         "thm1": lambda: suite_thm1(max_n, tables),
         "thm2": lambda: suite_thm2(max_n, tables),
-        "thm3": lambda: suite_thm3(max_n, max_k, tables, workers=workers),
+        # k <= 9 at every max_n; at 12 that leaves out class (2, 10)
+        "thm3": lambda: suite_thm3(max_n, 9, tables, workers=workers),
         "prop1": lambda: suite_prop1(max_n, tables, workers=workers),
         "conjecture": lambda: suite_conjecture(max_n, tables, a_values=a_values),
         "gidentity": lambda: suite_gidentity(max_n, tables),

@@ -161,13 +161,13 @@ class TestSeries:
                                "--format", "csv")
         assert out.strip().split("\n") == ["n,coeff", "0,0", "1,1", "2,2", "3,6"]
         code, out, _ = run_cli(capsys, "series", "--which", "g1", "--order", "3",
-                               "--max-k", "2", "--format", "json")
+                               "--format", "json")
         payload = json.loads(out)
-        assert payload["coeffs"][2][1] == "1"
+        # g1 runs to t^(order - 1), the last column that reaches x^order
+        assert payload["coeffs"][2][1] == "1" and payload["torder"] == 2
 
     def test_g2_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "series", "--which", "g2", "--order", "4",
-                               "--max-k", "3")
+        code, out, _ = run_cli(capsys, "series", "--which", "g2", "--order", "4")
         lines = out.strip().split("\n")
         assert lines[0] == "n\\k,0,1,2,3"
         assert lines[5] == "4,0,3,1,0"
@@ -261,7 +261,6 @@ class TestVerify:
         assert args.strict is True
 
     @pytest.mark.parametrize("argv", [
-        ["--max-k", "-1"],
         ["--suite", "conjecture", "--a", "9"],
         ["--suite", "conjecture", "--a", "0"],
         ["--threads", "-1"],
@@ -283,8 +282,8 @@ class TestParser:
         ["verify", "--format", "csv"],
         ["count", "--n", "4", "--threads", "2"],
         ["series", "--which", "f", "--threads", "2"],
-        # series reads --a and --k only with t, --max-k only with g1 and g2,
-        # and --cache-dir only with t
+        # series reads --a, --k and --cache-dir only with t, and no command
+        # takes a --max-k
         ["series", "--which", "f", "--a", "2"],
         ["series", "--which", "g1", "--k", "1"],
         ["series", "--which", "t", "--a", "3", "--k", "3", "--max-k", "4"],
@@ -297,6 +296,8 @@ class TestParser:
         ["series", "--which", "t", "--a", "2", "--k", "0", "--cache-dir", "X"],
         ["series", "--which", "t", "--a", "1", "--k", "2", "--cache-dir", "X"],
         ["series", "--which", "t", "--a", "1", "--k", "0", "--cache-dir", "X"],
+        ["verify", "--max-k", "9"],
+        ["series", "--which", "g2", "--max-k", "3"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,9 @@ import pytest
 
 from permpos.enumeration import iter_class_members
 from permpos.genfun import (
-    _conjecture_prediction,
     a_nk_recurrence,
     conjecture_check,
+    expansion,
     f_power,
     f_series,
     g1_series,
@@ -135,6 +135,19 @@ class TestG2AndT2k:
             brute = t_ak_bruteforce(2, k, 8, tables8)
             assert s == brute
 
+    def test_closed_forms_match_their_direct_formulas(self):
+        # x f^k by a shift, and the tuple expansion as the paper states it,
+        # f^k T20 + k f^(k-1) (T21 - f T20), computed here without expansion
+        order = 14
+        f = f_series(order)
+        t20 = TruncatedSeries.monomial(2, order)
+        t21 = f.shift(1).truncate(order).dx().shift(2).truncate(order).scale(Fraction(1, 2))
+        for k in range(order + 1):
+            assert t1k_series(k, order) == f_power(k, order).shift(1).truncate(order), k
+            direct = t20 if k == 0 else f_power(k, order) * t20 + \
+                f_power(k - 1, order) * (t21 - f * t20).scale(k)
+            assert t2k_series(k, order) == direct, k
+
     def test_halving_identity(self, tables8):
         for n in range(3, 9):
             for k in range(1, n):
@@ -204,14 +217,16 @@ class TestConjectureAndGIdentity:
         # form 2, sum_j C(k, j) f^(k-j) sum_i (-1)^i C(j, i) f^i T_{j-i} over
         # j < a, equals form 3 for every input, and form 1, the alternating
         # sum of (-1)^j C(k, j) f^j T_{k-j}, vanishes once every T_k with
-        # k >= a is the prediction; so the check reports form 3 alone
+        # k >= a is the prediction; so the check reports form 3 alone. The
+        # expansion is the paper's theorems for a = 1 and a = 2
         rng = random.Random(1324)
         order = 12
-        for a in range(3, 6):
+        for a in range(1, 6):
             T = [TruncatedSeries.from_coeffs([rng.randint(-50, 50) for _ in range(order + 1)])
                  for _ in range(a)]
-            for k in range(a, 9):
-                T.append(_conjecture_prediction(a, k, order, T))
+            for k in range(a):
+                assert expansion(a, k, order, T) == T[k]
+            T += [expansion(a, k, order, T[:a]) for k in range(a, 9)]
             for k in range(a, 9):
                 form2 = TruncatedSeries.zero(order)
                 for j in range(a):

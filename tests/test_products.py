@@ -194,9 +194,11 @@ class TestExpandContract:
                     size = n - 1
                     j_stat = size - parent.position(size)
                     i_stat = parent.position(1) - 1
+                    # the mirror: rc is in class (1, k) with n - 2 - k - j
+                    # entries right of its maximum
                     rc = reverse_complement(parent)
-                    assert rc.position(1) - 1 == j_stat
-                    assert classify(rc).k == k
+                    assert classify(rc) == PositionalClass(1, k)
+                    assert size - rc.position(size) == n - 2 - k - j_stat
                     children = expand_with_one(parent)
                     assert len(children) == j_stat + 1
                     gap_sum += i_stat + 1  # the rc partner contributes these

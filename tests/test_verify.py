@@ -31,7 +31,7 @@ def broken_tables(tables8):
 
 
 def test_all_suites_pass_at_desk_scale_8(tables8):
-    reports = run_suites(SUITES, max_n=8, max_k=8, tables=tables8)
+    reports = run_suites(SUITES, max_n=8, tables=tables8)
     assert reports and all(r.passed for r in reports)
     names = [r.identity for r in reports]
     assert names.index("a1-recurrence") < names.index("total-count-partition")
@@ -50,7 +50,7 @@ def test_unknown_suite_rejected(tables8):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"max_k": -1}, {"conjecture_a": 7}, {"conjecture_a": 0}, {"workers": -1}])
+    {"conjecture_a": 7}, {"conjecture_a": 0}, {"workers": -1}])
 def test_bad_arguments_raise_before_any_suite(tables8, kwargs):
     with pytest.raises(ValueError):
         run_suites(SUITES, max_n=8, tables=tables8, **kwargs)
@@ -81,8 +81,7 @@ def test_corrupted_counts_are_detected(broken_tables):
 
 
 def test_fail_fast_stops_at_first_failure(broken_tables):
-    reports = run_suites(SUITES, max_n=8, max_k=8, tables=broken_tables,
-                         fail_fast=True)
+    reports = run_suites(SUITES, max_n=8, tables=broken_tables, fail_fast=True)
     assert not all(r.passed for r in reports)
     # thm1 fails immediately, so nothing beyond its batch is run
     assert {r.identity for r in reports} == {"a1-recurrence", "a1-power-series"}
@@ -93,6 +92,15 @@ def test_codec_report_params(tables8):
     codec = next(r for r in reports if r.identity == "marked-tuple-codec")
     assert codec.params["explicit_max_n"] == 8
     assert codec.passed
+
+
+def test_thm3_checks_k_to_nine_at_every_max_n(tables8):
+    # the series expansion and the g2 grid run to k = 9 whatever max_n is,
+    # so the verify JSON at small max_n keeps its params
+    reports = run_suites(["thm3"], max_n=8, tables=tables8)
+    assert [r.params for r in reports[:2]] == [
+        {"max_n": 8, "max_k": 9}, {"order": 8, "torder": 9}]
+    assert all(r.passed for r in reports)
 
 
 def test_suite_exception_is_a_failing_report(monkeypatch, capsys):
@@ -188,11 +196,25 @@ def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
         return sigma
 
     monkeypatch.setattr(permpos.verify, "_decode_raw", reversed_image)
-    reports = run_suites(["thm3"], max_n=8, max_k=8)
+    reports = run_suites(["thm3"], max_n=8)
     assert [r.identity for r in reports] == [
         "a2-series-expansion", "g2-two-routes", "marked-tuple-codec"]
     assert reports[0].passed and reports[1].passed
     assert _codec_report(reports).residual == [(7, 3, Fraction(1))]
+
+
+def test_codec_image_that_is_no_permutation_is_a_disagreement(monkeypatch):
+    # a decoder that returns () fails every member of the scan, and the
+    # explicit check at its first class, (4, 1), where the encoder rejects
+    # the empty image as outside the domain; thm3 is no suite error
+    monkeypatch.setattr(permpos.verify, "_decode_raw", lambda comps, marked_idx=-1: ())
+    reports = run_suites(["thm3"], max_n=7)
+    assert [(r.identity, r.passed) for r in reports] == [
+        ("a2-series-expansion", True), ("g2-two-routes", True), ("marked-tuple-codec", False)]
+    smallest = sorted((v for _, _, _, v, _ in _walk(3, 7, 2) if v[-1] != 1),
+                      key=lambda v: (len(v), v))[:10]
+    assert _codec_report(reports).residual == [
+        (len(v), 0, Fraction(1)) for v in smallest] + [(4, 1, Fraction(1))]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -515,7 +537,7 @@ def test_injected_fault_fails_its_identity_at_its_cell(monkeypatch, tables8, fau
                                                         identity, residual):
     tables = copy.deepcopy(tables8)
     fault(monkeypatch, tables)
-    reports = run_suites((suite,), max_n=8, max_k=8, tables=tables)
+    reports = run_suites((suite,), max_n=8, tables=tables)
     report = next(r for r in reports if r.identity == identity)
     assert not report.passed
     assert report.residual == [(n, k, Fraction(c)) for n, k, c in residual]

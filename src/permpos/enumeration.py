@@ -499,30 +499,59 @@ class ClassCountTable:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ClassCountTable":
-        """Parse to_jsonl text, blank lines skipped, as one JSON array."""
-        total = None
-        n = None
-        counts: dict[tuple[int, int], int] = {}
-        lines = [line for line in text.splitlines() if line.strip()]
-        records = json.loads("[" + ",".join(lines) + "]")
-        if len(records) != len(lines):
-            raise ValueError("table text does not hold one record per line")
-        for rec in records:
-            if n is None:
-                n = rec["n"]
-            elif rec["n"] != n:
-                raise ValueError(f"mixed sizes in table: {rec['n']} vs {n}")
-            if "total" in rec:
-                total = int(rec["total"])
-            else:
-                counts[(rec["a"], rec["k"])] = int(rec["count"])
-        if n is None or total is None:
-            raise ValueError("table text has no total record")
-        return cls(n=n, total=total, counts=counts)
+        """Parse to_jsonl text, blank lines skipped; its size is the first
+        record's."""
+        return _parse_tables([text.encode()], [None], ["table text"])[0]
 
 
-def _cache_path(cache_dir: str | os.PathLike, n: int) -> str:
-    return os.path.join(cache_dir, f"class-counts-n{n:02d}.jsonl")
+def _parse_tables(texts: list[bytes], sizes: Iterable[Optional[int]],
+                  names: Iterable[str]) -> list[ClassCountTable]:
+    """Parse to_jsonl texts with one json.loads: each text's non-blank
+    lines form one JSON array, and the texts an array of those. Each line
+    must hold one record, every record of a text must name its size (the
+    first record's where the size is None) and each text needs a total
+    record. A ValueError names the text at fault; only after a failed parse
+    is each text parsed alone, to find it."""
+    lines = [list(filter(bytes.strip, text.splitlines())) for text in texts]
+    try:
+        parsed = json.loads(b"[[" + b"],[".join(map(b",".join, lines)) + b"]]")
+        if len(parsed) != len(texts):
+            raise ValueError("a text closes its own array")
+    except ValueError:
+        for text_lines, name in zip(lines, names):
+            try:
+                json.loads(b"[" + b",\n".join(text_lines) + b"]")
+            except ValueError as err:
+                raise ValueError(f"{name} is not a count table: {err}") from err
+        raise
+    tables = []
+    for records, text_lines, n, name in zip(parsed, lines, sizes, names):
+        try:
+            if len(records) != len(text_lines):
+                raise ValueError("it does not hold one record per line")
+            if n is None and records:
+                n = records[0]["n"]
+            total = None
+            counts: dict[tuple[int, int], int] = {}
+            for rec in records:
+                if rec["n"] != n:
+                    raise ValueError(f"mixed sizes, a record of n={rec['n']}")
+                if "total" in rec:
+                    total = int(rec["total"])
+                else:
+                    counts[(rec["a"], rec["k"])] = int(rec["count"])
+            if total is None:
+                raise ValueError("it has no total record")
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{name} is not a count table: {err}") from err
+        tables.append(ClassCountTable(n=n, total=total, counts=counts))
+    return tables
+
+
+def _cache_paths(cache_dir: str | os.PathLike, max_n: int) -> list[str]:
+    """The cache file of each size 1..max_n, in order."""
+    stem = os.path.join(cache_dir, "class-counts-n")
+    return [f"{stem}{n:02d}.jsonl" for n in range(1, max_n + 1)]
 
 
 def count_tables(max_n: int, workers: int = 1,
@@ -536,29 +565,27 @@ def count_tables(max_n: int, workers: int = 1,
     max_n <= _SEED_SIZE + 1, otherwise split over ``workers`` processes (0
     means one per CPU) in contiguous runs; every worker count does the same
     work. With a cache directory, tables are loaded when every size is
-    present and persisted after recomputation; cache files are
-    byte-identical to a fresh recomputation.
+    present, every file read in binary and all of them parsed at once, and
+    persisted after recomputation; cache files are byte-identical to a
+    fresh recomputation. A damaged cache file raises ValueError naming the
+    file and its size.
     """
     if not 1 <= max_n < 256:
         raise ValueError("max_n must be in 1..255")
     workers = _split_workers(workers, max_n)
     if cache_dir is not None:
+        sizes = range(1, max_n + 1)
+        paths = _cache_paths(cache_dir, max_n)
         texts = []
         try:
-            for n in range(1, max_n + 1):
-                with open(_cache_path(cache_dir, n)) as f:
+            for path in paths:
+                with open(path, "rb", buffering=0) as f:
                     texts.append(f.read())
         except FileNotFoundError:
             pass  # a size is missing: every table is recomputed
         else:
-            tables = {}
-            for n, text in enumerate(texts, start=1):
-                table = ClassCountTable.from_jsonl(text)
-                if table.n != n:
-                    raise ValueError(f"cache file {_cache_path(cache_dir, n)} "
-                                     f"holds n={table.n}")
-                tables[n] = table
-            return tables
+            names = [f"cache file {path} (n={n})" for n, path in zip(sizes, paths)]
+            return dict(zip(sizes, _parse_tables(texts, sizes, names)))
 
     runs, totals = _count_arrays(max_n)
     totals[1] = 1
@@ -591,9 +618,8 @@ def count_tables(max_n: int, workers: int = 1,
 
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        for n, table in tables.items():
+        for path, table in zip(map(Path, _cache_paths(cache_dir, max_n)), tables.values()):
             # a file appears under its final name only once it is complete
-            path = Path(_cache_path(cache_dir, n))
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             try:
                 tmp.write_text(table.to_jsonl())

@@ -479,10 +479,13 @@ class TestCache:
                 with pytest.raises(ValueError):
                     ClassCountTable.from_jsonl(text[:cut])
 
-    def test_blank_lines_are_skipped(self):
-        table = count_tables(5)[5]
-        text = "\n" + table.to_jsonl().replace("\n", "\n \n\n")
-        assert ClassCountTable.from_jsonl(text) == table
+    def test_blank_lines_are_skipped(self, tmp_path):
+        fresh = count_tables(6, cache_dir=tmp_path)
+        victim = tmp_path / "class-counts-n05.jsonl"
+        text = "\n" + victim.read_text().replace("\n", "\n \n\n")
+        assert ClassCountTable.from_jsonl(text) == fresh[5]
+        victim.write_text(text)
+        assert count_tables(6, cache_dir=tmp_path) == fresh
 
     def test_missing_size_rewrites_the_cache_as_fresh(self, tmp_path):
         fresh, gap = tmp_path / "fresh", tmp_path / "gap"
@@ -498,6 +501,29 @@ class TestCache:
 
         assert len(blobs(fresh)) == 6
         assert blobs(gap) == blobs(fresh)
+
+    def test_records_of_another_size_name_their_file(self, tmp_path):
+        count_tables(6, cache_dir=tmp_path)
+        three = tmp_path / "class-counts-n03.jsonl"
+        own = three.read_text()
+        four = (tmp_path / "class-counts-n04.jsonl").read_text()
+        # the whole file of another size, then one stray record among its own
+        for text in (four, own + four.splitlines(keepends=True)[1]):
+            three.write_text(text)
+            with pytest.raises(ValueError, match=r"class-counts-n03\.jsonl \(n=3\) .*"
+                                                 r"mixed sizes, a record of n=4"):
+                count_tables(6, cache_dir=tmp_path)
+
+    def test_line_cut_mid_record_names_its_file(self, tmp_path):
+        count_tables(6, cache_dir=tmp_path)
+        victim = tmp_path / "class-counts-n05.jsonl"
+        lines = victim.read_text().splitlines(keepends=True)
+        for cut in (lines[:2] + [lines[2][:9]] + lines[3:],  # inside a line
+                    lines[:-1] + [lines[-1][:-6]]):  # the file's end
+            victim.write_text("".join(cut))
+            with pytest.raises(ValueError, match=r"class-counts-n05\.jsonl \(n=5\) "
+                                                 r"is not a count table"):
+                count_tables(6, cache_dir=tmp_path)
 
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(src, dst):

@@ -80,6 +80,26 @@ def test_corrupted_counts_are_detected(broken_tables):
     assert not all(r.passed for r in r5)
 
 
+def test_tampered_cache_fails_total_count_partition(tmp_path):
+    count_tables(8, cache_dir=tmp_path)
+    victim = tmp_path / "class-counts-n07.jsonl"
+    lines = victim.read_text().splitlines(keepends=True)
+    head = json.loads(lines[0])
+    head["total"] = str(int(head["total"]) + 1)
+    last = json.loads(lines[-1])
+    # a raised total, then the last class row dropped, as a cut at a line
+    # boundary leaves it: both files still parse
+    for text, residual in (
+            ("".join([json.dumps(head) + "\n"] + lines[1:]),
+             [(7, 0, 1), (8, 0, -1), (7, 1, 1)]),
+            ("".join(lines[:-1]), [(7, 0, int(last["count"]))])):
+        victim.write_text(text)
+        [report] = run_suites(("gidentity",), max_n=8, cache_dir=tmp_path)
+        assert report.identity == "total-count-partition"
+        assert not report.passed
+        assert report.residual == residual
+
+
 def test_fail_fast_stops_at_first_failure(broken_tables):
     reports = run_suites(SUITES, max_n=8, tables=broken_tables, fail_fast=True)
     assert not all(r.passed for r in reports)

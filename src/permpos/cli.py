@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Subcommands: count, factor, domino, series, verify; each takes only the
-flags it reads. Output is plain text by default; --format json (and csv on
-count, factor and series) is machine-readable, with counts as decimal
-strings. --cache-dir goes with the commands that build count tables;
-count and series split that build over one worker per CPU, and --threads
-sets the workers of verify, whose count tables, thm3 codec scan and prop1
-domino map are split over them. series rejects the flags its --which does
-not read, and prints g1 and g2 to t^(order - 1), the last power of t whose
-column reaches x^order. Exit codes: 0 ok, 1 a verification suite failed,
-2 usage error.
+flags it reads. Every command prints through _emit: plain text by default;
+--format json (and csv on count, factor and series) is machine-readable,
+with counts as decimal strings. --cache-dir goes with the commands that
+build count tables, and count and series refuse a cache whose tables break
+the total-count partition. count and series split the build over one
+worker per CPU, and --threads sets the workers of verify, whose count
+tables, thm3 codec scan and prop1 domino map are split over them. series
+rejects the flags its --which does not read, and prints g1 and g2 to
+t^(order - 1), the last power of t whose column reaches x^order. Exit
+codes: 0 ok, 1 a verification suite failed, 2 usage error or a refused
+cache.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .dominoes import enumerate_dominoes, to_domino
 from .enumeration import COUNT_MAX_N, DESK_MAX_N, DESK_OPT_IN_MAX_N, count_tables
@@ -24,13 +27,13 @@ from .genfun import (
     f_series,
     g1_series,
     g2_series,
+    g_identity_check,
     t1k_series,
     t2k_series,
     t_ak_bruteforce,
 )
 from .permutations import DomainError, InvalidWordError, parse_permutation
 from .products import factorize
-from .series import BivariateSeries, TruncatedSeries
 from .verify import SUITES, run_suites
 
 
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the conjecture suite to one a (only with "
                         "--suite all or conjecture)")
     p.add_argument("--strict", action="store_true",
-                   help="stop at the first failing identity")
+                   help="stop after the first suite with a failing identity")
     p.add_argument("--threads", type=int, default=1, metavar="T",
                    help="worker count for the count tables, the thm3 "
                         "codec scan and the prop1 domino map (0 = auto)")
@@ -99,34 +102,45 @@ def _check_max_n(parser: argparse.ArgumentParser, flag: str, value: int,
         parser.error(f"{flag} must be in 1..{top}")
 
 
+def _emit(fmt: str | None, obj, text: str, rows: Iterable[str] = ()) -> None:
+    """The one output path: obj as a JSON line for --format json, the CSV
+    lines rows for --format csv, and text otherwise."""
+    if fmt == "json":
+        print(json.dumps(obj))
+    elif fmt == "csv":
+        print("\n".join(rows))
+    else:
+        print(text)
+
+
+def _tables(max_n: int, cache_dir: str | None) -> dict:
+    """The count tables of count and series, built on one worker per CPU.
+    A cache file cut at a line boundary still parses, as a shorter table,
+    so tables read from a cache must meet the total-count partition."""
+    tables = count_tables(max_n, workers=0, cache_dir=cache_dir)
+    if cache_dir is not None and (residual := g_identity_check(max_n, tables).residual):
+        n, _, diff = min(residual)
+        raise ValueError(f"the count tables in {cache_dir} break the total-count partition "
+                         f"at n={n} (residual {diff}): a cache file was cut or altered")
+    return tables
+
+
 def _cmd_count(args, parser) -> int:
     _check_max_n(parser, "--n", args.n, COUNT_MAX_N)
     if (args.a is None) != (args.k is None):
         parser.error("--a and --k must be given together")
-    tables = count_tables(args.n, workers=0, cache_dir=args.cache_dir)
-    table = tables[args.n]
+    table = _tables(args.n, args.cache_dir)[args.n]
     if args.a is not None:
         c = table.count(args.a, args.k)
-        if args.format == "json":
-            print(json.dumps({"n": args.n, "a": args.a, "k": args.k,
-                              "count": str(c)}))
-        elif args.format == "csv":
-            print("n,a,k,count")
-            print(f"{args.n},{args.a},{args.k},{c}")
-        else:
-            print(c)
+        _emit(args.format, {"n": args.n, "a": args.a, "k": args.k, "count": str(c)},
+              str(c), ["n,a,k,count", f"{args.n},{args.a},{args.k},{c}"])
         return 0
-    if args.format == "json":
-        print(json.dumps({
-            "n": args.n, "total": str(table.total),
-            "counts": [{"a": a, "k": k, "count": str(table.counts[(a, k)])}
-                       for (a, k) in sorted(table.counts)]}))
-    elif args.format == "csv":
-        print("n,a,k,count")
-        for (a, k) in sorted(table.counts):
-            print(f"{args.n},{a},{k},{table.counts[(a, k)]}")
-    else:
-        print(table.total)
+    cells = sorted(table.counts.items())
+    _emit(args.format,
+          {"n": args.n, "total": str(table.total),
+           "counts": [{"a": a, "k": k, "count": str(c)} for (a, k), c in cells]},
+          str(table.total),
+          ["n,a,k,count"] + [f"{args.n},{a},{k},{c}" for (a, k), c in cells])
     return 0
 
 
@@ -134,15 +148,9 @@ def _cmd_factor(args, parser) -> int:
     perm = parse_permutation(args.perm)
     decomp = factorize(perm)
     texts = [f.to_text() for f in decomp.factors]
-    if args.format == "json":
-        print(json.dumps({"perm": perm.to_text(), "k": decomp.k,
-                          "factors": texts}))
-    elif args.format == "csv":
-        print("index,factor")
-        for i, t in enumerate(texts, start=1):
-            print(f"{i},\"{t}\"")
-    else:
-        print(" ⊙ ".join(texts))
+    _emit(args.format, {"perm": perm.to_text(), "k": decomp.k, "factors": texts},
+          " ⊙ ".join(texts),
+          ["index,factor"] + [f"{i},\"{t}\"" for i, t in enumerate(texts, start=1)])
     return 0
 
 
@@ -150,49 +158,21 @@ def _cmd_domino(args, parser) -> int:
     if (args.points is None) == (args.perm is None):
         parser.error("give exactly one of --points or --perm")
     if args.perm is not None:
-        d = to_domino(parse_permutation(args.perm))
-        if args.format == "json":
-            print(json.dumps({"perm": args.perm, "domino": d.to_text()}))
-        else:
-            print(d.to_text())
+        if args.count:
+            parser.error("--count goes only with --points")
+        d = to_domino(parse_permutation(args.perm)).to_text()
+        _emit(args.format, {"perm": args.perm, "domino": d}, d)
         return 0
     if args.points < 0:
         parser.error("--points must be >= 0")
     dominoes = enumerate_dominoes(args.points)
     if args.count:
         c = sum(1 for _ in dominoes)
-        if args.format == "json":
-            print(json.dumps({"points": args.points, "count": str(c)}))
-        else:
-            print(c)
+        _emit(args.format, {"points": args.points, "count": str(c)}, str(c))
         return 0
     texts = [d.to_text() for d in dominoes]
-    if args.format == "json":
-        print(json.dumps({"points": args.points, "dominoes": texts}))
-    else:
-        for t in texts:
-            print(t)
+    _emit(args.format, {"points": args.points, "dominoes": texts}, "\n".join(texts))
     return 0
-
-
-def _print_series(s: TruncatedSeries, fmt: str | None) -> None:
-    if fmt == "json":
-        print(json.dumps({"order": s.order,
-                          "coeffs": [str(c) for c in s.coeffs]}))
-    elif fmt == "csv":
-        print("n,coeff")
-        for n, c in enumerate(s.coeffs):
-            print(f"{n},{c}")
-    else:
-        print(s.to_text())
-
-
-def _print_bivariate(b: BivariateSeries, fmt: str | None) -> None:
-    if fmt == "json":
-        print(json.dumps({"xorder": b.xorder, "torder": b.torder,
-                          "coeffs": [[str(c) for c in row] for row in b.coeffs]}))
-    else:
-        sys.stdout.write(b.to_csv())
 
 
 def _cmd_series(args, parser) -> int:
@@ -202,24 +182,30 @@ def _cmd_series(args, parser) -> int:
         for flag, value in given.items():
             if value is not None:
                 parser.error(f"--which {args.which} does not read {flag}")
-        if args.which == "f":
-            _print_series(f_series(args.order), args.format)
-        else:  # t^(order - 1) is the last power whose column reaches x^order
-            g = g1_series if args.which == "g1" else g2_series
-            _print_bivariate(g(args.order, args.order - 1), args.format)
+    if args.which in ("g1", "g2"):
+        # t^(order - 1) is the last power whose column reaches x^order
+        g = (g1_series if args.which == "g1" else g2_series)(args.order, args.order - 1)
+        grid = ["n\\k," + ",".join(map(str, range(g.torder + 1)))] + [
+            f"{n}," + ",".join(map(str, row)) for n, row in enumerate(g.coeffs)]
+        _emit(args.format, {"xorder": g.xorder, "torder": g.torder,
+                            "coeffs": [[str(c) for c in row] for row in g.coeffs]},
+              "\n".join(grid), grid)
         return 0
-    if args.a is None or args.k is None:
-        parser.error("--which t needs --a and --k")
-    if args.a < 1 or args.k < 0:  # before any table is counted
-        parser.error("--which t needs --a >= 1 and --k >= 0")
-    if args.a in (1, 2):
-        if args.cache_dir is not None:  # a closed form builds no tables
-            parser.error(f"--which t --a {args.a} --k {args.k} does not read --cache-dir")
-        s = (t1k_series if args.a == 1 else t2k_series)(args.k, args.order)
+    if args.which == "f":
+        s = f_series(args.order)
     else:
-        tables = count_tables(args.order, workers=0, cache_dir=args.cache_dir)
-        s = t_ak_bruteforce(args.a, args.k, args.order, tables)
-    _print_series(s, args.format)
+        if args.a is None or args.k is None:
+            parser.error("--which t needs --a and --k")
+        if args.a < 1 or args.k < 0:  # before any table is counted
+            parser.error("--which t needs --a >= 1 and --k >= 0")
+        if args.a in (1, 2):
+            if args.cache_dir is not None:  # a closed form builds no tables
+                parser.error(f"--which t --a {args.a} --k {args.k} does not read --cache-dir")
+            s = (t1k_series if args.a == 1 else t2k_series)(args.k, args.order)
+        else:
+            s = t_ak_bruteforce(args.a, args.k, args.order, _tables(args.order, args.cache_dir))
+    _emit(args.format, {"order": s.order, "coeffs": [str(c) for c in s.coeffs]},
+          s.to_text(), ["n,coeff"] + [f"{n},{c}" for n, c in enumerate(s.coeffs)])
     return 0
 
 
@@ -229,22 +215,18 @@ def _cmd_verify(args, parser) -> int:
     reports = run_suites(names, max_n=args.max_n, workers=args.threads,
                          cache_dir=args.cache_dir, fail_fast=args.strict,
                          conjecture_a=args.a)
-    if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports]))
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-            print(f"{status}  {r.identity}  ({params})  [{r.millis:.0f} ms]")
-            if not r.passed:
-                for n, k, c in r.residual[:10]:
-                    print(f"      residual ({n},{k}) = {c}")
-        failed = sum(1 for r in reports if not r.passed)
-        if failed:
-            print(f"FAILED {failed}/{len(reports)} identities")
-        else:
-            print(f"ALL PASS ({len(reports)} identities)")
-    return 0 if all(r.passed for r in reports) else 1
+    lines = []
+    for r in reports:
+        params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.identity}  ({params})  "
+                     f"[{r.millis:.0f} ms]")
+        if not r.passed:
+            lines += [f"      residual ({n},{k}) = {c}" for n, k, c in r.residual[:10]]
+    failed = sum(not r.passed for r in reports)
+    lines.append(f"FAILED {failed}/{len(reports)} identities" if failed
+                 else f"ALL PASS ({len(reports)} identities)")
+    _emit(args.format, [r.to_json_dict() for r in reports], "\n".join(lines))
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

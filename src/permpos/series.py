@@ -178,10 +178,3 @@ class BivariateSeries:
             out.append(tuple(ints))
         return tuple(out)
 
-    def to_csv(self) -> str:
-        """Coefficient table as CSV: rows are x-exponents, columns t-exponents."""
-        header = "n\\k," + ",".join(str(k) for k in range(self.torder + 1))
-        lines = [header]
-        for n, row in enumerate(self.coeffs):
-            lines.append(f"{n}," + ",".join(str(c) for c in row))
-        return "\n".join(lines) + "\n"

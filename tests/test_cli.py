@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 import permpos.cli
 import permpos.verify
 from permpos.cli import build_parser, main
+from permpos.enumeration import count_tables
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +89,22 @@ def test_count_and_series_accept_fifteen(capsys, monkeypatch):
         assert exc.value.code == 2
 
 
+def test_count_and_series_refuse_a_cut_cache(capsys, tmp_path):
+    # a cache file cut at a line boundary still parses, as a shorter table;
+    # the total-count partition finds it, here at n = 7 with residual 815
+    count_tables(8, cache_dir=tmp_path)
+    argvs = (["series", "--which", "t", "--a", "3", "--k", "3", "--order", "8"],
+             ["count", "--n", "7", "--format", "csv"])
+    cached = [run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) for argv in argvs]
+    assert cached == [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in cached)
+    path = tmp_path / "class-counts-n07.jsonl"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:11]))
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "") and "n=7 (residual 815)" in err, argv
+
+
 class TestFactor:
     def test_outputs(self, capsys):
         assert run_cli(capsys, "factor", "1243")[1].strip() == "1,2 ⊙ 1,3,2"
@@ -129,7 +147,7 @@ class TestDomino:
             '"B:2,1|T:|cols:bb"]}\n'), "")
 
     def test_usage(self, capsys):
-        for argv in ([], ["--points", "-1"]):
+        for argv in ([], ["--points", "-1"], ["--perm", "2143", "--count"]):
             with pytest.raises(SystemExit) as exc:
                 main(["domino", *argv])
             assert exc.value.code == 2, argv
@@ -309,3 +327,68 @@ class TestParser:
                                           "--threads", "0", "--format", "json"])
         assert (args.suite, args.max_n, args.threads, args.format) == \
             ("all", 11, 0, "json")
+
+
+# SHA-256 of stdout for each command and format on small inputs, taken
+# before every command printed through one emitter; verify's timings are
+# masked, since they change from run to run
+GOLDEN = [
+    ("count-table", ["count", "--n", "5"], {
+        None: "45080860abd6d79b808dbd71836bf29e41918f1bf1f05f7ce732ada7674cc816",
+        "json": "e5727c6266b737b8ede08fdc4e5f42c67994a9d5c6dd5d52e2436548f47b5250",
+        "csv": "a45e67994d51aa9afb6a041e38021d793d1cb986cb620ee4947da44d4c3a05b5"}),
+    ("count-cell", ["count", "--n", "7", "--a", "2", "--k", "3"], {
+        None: "95cf32708a31caa478a0e9141103ac567d85e5186e697e7e0c81f75589999e31",
+        "json": "ccb6f52818757790ca5ea85ad2990f357b8d03a371b2880e391fe2b3ddb16a92",
+        "csv": "16b3c05c0837648febf5e5898343a33b96c90d86954c164bb812ff6a15947172"}),
+    ("factor", ["factor", "1243"], {
+        None: "e8f6017100701ea2467df7a7a82b773b41839b3348cf6dd647ae8f727e6e1721",
+        "json": "18e3dbc5151bba73e35bc6cf0f5aff2aa95e4be79159f6a2dc8ffd6aa3c23d4b",
+        "csv": "2a656a694940ab340f0b0a120871dcd626567a29274cac66f459e1e4da650846"}),
+    ("domino-points", ["domino", "--points", "2"], {
+        None: "cd565fb0b09e136f337ea06d6b8ae439419b5e2a9e7209b6fff0b67c1a39b84d",
+        "json": "5e56069afe59c2f8fbc653af2dc28bec5a2e23d9157ba4593e74161b1db91093"}),
+    ("domino-count", ["domino", "--points", "3", "--count"], {
+        None: "f14b4987904bcb5814e4459a057ed4d20f58a633152288a761214dcd28780b56",
+        "json": "c7c9c5848af59234231e0e6c227c76efacf345db9052b1befeb75f0803d669b1"}),
+    ("domino-perm", ["domino", "--perm", "2143"], {
+        None: "a2f48dba2bfc7364e9b3ed4b26ef1aa656befe83e84fff761b3d7e394e5003c5",
+        "json": "f8269819147723877711982a260aa0e11b2921c41b42f4ce359d6145e7088f47"}),
+    ("series-f", ["series", "--which", "f", "--order", "5"], {
+        None: "c629676e839f2deabc37e114f1e9942f5a2c72a987f8992b5e04d7616913d2a7",
+        "json": "0c46d540692fc453cf30d471bc482842d334ebeea44f91c4634ceca6b6a1f2c7",
+        "csv": "cc31a1b35926555d19c53db442820573d2cedd8f2dc919648cd6acbe654bd075"}),
+    ("series-t-a2", ["series", "--which", "t", "--a", "2", "--k", "1", "--order", "6"], {
+        None: "e4c2def2bf2bfc4e12976f44da87d0037e5d03aee8139ed48ff5924edb3a31a6",
+        "json": "1a494df15c5e6a9f36bbbe89675f11652bfc279f8e664059cbf54c5e0e9d08a2",
+        "csv": "d354e9dfc0f46b218f93a36fe2a2513478f483fbae67ad70898deffe41636238"}),
+    ("series-t-a3", ["series", "--which", "t", "--a", "3", "--k", "1", "--order", "6"], {
+        None: "25635d1718a7da2bf21ddcf3e35d18f3c217299dde550754fc8220c8c3b1a51b",
+        "json": "8f455669f37ab07c1172e00a6638c5fa7250fa8a6b652a212d914b393bf47b0e",
+        "csv": "0cc6742f6741c1dfa4e91a86a69393884d0c4ab388d13b8222ba8d949aba0150"}),
+    # g1 and g2 print their CSV grid, rows n and columns k, also without
+    # --format
+    ("series-g1", ["series", "--which", "g1", "--order", "4"], {
+        None: "3deb70078269770961a174324acf6c5c559db3849c9e4a70382ddabfa5738813",
+        "json": "7f91a6ff495b0360b4d063673b41b07c75f664dac76109ea485b94b05b2370e2",
+        "csv": "3deb70078269770961a174324acf6c5c559db3849c9e4a70382ddabfa5738813"}),
+    ("series-g2", ["series", "--which", "g2", "--order", "4"], {
+        None: "28a56dd421b3967f1908fbe5e794e86b5ad1029c943e88f48219f7c39bb91e15",
+        "json": "07c117682ab8710fe7fb3a4d1a44542cd43a5fabd3012c19c9327e8322c15c6e",
+        "csv": "28a56dd421b3967f1908fbe5e794e86b5ad1029c943e88f48219f7c39bb91e15"}),
+    ("verify", ["verify", "--suite", "thm1", "--max-n", "5"], {
+        None: "5cf200d619b689e74000fe91553073a3e6e8f8f1f2067ed373ac553905331909",
+        "json": "484b0f748ee203d5a46f25f8994be948ce5d2606b5b9ecd0c9be3496e132cba7"}),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(argv + ["--format", fmt] * (fmt is not None), digest,
+                 id=f"{name}-{fmt or 'plain'}")
+    for name, argv, digests in GOLDEN for fmt, digest in digests.items()])
+def test_stdout_digest(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    out = re.sub(r"\[\d+ ms\]", "[ms]", out)
+    out = re.sub(r'"millis": [0-9.e+-]+', '"millis": 0', out)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

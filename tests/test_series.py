@@ -103,7 +103,3 @@ class TestBivariate:
         b = BivariateSeries(0, 0, ((F(1, 2),),))
         with pytest.raises(DomainError):
             b.integer_coeffs()
-
-    def test_csv_form(self):
-        b = BivariateSeries.from_columns([series([1, 0]), series([0, 2])], 1)
-        assert b.to_csv() == "n\\k,0,1\n0,1,0\n1,0,2\n"

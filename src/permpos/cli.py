@@ -3,15 +3,16 @@
 Subcommands: count, factor, domino, series, verify; each takes only the
 flags it reads. Every command prints through _emit: plain text by default;
 --format json (and csv on count, factor and series) is machine-readable,
-with counts as decimal strings. --cache-dir goes with the commands that
-build count tables, and count and series refuse a cache whose tables break
-the total-count partition. count and series split the build over one
-worker per CPU, and --threads sets the workers of verify, whose count
-tables, thm3 codec scan and prop1 domino map are split over them. series
-rejects the flags its --which does not read, and prints g1 and g2 to
-t^(order - 1), the last power of t whose column reaches x^order. Exit
-codes: 0 ok, 1 a verification suite failed, 2 usage error or a refused
-cache.
+with counts as decimal strings. --cache-dir goes with the three commands
+that build count tables: count, series and verify. All three get them
+from _tables, which refuses a cache whose tables break the total-count
+partition. count and series split the build over one worker per CPU, and
+--threads sets the workers of verify, whose count tables, thm3 codec scan
+and prop1 domino map are split over them. series rejects the flags its
+--which does not read, and prints g1 and g2 to t^(order - 1), the last
+power of t whose column reaches x^order. A usage error prints the usage
+of its own command. Exit codes: 0 ok, 1 a verification suite failed, 2
+usage error or a refused cache.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, parser=p)  # usage errors name the command
+        return p
+
     def add_output(p: argparse.ArgumentParser, *formats: str,
                    cache_dir: bool = False) -> None:
         p.add_argument("--format", choices=formats, default=None,
@@ -53,24 +59,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cache-dir", default=None, metavar="PATH",
                            help="persist/reuse count tables (opt-in)")
 
-    p = sub.add_parser("count", help="class counts and totals")
+    p = add_command("count", _cmd_count, "class counts and totals")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     add_output(p, "json", "csv", cache_dir=True)
 
-    p = sub.add_parser("factor", help="primitive factorization")
+    p = add_command("factor", _cmd_factor, "primitive factorization")
     p.add_argument("perm", help="permutation, e.g. 1243 or 1,2,4,3")
     add_output(p, "json", "csv")
 
-    p = sub.add_parser("domino", help="domino correspondence")
+    p = add_command("domino", _cmd_domino, "domino correspondence")
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--count", action="store_true",
                    help="print only the number of dominoes")
     p.add_argument("--perm", default=None, help="primitive to convert")
     add_output(p, "json")
 
-    p = sub.add_parser("series", help="generating-function coefficients")
+    p = add_command("series", _cmd_series, "generating-function coefficients")
     p.add_argument("--which", type=str.lower, required=True,
                    choices=("f", "t", "g1", "g2"))
     p.add_argument("--a", type=int, default=None, help="only with --which t")
@@ -79,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="highest power of x; g1 and g2 run to t^(order - 1)")
     add_output(p, "json", "csv", cache_dir=True)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = add_command("verify", _cmd_verify, "run verification suites")
     p.add_argument("--suite", default="all",
                    choices=("all",) + SUITES)
     p.add_argument("--max-n", type=int, default=DESK_MAX_N, dest="max_n")
@@ -113,11 +119,11 @@ def _emit(fmt: str | None, obj, text: str, rows: Iterable[str] = ()) -> None:
         print(text)
 
 
-def _tables(max_n: int, cache_dir: str | None) -> dict:
-    """The count tables of count and series, built on one worker per CPU.
-    A cache file cut at a line boundary still parses, as a shorter table,
-    so tables read from a cache must meet the total-count partition."""
-    tables = count_tables(max_n, workers=0, cache_dir=cache_dir)
+def _tables(max_n: int, cache_dir: str | None, workers: int) -> dict:
+    """The count tables of every command that reads them. A cache file cut
+    at a line boundary still parses, as a shorter table, so tables read
+    from a cache must meet the total-count partition."""
+    tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
     if cache_dir is not None and (residual := g_identity_check(max_n, tables).residual):
         n, _, diff = min(residual)
         raise ValueError(f"the count tables in {cache_dir} break the total-count partition "
@@ -129,7 +135,7 @@ def _cmd_count(args, parser) -> int:
     _check_max_n(parser, "--n", args.n, COUNT_MAX_N)
     if (args.a is None) != (args.k is None):
         parser.error("--a and --k must be given together")
-    table = _tables(args.n, args.cache_dir)[args.n]
+    table = _tables(args.n, args.cache_dir, 0)[args.n]
     if args.a is not None:
         c = table.count(args.a, args.k)
         _emit(args.format, {"n": args.n, "a": args.a, "k": args.k, "count": str(c)},
@@ -203,7 +209,7 @@ def _cmd_series(args, parser) -> int:
                 parser.error(f"--which t --a {args.a} --k {args.k} does not read --cache-dir")
             s = (t1k_series if args.a == 1 else t2k_series)(args.k, args.order)
         else:
-            s = t_ak_bruteforce(args.a, args.k, args.order, _tables(args.order, args.cache_dir))
+            s = t_ak_bruteforce(args.a, args.k, args.order, _tables(args.order, args.cache_dir, 0))
     _emit(args.format, {"order": s.order, "coeffs": [str(c) for c in s.coeffs]},
           s.to_text(), ["n,coeff"] + [f"{n},{c}" for n, c in enumerate(s.coeffs)])
     return 0
@@ -212,9 +218,9 @@ def _cmd_series(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     _check_max_n(parser, "--max-n", args.max_n, DESK_OPT_IN_MAX_N)
     names = SUITES if args.suite == "all" else (args.suite,)
+    tables = _tables(args.max_n, args.cache_dir, args.threads)
     reports = run_suites(names, max_n=args.max_n, workers=args.threads,
-                         cache_dir=args.cache_dir, fail_fast=args.strict,
-                         conjecture_a=args.a)
+                         fail_fast=args.strict, conjecture_a=args.a, tables=tables)
     lines = []
     for r in reports:
         params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
@@ -230,12 +236,9 @@ def _cmd_verify(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    commands = {"count": _cmd_count, "factor": _cmd_factor, "domino": _cmd_domino,
-                "series": _cmd_series, "verify": _cmd_verify}
+    args = build_parser().parse_args(argv)
     try:
-        return commands[args.command](args, parser)
+        return args.handler(args, args.parser)
     except (DomainError, InvalidWordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

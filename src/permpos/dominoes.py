@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 from .permutations import (
     DomainError,
     Permutation,
+    _reverse_complement_raw,
     _word_contains_132,
     _word_contains_1324,
     parse_permutation,
@@ -149,21 +150,17 @@ def _cell_words(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     size, as value tuples in lexicographic order, built once per size from
     the smaller sizes: a word avoids 132 iff it is alpha, size, beta with
     alpha above beta (a of alpha below b of beta makes a, size, b a 132)
-    and both avoiding 132, and avoids 213 iff it is alpha, 1, beta with
-    alpha above beta and both avoiding 213."""
+    and both avoiding 132, and avoids 213 iff its reverse-complement
+    avoids 132."""
     if size == 0:
         return ((),), ((),)
-    bottom, top = [], []
+    bottom = []
     for j in range(size):  # the length of alpha
         k = size - 1 - j  # the length of beta, whose values alpha's lie above
         for alpha in _cell_words(j)[0]:
             head = tuple(v + k for v in alpha) + (size,)
             bottom += [head + beta for beta in _cell_words(k)[0]]
-        tails = [(1,) + tuple(v + 1 for v in beta) for beta in _cell_words(k)[1]]
-        for alpha in _cell_words(j)[1]:
-            head = tuple(v + k + 1 for v in alpha)
-            top += [head + tail for tail in tails]
-    return tuple(sorted(bottom)), tuple(sorted(top))
+    return tuple(sorted(bottom)), tuple(sorted(map(_reverse_complement_raw, bottom)))
 
 
 def _tags(p: int, mask: int) -> tuple[str, ...]:

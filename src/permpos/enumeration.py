@@ -497,21 +497,14 @@ class ClassCountTable:
                 {"n": self.n, "a": a, "k": k, "count": str(self.counts[(a, k)])}))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ClassCountTable":
-        """Parse to_jsonl text, blank lines skipped; its size is the first
-        record's."""
-        return _parse_tables([text.encode()], [None], ["table text"])[0]
 
-
-def _parse_tables(texts: list[bytes], sizes: Iterable[Optional[int]],
+def _parse_tables(texts: list[bytes], sizes: Iterable[int],
                   names: Iterable[str]) -> list[ClassCountTable]:
     """Parse to_jsonl texts with one json.loads: each text's non-blank
     lines form one JSON array, and the texts an array of those. Each line
-    must hold one record, every record of a text must name its size (the
-    first record's where the size is None) and each text needs a total
-    record. A ValueError names the text at fault; only after a failed parse
-    is each text parsed alone, to find it."""
+    must hold one record, every record of a text must name its size and
+    each text needs a total record. A ValueError names the text at fault;
+    only after a failed parse is each text parsed alone, to find it."""
     lines = [list(filter(bytes.strip, text.splitlines())) for text in texts]
     try:
         parsed = json.loads(b"[[" + b"],[".join(map(b",".join, lines)) + b"]]")
@@ -529,8 +522,6 @@ def _parse_tables(texts: list[bytes], sizes: Iterable[Optional[int]],
         try:
             if len(records) != len(text_lines):
                 raise ValueError("it does not hold one record per line")
-            if n is None and records:
-                n = records[0]["n"]
             total = None
             counts: dict[tuple[int, int], int] = {}
             for rec in records:

@@ -169,6 +169,11 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
     other value raised by one. A component that lacks its 1, its 2 (when
     marked) or its maximum raises DomainError, as any other invalid one."""
     try:
+        # The k = 1 fast path; keep it. The loop below gives the same
+        # results and error types on every lone component of size <= 8, but
+        # 40,705 of the 81,056 a = 2 codec members of size <= 10 come here,
+        # and without it _codec_worker(_tree_roots(10, 2)) took a median
+        # 0.74-0.92 s against 0.63-0.85 s (2-core Xeon, Python 3.11).
         if len(comps) == 1 and marked_idx == 0:
             c = comps[0]
             if not c.index(2) + 1 == c.index(len(c)) < c.index(1) < len(c) - 1:

@@ -389,11 +389,11 @@ def suite_gidentity(max_n: int, tables: Tables) -> list[IdentityReport]:
 
 
 def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
-               cache_dir=None, fail_fast: bool = False,
-               conjecture_a: Optional[int] = None,
+               fail_fast: bool = False, conjecture_a: Optional[int] = None,
                tables: Optional[Tables] = None) -> list[IdentityReport]:
-    """Run the named suites in a fixed order and return all reports. A bad
-    argument raises ValueError before any suite runs."""
+    """Run the named suites in a fixed order and return all reports, on the
+    given tables or on tables counted fresh. A bad argument raises
+    ValueError before any suite runs."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -403,7 +403,7 @@ def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
         raise ValueError("conjecture a is read only by the conjecture suite")
     _split_workers(workers, max_n)
     if tables is None:
-        tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
+        tables = count_tables(max_n, workers=workers)
     a_values = (3, 4) if conjecture_a is None else (conjecture_a,)
     calls = {
         "thm1": lambda: suite_thm1(max_n, tables),

@@ -46,12 +46,12 @@ class TestCount:
         assert {"a": 1, "k": 3, "count": "1"} in payload["counts"]
 
     def test_usage_errors(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "0"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "4", "--a", "1"])
-        assert exc.value.code == 2
+        # each prints the count usage, not the top-level one
+        for argv in (["--n", "0"], ["--n", "4", "--a", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["count", *argv])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: permpos count "), argv
 
     def test_cache_dir(self, capsys, tmp_path):
         code, out1, _ = run_cli(capsys, "count", "--n", "6",
@@ -87,16 +87,23 @@ def test_count_and_series_accept_fifteen(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: permpos {argv[0]} "), argv
 
 
-def test_count_and_series_refuse_a_cut_cache(capsys, tmp_path):
+def test_count_series_and_verify_refuse_a_cut_cache(capsys, tmp_path):
     # a cache file cut at a line boundary still parses, as a shorter table;
     # the total-count partition finds it, here at n = 7 with residual 815
     count_tables(8, cache_dir=tmp_path)
     argvs = (["series", "--which", "t", "--a", "3", "--k", "3", "--order", "8"],
-             ["count", "--n", "7", "--format", "csv"])
-    cached = [run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) for argv in argvs]
-    assert cached == [run_cli(capsys, *argv) for argv in argvs]
+             ["count", "--n", "7", "--format", "csv"],
+             ["verify", "--suite", "conjecture", "--max-n", "8"])
+
+    def run(*argv):  # verify's timings aside
+        code, out, err = run_cli(capsys, *argv)
+        return code, re.sub(r"\[\d+ ms\]", "[ms]", out), err
+
+    cached = [run(*argv, "--cache-dir", str(tmp_path)) for argv in argvs]
+    assert cached == [run(*argv) for argv in argvs]
     assert all(code == 0 for code, _, _ in cached)
     path = tmp_path / "class-counts-n07.jsonl"
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:11]))
@@ -151,6 +158,7 @@ class TestDomino:
             with pytest.raises(SystemExit) as exc:
                 main(["domino", *argv])
             assert exc.value.code == 2, argv
+            assert capsys.readouterr().err.startswith("usage: permpos domino "), argv
 
 
 class TestSeries:
@@ -209,7 +217,8 @@ class TestSeries:
         with pytest.raises(SystemExit) as exc:
             main(["series", "--which", "t", "--a", a, "--k", k, "--order", "12"])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: permpos series ")
 
     def test_k_zero_beyond_the_order_is_zero(self, capsys):
         code, out, err = run_cli(capsys, "series", "--which", "t", "--a", "5",

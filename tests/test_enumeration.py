@@ -454,37 +454,44 @@ class TestCache:
         for name, blob in blobs.items():
             assert (other / name).read_bytes() == blob
 
-    def test_jsonl_schema(self):
+    @staticmethod
+    def read_back(cache_dir, n, text):
+        """Table n as count_tables(n) reads it from a cache whose size-n
+        file holds text and whose smaller sizes are intact."""
+        for m, table in count_tables(n).items():
+            path = cache_dir / f"class-counts-n{m:02d}.jsonl"
+            path.write_text(text if m == n else table.to_jsonl())
+        return count_tables(n, cache_dir=cache_dir)[n]
+
+    def test_jsonl_schema(self, tmp_path):
         table = ClassCountTable(n=3, total=6, counts={(1, 1): 2, (1, 2): 1, (2, 1): 1})
         text = table.to_jsonl()
         lines = text.strip().split("\n")
         assert lines[0] == '{"n": 3, "total": "6"}'
         assert lines[1] == '{"n": 3, "a": 1, "k": 1, "count": "2"}'
-        assert ClassCountTable.from_jsonl(text) == table
+        assert self.read_back(tmp_path, 3, text) == table
 
-    def test_malformed_text_raises(self):
-        with pytest.raises(ValueError, match="mixed sizes"):
-            ClassCountTable.from_jsonl('{"n": 3, "total": "6"}\n'
-                                       '{"n": 4, "a": 1, "k": 1, "count": "2"}\n')
+    def test_malformed_text_raises(self, tmp_path):
+        with pytest.raises(ValueError, match=r"n=3\) is not a count table: mixed sizes"):
+            self.read_back(tmp_path, 3, '{"n": 3, "total": "6"}\n'
+                                        '{"n": 4, "a": 1, "k": 1, "count": "2"}\n')
         with pytest.raises(ValueError, match="no total"):
-            ClassCountTable.from_jsonl('{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
+            self.read_back(tmp_path, 3, '{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
         with pytest.raises(ValueError, match="one record per line"):
-            ClassCountTable.from_jsonl('{"n": 3, "total": "6"}, '
-                                       '{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
+            self.read_back(tmp_path, 3, '{"n": 3, "total": "6"}, '
+                                        '{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
         # a file cut inside a line fails; one cut at a line boundary is a
         # shorter table
         text = count_tables(5)[5].to_jsonl()
         for cut in range(1, len(text)):
             if text[cut - 1] not in "}\n":
                 with pytest.raises(ValueError):
-                    ClassCountTable.from_jsonl(text[:cut])
+                    self.read_back(tmp_path, 5, text[:cut])
 
     def test_blank_lines_are_skipped(self, tmp_path):
         fresh = count_tables(6, cache_dir=tmp_path)
         victim = tmp_path / "class-counts-n05.jsonl"
-        text = "\n" + victim.read_text().replace("\n", "\n \n\n")
-        assert ClassCountTable.from_jsonl(text) == fresh[5]
-        victim.write_text(text)
+        victim.write_text("\n" + victim.read_text().replace("\n", "\n \n\n"))
         assert count_tables(6, cache_dir=tmp_path) == fresh
 
     def test_missing_size_rewrites_the_cache_as_fresh(self, tmp_path):

@@ -94,7 +94,8 @@ def test_tampered_cache_fails_total_count_partition(tmp_path):
              [(7, 0, 1), (8, 0, -1), (7, 1, 1)]),
             ("".join(lines[:-1]), [(7, 0, int(last["count"]))])):
         victim.write_text(text)
-        [report] = run_suites(("gidentity",), max_n=8, cache_dir=tmp_path)
+        [report] = run_suites(("gidentity",), max_n=8,
+                              tables=count_tables(8, cache_dir=tmp_path))
         assert report.identity == "total-count-partition"
         assert not report.passed
         assert report.residual == residual

@@ -6,13 +6,13 @@ flags it reads. Every command prints through _emit: plain text by default;
 with counts as decimal strings. --cache-dir goes with the three commands
 that build count tables: count, series and verify. All three get them
 from _tables, which refuses a cache whose tables break the total-count
-partition. count and series split the build over one worker per CPU, and
---threads sets the workers of verify, whose count tables, thm3 codec scan
-and prop1 domino map are split over them. series rejects the flags its
---which does not read, and prints g1 and g2 to t^(order - 1), the last
-power of t whose column reaches x^order. A usage error prints the usage
-of its own command. Exit codes: 0 ok, 1 a verification suite failed, 2
-usage error or a refused cache.
+partition; verify checks its suite arguments first. count and series
+split the build over one worker per CPU, and --threads sets the workers of
+verify, whose count tables, thm3 codec scan and prop1 domino map are split
+over them. series rejects the flags its --which does not read, and prints
+g1 and g2 to t^(order - 1), the last power of t whose column reaches
+x^order. A usage error prints the usage of its own command. Exit codes: 0
+ok, 1 a verification suite failed, 2 usage error or a refused cache.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .genfun import (
 )
 from .permutations import DomainError, InvalidWordError, parse_permutation
 from .products import factorize
-from .verify import SUITES, run_suites
+from .verify import SUITES, _check_suite_args, run_suites
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,6 +218,7 @@ def _cmd_series(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     _check_max_n(parser, "--max-n", args.max_n, DESK_OPT_IN_MAX_N)
     names = SUITES if args.suite == "all" else (args.suite,)
+    _check_suite_args(names, args.max_n, args.threads, args.a)  # before any table is counted
     tables = _tables(args.max_n, args.cache_dir, args.threads)
     reports = run_suites(names, max_n=args.max_n, workers=args.threads,
                          fail_fast=args.strict, conjecture_a=args.a, tables=tables)

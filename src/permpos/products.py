@@ -41,6 +41,7 @@ from .permutations import (
     DomainError,
     Permutation,
     _word_contains_1324,
+    parse_permutation,
 )
 
 
@@ -322,8 +323,6 @@ def parse_marked_tuple(text: str) -> MarkedTuple:
     Components are separated by comma-space; bare commas inside a component
     belong to its own comma-form permutation text.
     """
-    from .permutations import parse_permutation
-
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"cannot parse marked tuple {text!r}")

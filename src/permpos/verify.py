@@ -388,12 +388,10 @@ def suite_gidentity(max_n: int, tables: Tables) -> list[IdentityReport]:
     return [g_identity_check(max_n, tables)]
 
 
-def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
-               fail_fast: bool = False, conjecture_a: Optional[int] = None,
-               tables: Optional[Tables] = None) -> list[IdentityReport]:
-    """Run the named suites in a fixed order and return all reports, on the
-    given tables or on tables counted fresh. A bad argument raises
-    ValueError before any suite runs."""
+def _check_suite_args(names: Sequence[str], max_n: int, workers: int,
+                      conjecture_a: Optional[int]) -> None:
+    """Raise ValueError for an argument run_suites would refuse, so that a
+    caller can check before it counts the tables."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -402,6 +400,15 @@ def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
     if conjecture_a is not None and "conjecture" not in names:
         raise ValueError("conjecture a is read only by the conjecture suite")
     _split_workers(workers, max_n)
+
+
+def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
+               fail_fast: bool = False, conjecture_a: Optional[int] = None,
+               tables: Optional[Tables] = None) -> list[IdentityReport]:
+    """Run the named suites in a fixed order and return all reports, on the
+    given tables or on tables counted fresh. A bad argument raises
+    ValueError before any suite runs."""
+    _check_suite_args(names, max_n, workers, conjecture_a)
     if tables is None:
         tables = count_tables(max_n, workers=workers)
     a_values = (3, 4) if conjecture_a is None else (conjecture_a,)

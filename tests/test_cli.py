@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,17 @@ import permpos.cli
 import permpos.verify
 from permpos.cli import build_parser, main
 from permpos.enumeration import count_tables
+
+
+def _pinned_argvs():
+    """Every argv that ci/test_pinned_outputs.py runs, read from its tables."""
+    path = Path(__file__).resolve().parents[1] / "ci" / "test_pinned_outputs.py"
+    spec = importlib.util.spec_from_file_location("pinned_outputs", path)
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    cache = ["--cache-dir", "X"]
+    return [argv for argv, _ in pins.VERIFY + pins.SERIES] + [
+        pins.CACHED_SERIES + cache, pins.CACHED_VERIFY + cache]
 
 
 def run_cli(capsys, *argv):
@@ -293,10 +306,14 @@ class TestVerify:
         ["--threads", "-1"],
         ["--suite", "thm1", "--a", "3"],
     ])
-    def test_bad_arguments_are_usage_errors(self, capsys, argv):
-        # checked before any suite runs: no report is printed
-        code, out, err = run_cli(capsys, "verify", "--max-n", "5", *argv)
+    def test_bad_arguments_are_usage_errors(self, capsys, tmp_path, argv):
+        # checked before any table is counted: no report is printed and no
+        # cache is written
+        cache = tmp_path / "cache"
+        code, out, err = run_cli(capsys, "verify", "--max-n", "5",
+                                 "--cache-dir", str(cache), *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+        assert not cache.exists()
 
 
 class TestParser:
@@ -336,6 +353,11 @@ class TestParser:
                                           "--threads", "0", "--format", "json"])
         assert (args.suite, args.max_n, args.threads, args.format) == \
             ("all", 11, 0, "json")
+
+    @pytest.mark.parametrize("argv", _pinned_argvs())
+    def test_pinned_output_argv_parses(self, argv):
+        # a renamed flag breaks ci/test_pinned_outputs.py; fail here first
+        build_parser().parse_args(argv)
 
 
 # SHA-256 of stdout for each command and format on small inputs, taken

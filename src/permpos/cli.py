@@ -5,14 +5,15 @@ flags it reads. Every command prints through _emit: plain text by default;
 --format json (and csv on count, factor and series) is machine-readable,
 with counts as decimal strings. --cache-dir goes with the three commands
 that build count tables: count, series and verify. All three get them
-from _tables, which refuses a cache whose tables break the total-count
-partition; verify checks its suite arguments first. count and series
-split the build over one worker per CPU, and --threads sets the workers of
-verify, whose count tables, thm3 codec scan and prop1 domino map are split
-over them. series rejects the flags its --which does not read, and prints
-g1 and g2 to t^(order - 1), the last power of t whose column reaches
-x^order. A usage error prints the usage of its own command. Exit codes: 0
-ok, 1 a verification suite failed, 2 usage error or a refused cache.
+from _tables, which refuses a cache it cannot read or write and one whose
+tables break the total-count partition; verify checks its suite
+arguments first. count and series split the build over one worker per
+CPU, and --threads sets the workers of verify, whose count tables, thm3
+codec scan and prop1 domino map are split over them. series rejects the
+flags its --which does not read, and prints g1 and g2 to t^(order - 1),
+the last power of t whose column reaches x^order. A usage error prints
+the usage of its own command. Exit codes: 0 ok, 1 a verification suite
+failed, 2 usage error or a refused cache.
 """
 
 from __future__ import annotations
@@ -120,10 +121,17 @@ def _emit(fmt: str | None, obj, text: str, rows: Iterable[str] = ()) -> None:
 
 
 def _tables(max_n: int, cache_dir: str | None, workers: int) -> dict:
-    """The count tables of every command that reads them. A cache file cut
-    at a line boundary still parses, as a shorter table, so tables read
-    from a cache must meet the total-count partition."""
-    tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
+    """The count tables of every command that reads them. A cache that
+    cannot be read or written is refused with the file at fault. A cache
+    file cut at a line boundary still parses, as a shorter table, so tables
+    read from a cache must meet the total-count partition."""
+    try:
+        tables = count_tables(max_n, workers=workers, cache_dir=cache_dir)
+    except OSError as exc:
+        if cache_dir is None:
+            raise
+        raise ValueError(f"the count-table cache {exc.filename2 or exc.filename or cache_dir} "
+                         f"is unusable: {exc.strerror or exc}") from exc
     if cache_dir is not None and (residual := g_identity_check(max_n, tables).residual):
         n, _, diff = min(residual)
         raise ValueError(f"the count tables in {cache_dir} break the total-count partition "
@@ -135,6 +143,8 @@ def _cmd_count(args, parser) -> int:
     _check_max_n(parser, "--n", args.n, COUNT_MAX_N)
     if (args.a is None) != (args.k is None):
         parser.error("--a and --k must be given together")
+    if args.a is not None and (args.a < 1 or args.k < 1):  # the tables hold no other class
+        parser.error("--a and --k must be >= 1")
     table = _tables(args.n, args.cache_dir, 0)[args.n]
     if args.a is not None:
         c = table.count(args.a, args.k)
@@ -169,8 +179,9 @@ def _cmd_domino(args, parser) -> int:
         d = to_domino(parse_permutation(args.perm)).to_text()
         _emit(args.format, {"perm": args.perm, "domino": d}, d)
         return 0
-    if args.points < 0:
-        parser.error("--points must be >= 0")
+    top = DESK_OPT_IN_MAX_N - 2  # the primitives of size <= 12; each point costs ~5x
+    if not 0 <= args.points <= top:
+        parser.error(f"--points must be in 0..{top}")
     dominoes = enumerate_dominoes(args.points)
     if args.count:
         c = sum(1 for _ in dominoes)

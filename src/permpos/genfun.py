@@ -13,9 +13,11 @@ t^k columns. The a = 2 series follows either from the halving identity
 expansion; both assemblies are computed column by column and must agree
 exactly.
 
-Every check returns an IdentityReport carrying the full residual series
-(all nonzero coefficients), never just a boolean, so a counterexample
-order would be pinpointed.
+Every check returns an IdentityReport carrying the full residual series,
+never just a boolean, so a counterexample order would be pinpointed. One
+rule, ``_nonzero``, builds the residual of every identity that compares
+two routes cell by cell, here and in ``verify``: a difference per (n, k)
+cell, kept when nonzero, in cell order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .enumeration import ClassCountTable
 from .series import BivariateSeries, Scalar, TruncatedSeries
@@ -62,6 +64,12 @@ def _report(identity: str, params: dict,
     return IdentityReport(identity=identity, params=params,
                           passed=not residual, residual=residual,
                           millis=(time.monotonic() - start) * 1000.0)
+
+
+def _nonzero(cells: Iterable[tuple[int, int, Scalar]]) -> list[tuple[int, int, Scalar]]:
+    """The residual rule: the (n, k, d) cells whose difference d is nonzero,
+    in the order given."""
+    return [cell for cell in cells if cell[2]]
 
 
 def primitive_count_closed_form(n: int) -> int:
@@ -219,7 +227,7 @@ def conjecture_check(a: int, k: int, order: int, tables: Tables) -> IdentityRepo
     start = time.monotonic()
     T = [t_ak_bruteforce(a, j, order, tables) for j in range(a)]
     diff = expansion(a, k, order, T) - t_ak_bruteforce(a, k, order, tables)
-    residual = [(n, 3, c) for n, c in enumerate(diff.coeffs) if c != 0]
+    residual = _nonzero((n, 3, c) for n, c in enumerate(diff.coeffs))
     return _report("conjecture-expansion", {"a": a, "k": k, "order": order},
                    residual, start)
 
@@ -238,12 +246,9 @@ def g_identity_check(order: int, tables: Tables) -> IdentityReport:
     Any count of the tree meets it by construction, so each total up to
     n = 15 is also compared with A061552, as residual (n, 1, difference)."""
     start = time.monotonic()
-    residual = []
-    for n in range(2, order + 1):
-        diff = tables[n].total - tables[n - 1].total - tables[n].classified_total()
-        if diff:
-            residual.append((n, 0, Fraction(diff)))
-    for n, known in enumerate(_A061552[:order], start=1):
-        if tables[n].total != known:
-            residual.append((n, 1, Fraction(tables[n].total - known)))
+    residual = _nonzero(
+        [(n, 0, Fraction(tables[n].total - tables[n - 1].total - tables[n].classified_total()))
+         for n in range(2, order + 1)]
+        + [(n, 1, Fraction(tables[n].total - known))
+           for n, known in enumerate(_A061552[:order], start=1)])
     return _report("total-count-partition", {"order": order}, residual, start)

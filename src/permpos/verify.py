@@ -1,7 +1,12 @@
 """Named verification suites run by the CLI and the acceptance tests.
 
 Every suite pins a claimed identity against the brute-force enumeration
-oracle and returns IdentityReports with exact residuals. Suites:
+oracle and returns IdentityReports with exact residuals. One rule,
+``genfun._nonzero``, builds every residual that compares two routes cell
+by cell: a difference per (n, k) cell, kept when nonzero, in cell order.
+Only the insertion accounting, the codec's witnesses and explicit check,
+and the domino bijection, which are not differences, mark a cell by hand.
+Suites:
 
 * thm1       -- class-(1, k) counts: enumeration vs convolution recurrence
                 vs coefficients of x f(x)^k.
@@ -48,6 +53,7 @@ from .enumeration import _add_counts, _fan_out, _split_workers, _tree_roots, _wa
 from .genfun import (
     IdentityReport,
     Tables,
+    _nonzero,
     _report,
     a_nk_recurrence,
     conjecture_check,
@@ -79,36 +85,25 @@ def _witness_order(values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 def suite_thm1(max_n: int, tables: Tables) -> list[IdentityReport]:
     start = time.monotonic()
-    residual = []
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            brute = tables[n].count(1, k)
-            rec = primitive_count_closed_form(n) if k == 1 else a_nk_recurrence(n, k)
-            if rec != brute:
-                residual.append((n, k, Fraction(rec - brute)))
+    residual = _nonzero(
+        (n, k, Fraction((primitive_count_closed_form(n) if k == 1 else a_nk_recurrence(n, k))
+                        - tables[n].count(1, k)))
+        for n in range(2, max_n + 1) for k in range(1, n))
     reports = [_report("a1-recurrence", {"max_n": max_n}, residual, start)]
 
     start = time.monotonic()
-    residual = []
     powers = {k: t1k_series(k, max_n) for k in range(1, max_n)}
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            diff = powers[k].coeff(n) - tables[n].count(1, k)
-            if diff:
-                residual.append((n, k, diff))
+    residual = _nonzero((n, k, powers[k].coeff(n) - tables[n].count(1, k))
+                        for n in range(2, max_n + 1) for k in range(1, n))
     reports.append(_report("a1-power-series", {"max_n": max_n}, residual, start))
     return reports
 
 
 def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
     start = time.monotonic()
-    residual = []
-    for n in range(3, max_n + 1):
-        for k in range(1, n):
-            lhs = 2 * tables[n].count(2, k)
-            rhs = (n - k) * tables[n - 1].count(1, k)
-            if lhs != rhs:
-                residual.append((n, k, Fraction(lhs - rhs, 2)))
+    residual = _nonzero(
+        (n, k, Fraction(2 * tables[n].count(2, k) - (n - k) * tables[n - 1].count(1, k), 2))
+        for n in range(3, max_n + 1) for k in range(1, n))
     reports = [_report("a2-halving-count", {"max_n": max_n}, residual, start)]
 
     start = time.monotonic()
@@ -238,26 +233,17 @@ def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]
 def suite_thm3(max_n: int, max_k: int, tables: Tables,
                workers: int = 1) -> list[IdentityReport]:
     start = time.monotonic()
-    residual = []
-    for k in range(0, max_k + 1):
-        formula = t2k_series(k, max_n)
-        brute = t_ak_bruteforce(2, k, max_n, tables)
-        for n in range(max_n + 1):
-            diff = formula.coeff(n) - brute.coeff(n)
-            if diff:
-                residual.append((n, k, diff))
+    diffs = [t2k_series(k, max_n) - t_ak_bruteforce(2, k, max_n, tables)
+             for k in range(max_k + 1)]
+    residual = _nonzero((n, k, c) for k, diff in enumerate(diffs)
+                        for n, c in enumerate(diff.coeffs))
     reports = [_report("a2-series-expansion", {"max_n": max_n, "max_k": max_k},
                        residual, start)]
 
     start = time.monotonic()
-    residual = []
     g2 = g2_series(max_n, max_k)  # raises if the routes split
-    for n in range(g2.xorder + 1):
-        for k in range(1, g2.torder + 1):
-            expected = tables[n].count(2, k) if n >= 1 else 0
-            diff = g2.coeff(n, k) - expected
-            if diff:
-                residual.append((n, k, diff))
+    residual = _nonzero((n, k, g2.coeff(n, k) - (tables[n].count(2, k) if n >= 1 else 0))
+                        for n in range(g2.xorder + 1) for k in range(1, g2.torder + 1))
     reports.append(_report("g2-two-routes", {"order": g2.xorder, "torder": g2.torder},
                            residual, start))
 
@@ -272,33 +258,24 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
         _add_counts(last1, part_last1)
         failures.extend(part_failures)
 
-    residual = []
     # each part kept its smallest failures, so these are the same for every
     # worker count
-    residual.extend((len(v), 0, Fraction(1))
-                    for v in sorted(failures, key=_witness_order)[:_MAX_WITNESSES])
+    residual = [(len(v), 0, Fraction(1))
+                for v in sorted(failures, key=_witness_order)[:_MAX_WITNESSES]]
     # trailing-1 members correspond to class-(1, k) members one size down
-    for (n, k), c in sorted(last1.items()):
-        diff = c - tables[n - 1].count(1, k)
-        if diff:
-            residual.append((n, k, Fraction(diff)))
+    residual += _nonzero((n, k, Fraction(c - tables[n - 1].count(1, k)))
+                         for (n, k), c in sorted(last1.items()))
     # tuple counts: k slots for the marked component, primitives elsewhere;
     # at k = 1 the count is a21 itself, so the check starts at k = 2
     a21 = TruncatedSeries.from_coeffs(
         [not1.get((m, 1), 0) for m in range(max_n + 1)])
-    for k in range(2, max_n):
-        tuple_counts = (f_power(k - 1, max_n) * a21).scale(k)
-        for n in range(3, max_n + 1):
-            diff = Fraction(not1.get((n, k), 0)) - tuple_counts.coeff(n)
-            if diff:
-                residual.append((n, k, diff))
+    tuple_counts = {k: (f_power(k - 1, max_n) * a21).scale(k) for k in range(2, max_n)}
+    residual += _nonzero((n, k, Fraction(not1.get((n, k), 0)) - tuple_counts[k].coeff(n))
+                         for k in range(2, max_n) for n in range(3, max_n + 1))
     # sweep totals must partition the enumerated class counts
-    for n in range(3, max_n + 1):
-        for k in range(1, n - 1):
-            got = not1.get((n, k), 0) + last1.get((n, k), 0)
-            diff = got - tables[n].count(2, k)
-            if diff:
-                residual.append((n, k, Fraction(diff)))
+    residual += _nonzero(
+        (n, k, Fraction(not1.get((n, k), 0) + last1.get((n, k), 0) - tables[n].count(2, k)))
+        for n in range(3, max_n + 1) for k in range(1, n - 1))
 
     explicit_top = min(max_n, _EXPLICIT_MAX_N)
     not1_sets: dict[tuple[int, int], set] = {}
@@ -360,18 +337,13 @@ def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityRe
                        {"max_points": max_points}, residual, start)]
 
     start = time.monotonic()
-    residual = []
     f = f_series(max_n)
-    for n in range(2, max_n + 1):
-        brute = tables[n].count(1, 1)
-        closed = primitive_count_closed_form(n)
-        if brute != closed:
-            residual.append((n, 0, Fraction(brute - closed)))
-        diff = f.coeff(n - 1) - brute
-        if diff:
-            residual.append((n, 1, diff))
-        if n - 2 in domino_counts and domino_counts[n - 2] != brute:
-            residual.append((n, 2, Fraction(domino_counts[n - 2] - brute)))
+    brute = {n: tables[n].count(1, 1) for n in range(2, max_n + 1)}
+    # by n, then by route: the closed form, f and the dominoes, where mapped
+    residual = _nonzero(cell for n, b in brute.items() for cell in (
+        (n, 0, Fraction(b - primitive_count_closed_form(n))),
+        (n, 1, f.coeff(n - 1) - b),
+        (n, 2, Fraction(domino_counts.get(n - 2, b) - b))))
     reports.append(_report("primitive-count-three-way",
                            {"max_n": max_n, "max_points": max_points},
                            residual, start))

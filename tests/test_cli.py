@@ -59,8 +59,10 @@ class TestCount:
         assert {"a": 1, "k": 3, "count": "1"} in payload["counts"]
 
     def test_usage_errors(self, capsys):
-        # each prints the count usage, not the top-level one
-        for argv in (["--n", "0"], ["--n", "4", "--a", "1"]):
+        # each prints the count usage, not the top-level one; the tables
+        # hold classes with a, k >= 1 only
+        for argv in (["--n", "0"], ["--n", "4", "--a", "1"],
+                     ["--n", "3", "--a", "3", "--k", "0"], ["--n", "3", "--a", "1", "--k", "-1"]):
             with pytest.raises(SystemExit) as exc:
                 main(["count", *argv])
             assert exc.value.code == 2
@@ -125,6 +127,18 @@ def test_count_series_and_verify_refuse_a_cut_cache(capsys, tmp_path):
         assert (code, out) == (2, "") and "n=7 (residual 815)" in err, argv
 
 
+@pytest.mark.parametrize("argv", [["count", "--n", "4"], ["verify", "--suite", "thm1", "--max-n", "4"]])
+def test_an_unusable_cache_is_refused(capsys, tmp_path, argv):
+    # a directory where a cache file belongs, and a cache dir that is a file
+    (tmp_path / "dir" / "class-counts-n03.jsonl").mkdir(parents=True)
+    (tmp_path / "file").write_text("")
+    for cache, culprit in ((tmp_path / "dir", tmp_path / "dir" / "class-counts-n03.jsonl"),
+                           (tmp_path / "file", tmp_path / "file")):
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+        assert (code, out) == (2, "") and err.startswith("error: "), (argv, cache)
+        assert str(culprit) in err, (argv, cache)
+
+
 class TestFactor:
     def test_outputs(self, capsys):
         assert run_cli(capsys, "factor", "1243")[1].strip() == "1,2 ⊙ 1,3,2"
@@ -167,7 +181,8 @@ class TestDomino:
             '"B:2,1|T:|cols:bb"]}\n'), "")
 
     def test_usage(self, capsys):
-        for argv in ([], ["--points", "-1"], ["--perm", "2143", "--count"]):
+        # --points stops at 10, the dominoes of the primitives of size <= 12
+        for argv in ([], ["--points", "-1"], ["--points", "11"], ["--perm", "2143", "--count"]):
             with pytest.raises(SystemExit) as exc:
                 main(["domino", *argv])
             assert exc.value.code == 2, argv

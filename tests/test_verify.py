@@ -452,10 +452,10 @@ def test_domino_split_is_invisible(tables11, max_n):
 
 # -- one injected fault per failure branch --------------------------------
 #
-# Each fault patches one route in verify's namespace, or one table cell, so
-# that one identity of thm1, thm2, thm3 or prop1 fails at max_n = 8 and
-# names the (n, k) the fault acts on. The accounting faults act on one
-# parent of class (1, 3) and size 6, so on (7, 3).
+# Each fault patches one route in verify's namespace, or one table cell or
+# total, so that one identity fails at max_n = 8 and names the (n, k) the
+# fault acts on; every identity run_suites emits has a row. The accounting
+# faults act on one parent of class (1, 3) and size 6, so on (7, 3).
 
 
 def _parent():
@@ -536,7 +536,23 @@ def _f_series_off(monkeypatch, tables):
           lambda args, s: s + TruncatedSeries.monomial(5, s.order))
 
 
-@pytest.mark.parametrize("fault,suite,identity,residual", [
+def _a3_table_cell(monkeypatch, tables):
+    tables[7].counts[(3, 3)] += 1
+
+
+def _table_total(monkeypatch, tables):
+    # the size-7 total is read as |S_7(1324)| at n = 7 and as the
+    # start-with-n count at n = 8, and it leaves A061552
+    tables[7].total += 1
+
+
+def _to_domino_reversed(monkeypatch, tables):
+    # one primitive with four points whose domino does not map back to it
+    _wrap(monkeypatch, "_to_domino_raw",
+          lambda args, d: d[::-1] if tuple(args[0]) == (2, 1, 6, 3, 4, 5) else d)
+
+
+_FAULT_ROWS = [
     (_rc_moves_the_one, "thm2", "a2-insertion-accounting", [(7, 3, 1)]),
     (_expand_drops_a_child, "thm2", "a2-insertion-accounting", [(7, 3, -1)]),
     (_expand_repeats_a_child, "thm2", "a2-insertion-accounting", [(7, 3, 1)]),
@@ -553,7 +569,15 @@ def _f_series_off(monkeypatch, tables):
     (_a1_table_cell, "thm1", "a1-recurrence", [(6, 3, -1)]),  # its k >= 2 branch
     (_a1_table_cell, "thm1", "a1-power-series", [(6, 3, -1)]),
     (_a1_table_cell, "thm2", "a2-halving-count", [(7, 3, -2)]),
-])
+    # the first conjecture report, a = 3 and k = 3; its residual's 3 names form 3
+    (_a3_table_cell, "conjecture", "conjecture-expansion", [(7, 3, -1)]),
+    (_a3_table_cell, "gidentity", "total-count-partition", [(7, 0, -1)]),
+    (_table_total, "gidentity", "total-count-partition", [(7, 0, 1), (8, 0, -1), (7, 1, 1)]),
+    (_to_domino_reversed, "prop1", "primitive-domino-bijection", [(4, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("fault,suite,identity,residual", _FAULT_ROWS)
 def test_injected_fault_fails_its_identity_at_its_cell(monkeypatch, tables8, fault, suite,
                                                         identity, residual):
     tables = copy.deepcopy(tables8)
@@ -562,3 +586,8 @@ def test_injected_fault_fails_its_identity_at_its_cell(monkeypatch, tables8, fau
     report = next(r for r in reports if r.identity == identity)
     assert not report.passed
     assert report.residual == [(n, k, Fraction(c)) for n, k, c in residual]
+
+
+def test_every_identity_has_a_fault_row(tables8):
+    emitted = {r.identity for r in run_suites(SUITES, max_n=8, tables=tables8)}
+    assert emitted == {identity for _, _, identity, _ in _FAULT_ROWS}

@@ -23,22 +23,24 @@ Suites:
 * gidentity  -- the total-count partition identity and OEIS A061552 totals.
 
 Every member-level check streams its members from the one generating-tree
-walk, ``enumeration._walk``. The codec sweep at large n is the expensive
-part; it walks every size in one pass. It and the count tables cut the tree
-at the same seed size at every worker count, and ``enumeration._fan_out``
-splits the seeds over the workers; the parts merge by addition, so any
-worker count does the same work and produces identical reports (timings
-aside). The checks run the unchecked raw helpers of ``products`` and
-``dominoes`` on the walk's bare value tuples and compare their images with
-the walk; the public wrappers, which check their arguments, are not called.
-The scan's roots and walk skip the subtrees that hold no a = 2 member, and
-the encoder factors each member in one pass. The domino map walks no tree:
-its roots are the column-tag vectors, most points first so that the
-longest start first, and ``_fan_out`` splits them over the same workers;
-each maps its generated dominoes, as value tuples, to primitives and back.
-The README gives the measured times. A suite that raises is reported as
-one failing report that names the suite and the exception, and the suites
-after it still run.
+walk, ``enumeration._walk``, and holds no set of them: the insertion
+accounting checks each parent's children as the walk yields the parent, and
+the codec's explicit check compares its decoded images with the scan's
+counts. The codec sweep at large n is the expensive part; it walks every
+size in one pass. It and the count tables cut the tree at the same seed size
+at every worker count, and ``enumeration._fan_out`` splits the seeds over
+the workers; the parts merge by addition, so any worker count does the same
+work and produces identical reports (timings aside). The checks run the
+unchecked raw helpers of ``products`` and ``dominoes`` on the walk's bare
+value tuples and compare their images with the walk; the public wrappers,
+which check their arguments, are not called. The scan's roots and walk skip
+the subtrees that hold no a = 2 member, and the encoder factors each member
+in one pass. The domino map walks no tree: its roots are the column-tag
+vectors, most points first so that the longest start first, and ``_fan_out``
+splits them over the same workers; each maps its generated dominoes, as
+value tuples, to primitives and back. The README gives the measured times. A
+suite that raises is reported as one failing report that names the suite and
+the exception, and the suites after it still run.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .genfun import (
     t2k_series,
     t_ak_bruteforce,
 )
-from .permutations import DomainError, _reverse_complement_raw
+from .permutations import DomainError, _reverse_complement_raw, _word_contains_1324
 from .products import _contract_raw, _decode_raw, _expand_raw, _factorize_raw
 from .series import TruncatedSeries
 
@@ -108,39 +110,28 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
 
     start = time.monotonic()
     acc_max = min(max_n, _ACCOUNTING_MAX_N)
-    residual = []
-    parents: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # by the children's (n, k)
-    for size, _, k, v, _ in _walk(2, acc_max - 1, 1):
-        parents.setdefault((size + 1, k), []).append(v)
-    for n in range(3, acc_max + 1):
-        size = n - 1
-        for k in range(1, n - 1):
-            seen: set[tuple[int, ...]] = set()
-            gap_sum = 0
-            ok = True
-            for parent in parents.get((n, k), ()):
-                j = size - 1 - parent.index(size)  # entries right of the maximum
-                # the mirror: rc(parent) has its 1 k places left of its
-                # maximum, at index k + j, so it is in class (1, k) with
-                # n - 2 - k - j entries right of its maximum; its gaps and the
-                # parent's add up to n - k, and the gap sum to (n - k)/2 a_{n-1,k}
-                rc = _reverse_complement_raw(parent)
-                top = rc.index(size)
-                if top - rc.index(1) != k or top != k + j:
-                    ok = False
-                children = _expand_raw(parent)
-                gap_sum += len(children)
-                if len(children) != j + 1:
-                    ok = False
-                for child in children:
-                    if child in seen:
-                        ok = False
-                    seen.add(child)
-                    if _contract_raw(child) != parent:
-                        ok = False
-            # a repeated child clears ok, so the children are all distinct
-            if not ok or gap_sum != tables[n].count(2, k):
-                residual.append((n, k, Fraction(gap_sum - tables[n].count(2, k) or 1)))
+    gap_sums: dict[tuple[int, int], int] = {}  # by the children's (n, k)
+    faults: set[tuple[int, int]] = set()
+    for size, _, k, parent, _ in _walk(2, acc_max - 1, 1):
+        key = (size + 1, k)
+        j = size - 1 - parent.index(size)  # entries right of the maximum
+        # the mirror: rc(parent) has its 1 k places left of its maximum, at
+        # index k + j, so it is in class (1, k) with n - 2 - k - j entries
+        # right of its maximum; its gaps and the parent's add up to n - k,
+        # and the gap sum to (n - k)/2 a_{n-1,k}
+        rc = _reverse_complement_raw(parent)
+        top = rc.index(size)
+        children = _expand_raw(parent)
+        gap_sums[key] = gap_sums.get(key, 0) + len(children)
+        # contraction is a function, so a child that two parents share fails
+        # it for one of them: distinct children per parent are distinct overall
+        if (top - rc.index(1) != k or top != k + j or len(children) != j + 1
+                or len(set(children)) != len(children)
+                or any(_contract_raw(child) != parent for child in children)):
+            faults.add(key)
+    residual = [(n, k, Fraction(gap_sums.get((n, k), 0) - tables[n].count(2, k) or 1))
+                for n in range(3, acc_max + 1) for k in range(1, n - 1)
+                if (n, k) in faults or gap_sums.get((n, k), 0) != tables[n].count(2, k)]
     reports.append(_report("a2-insertion-accounting",
                            {"max_n": acc_max}, residual, start))
     return reports
@@ -193,40 +184,53 @@ def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _explicit_codec_check(max_n: int, not1_sets: dict[tuple[int, int], set]
+def _explicit_codec_check(max_n: int, not1: dict[tuple[int, int], int]
                           ) -> Optional[tuple[int, int]]:
     """Decode every valid marked tuple of target size <= max_n and check the
-    image is exactly the class members not ending in 1, with encode as a
-    two-sided inverse. Returns the first (n, k) that disagrees, or None; a
-    roundtrip that raises DomainError is a disagreement too.
+    images are exactly the class members not ending in 1, with encode as a
+    two-sided inverse. ``not1`` holds the codec scan's count of those
+    members per (n, k). Returns the first cell, 4 <= n <= max_n and
+    1 <= k <= n - 3, that disagrees, or None; a roundtrip that raises
+    DomainError is a disagreement too.
 
     The components are the tree walk's value tuples, and the codec scan's
     raw pair decodes and encodes them unchecked: _decode_raw, and
-    _factorize_raw with low cut 2. The set equality with the walked
-    members is the check on the decoded side."""
+    _factorize_raw with low cut 2. Each image must encode back to its own
+    tuple, so decoding is injective; pass a class test the codec does not
+    run (a permutation of 1..n in class (2, k), avoiding 1324, not ending
+    in 1), so the images lie in the class; and number as many as the walk
+    counted. An injective map into a finite set with as many images as the
+    set has members is onto it: the images are the walked members."""
     prims: dict[int, list[tuple[int, ...]]] = {}
     for m, _, _, v, _ in _walk(2, max_n - 1, 1, 1):
         prims.setdefault(m, []).append(v)
-    for (n, k), expected in sorted(not1_sets.items()):
-        decoded: set[tuple[int, ...]] = set()
-        total = n + k - 1
-        for slot in range(k):
-            mins = [4 if i == slot else 2 for i in range(k)]
-            for sizes in _compositions(total, mins):
-                # the marked components: class-(2, 1) members not ending in 1
-                pools = [not1_sets.get((s, 1), ()) if i == slot else prims.get(s, ())
-                         for i, s in enumerate(sizes)]
-                for combo in itertools.product(*pools):
-                    try:
-                        sigma = _decode_raw(combo, slot)
-                        comps, idx = _factorize_raw(sigma, 2)
-                        if sigma in decoded or (tuple(map(tuple, comps)), idx) != (combo, slot):
+    marked: dict[int, list[tuple[int, ...]]] = {}  # class-(2, 1) members not ending in 1
+    for m, _, _, v, _ in _walk(4, max_n, 2, 1):
+        if v[-1] != 1:
+            marked.setdefault(m, []).append(v)
+    for n in range(4, max_n + 1):
+        perm = list(range(1, n + 1))
+        for k in range(1, n - 2):
+            images = 0
+            for slot in range(k):
+                mins = [4 if i == slot else 2 for i in range(k)]
+                for sizes in _compositions(n + k - 1, mins):
+                    pools = [marked.get(s, ()) if i == slot else prims.get(s, ())
+                             for i, s in enumerate(sizes)]
+                    for combo in itertools.product(*pools):
+                        try:
+                            sigma = _decode_raw(combo, slot)
+                            comps, idx = _factorize_raw(sigma, 2)
+                        except DomainError:  # an image outside the domain disagrees
                             return n, k
-                    except DomainError:  # an image outside the domain disagrees
-                        return n, k
-                    decoded.add(sigma)
-        if decoded != expected:
-            return n, k
+                        if ((tuple(map(tuple, comps)), idx) != (combo, slot)
+                                or sorted(sigma) != perm or _word_contains_1324(sigma)
+                                or not sigma.index(2) + k == sigma.index(n) < sigma.index(1)
+                                or sigma[-1] == 1):
+                            return n, k
+                        images += 1
+            if images != not1.get((n, k), 0):
+                return n, k
     return None
 
 
@@ -278,11 +282,7 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
         for n in range(3, max_n + 1) for k in range(1, n - 1))
 
     explicit_top = min(max_n, _EXPLICIT_MAX_N)
-    not1_sets: dict[tuple[int, int], set] = {}
-    for n, _, k, v, _ in _walk(4, explicit_top, 2):
-        if v[-1] != 1:
-            not1_sets.setdefault((n, k), set()).add(v)
-    bad = _explicit_codec_check(explicit_top, not1_sets)
+    bad = _explicit_codec_check(explicit_top, not1)
     if bad is not None:
         residual.append((*bad, Fraction(1)))
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,12 @@ import permpos.verify
 from permpos.cli import main
 from permpos.dominoes import enumerate_dominoes, to_domino
 from permpos.enumeration import _walk, count_tables
-from permpos.permutations import DomainError, Permutation
-from permpos.products import _decode_raw
+from permpos.permutations import DomainError, Permutation, _word_contains_1324
+from permpos.products import _decode_raw, _expand_raw
 from permpos.series import TruncatedSeries
 from permpos.verify import (
     SUITES,
+    _codec_scan,
     _explicit_codec_check,
     run_suites,
     suite_gidentity,
@@ -171,17 +173,20 @@ def test_codec_failures_do_not_depend_on_worker_count(monkeypatch):
     assert runs[0]["residual"] == [[len(v), 0, "1"] for v in smallest] + [[4, 1, "1"]]
 
 
+def _not1_counts(max_n):
+    # the codec scan's count of the a = 2 members not ending in 1, by (n, k)
+    return _codec_scan(_walk(3, max_n, 2))[0]
+
+
 def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tables8):
-    not1_sets = {}
-    for n, _, k, v, _ in _walk(4, 8, 2):
-        if v[-1] != 1:
-            not1_sets.setdefault((n, k), set()).add(v)
-    assert _explicit_codec_check(8, not1_sets) is None
+    not1 = _not1_counts(8)
+    assert _explicit_codec_check(8, not1) is None
 
     # a decoder that sends every tuple of size 7 with three components to
-    # the image of the first one; only the explicit check's calls, whose
-    # components come as a tuple from itertools.product, are broken, and
-    # the codec scan's, with a list from the encoder, are not
+    # the image of the first one, which re-encodes to the first tuple only;
+    # only the explicit check's calls, whose components come as a tuple
+    # from itertools.product, are broken, and the codec scan's, with a list
+    # from the encoder, are not
     real = permpos.verify._decode_raw
     first = {}
 
@@ -192,16 +197,69 @@ def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tab
         return sigma
 
     monkeypatch.setattr(permpos.verify, "_decode_raw", broken)
-    assert _explicit_codec_check(8, not1_sets) == (7, 3)
+    assert _explicit_codec_check(8, not1) == (7, 3)
     codec = _codec_report(suite_thm3(8, 8, tables8))
     assert not codec.passed
     assert codec.residual == [(7, 3, Fraction(1))]
 
-    # a member the walk produced but no tuple decodes to
+    # one member more than the tuples decode to
     monkeypatch.undo()
-    missing = {key: set(members) for key, members in not1_sets.items()}
-    missing[(6, 2)].add((6, 5, 4, 3, 2, 1))
-    assert _explicit_codec_check(8, missing) == (6, 2)
+    assert _explicit_codec_check(8, {**not1, (6, 2): not1[(6, 2)] + 1}) == (6, 2)
+
+
+def test_explicit_codec_check_decodes_a_class_the_counts_leave_out():
+    # a cell missing from the counts is still decoded, and its tuples then
+    # outnumber the members counted there, none
+    not1 = _not1_counts(8)
+    for cell in ((4, 1), (6, 2), (8, 5)):
+        assert _explicit_codec_check(8, {key: c for key, c in not1.items() if key != cell}) == cell
+
+
+def test_explicit_codec_check_tests_the_class_of_each_image(monkeypatch, tables8):
+    # the decoder and the encoder agree on one size-7, k = 3 tuple, whose
+    # image contains 1324 (2 5 4 6); decoding stays injective, the image
+    # count is unchanged, and only the class test names (7, 3)
+    outsider = (2, 3, 5, 7, 1, 4, 6)
+    assert _word_contains_1324(outsider)
+    member = next(v for _, _, _, v, _ in _walk(7, 7, 2, 3) if v[-1] != 1)
+    comps, slot = permpos.verify._factorize_raw(member, 2)
+    combo = tuple(map(tuple, comps))
+    real_decode = permpos.verify._decode_raw
+    real_encode = permpos.verify._factorize_raw
+
+    def decode(comps, marked_idx=-1):
+        if isinstance(comps, tuple) and (comps, marked_idx) == (combo, slot):
+            return outsider
+        return real_decode(comps, marked_idx)
+
+    def encode(values, low=1):
+        if tuple(values) == outsider and low == 2:
+            return [list(c) for c in combo], slot
+        return real_encode(values, low)
+
+    monkeypatch.setattr(permpos.verify, "_decode_raw", decode)
+    monkeypatch.setattr(permpos.verify, "_factorize_raw", encode)
+    assert _explicit_codec_check(8, _not1_counts(8)) == (7, 3)
+    assert _codec_report(suite_thm3(8, 8, tables8)).residual == [(7, 3, Fraction(1))]
+
+
+@pytest.mark.parametrize("suite,bound", [
+    (lambda tables: suite_thm2(9, tables), 1 << 20),
+    (lambda tables: suite_thm3(9, 9, tables), 2 << 20),
+], ids=["thm2", "thm3"])
+def test_exhaustive_checks_hold_no_member_sets(suite, bound):
+    # the accounting and the explicit codec check run to n = 9 over every
+    # member without holding them; holding the members in per-(n, k) sets
+    # peaks at 2.4 and 3.0 MiB here, above these bounds
+    tables = count_tables(9)
+    tracemalloc.start()
+    try:
+        reports = suite(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < bound
 
 
 def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
@@ -488,6 +546,17 @@ def _expand_repeats_a_child(monkeypatch, tables):
           lambda args, cs: cs[:-1] + cs[:1] if args[0] == parent else cs)
 
 
+def _expand_borrows_a_child(monkeypatch, tables):
+    # in place of its last child, the parent yields a child of another
+    # parent of its class; the gap sum and the child count hold, and only
+    # the contraction sees that two parents share the child
+    parent = _parent()
+    other = next(v for _, _, _, v, _ in _walk(6, 6, 1, 3) if v != parent)
+    borrowed = _expand_raw(other)[0]
+    _wrap(monkeypatch, "_expand_raw",
+          lambda args, cs: cs[:-1] + [borrowed] if args[0] == parent else cs)
+
+
 def _contract_misses_the_parent(monkeypatch, tables):
     parent = _parent()
     _wrap(monkeypatch, "_contract_raw",
@@ -574,6 +643,7 @@ _FAULT_ROWS = [
     (_a3_table_cell, "gidentity", "total-count-partition", [(7, 0, -1)]),
     (_table_total, "gidentity", "total-count-partition", [(7, 0, 1), (8, 0, -1), (7, 1, 1)]),
     (_to_domino_reversed, "prop1", "primitive-domino-bijection", [(4, 0, 1)]),
+    (_expand_borrows_a_child, "thm2", "a2-insertion-accounting", [(7, 3, 1)]),
 ]
 
 

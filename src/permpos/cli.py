@@ -34,7 +34,7 @@ from .genfun import (
     t2k_series,
     t_ak_bruteforce,
 )
-from .permutations import DomainError, InvalidWordError, parse_permutation
+from .permutations import parse_permutation
 from .products import factorize
 from .verify import SUITES, _check_suite_args, run_suites
 
@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, args.parser)
-    except (DomainError, InvalidWordError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,10 +144,11 @@ def generate_avoiders(n: int, pattern: Permutation = PATTERN_1324) -> Iterator[P
 #   * its class is (a, k) = (pm, p - pmpos) where pm is the minimum of the
 #     first p-1 entries of sig and pmpos its position (p = 1 children start
 #     with the maximum and carry no class);
-#   * its own bound is L+1, or q if some position q in p..L has sig(q) > pm,
-#     the first such q -- the inserted maximum over an earlier smaller
-#     entry turns any later larger entry into a 132. _expand_state states
-#     the same rule on state codes.
+#   * its own bound Lc is the first position q in p..L with sig(q) > pm, or
+#     L+1 if there is none -- the inserted maximum over an earlier smaller
+#     entry turns any later larger entry into a 132. Every site finds it
+#     with one scan, Lc = p; while Lc <= L and sig(Lc) < pm: Lc += 1, and
+#     _expand_state and _count_grandchildren run it on state codes.
 #
 # With a class filter a, a node of size >= a is not expanded when its bound
 # L is at most the 0-based index of a: its first L + 1 entries hold a 132
@@ -165,8 +166,7 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
     With a or k given, only members of a matching class are yielded, and
     the filter runs before the member's tuple is built. Without filters,
     the members that start with their maximum are yielded too, with a and k
-    None. L is the member's bound, or None at size max_n, below which
-    nothing is walked.
+    None. L is the member's bound.
 
     With a given, only subtrees that can hold class a are walked. A class-a
     member has a before every smaller value, and inserting a maximum keeps
@@ -190,11 +190,10 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
         emit = child_n >= min_n
         if deeper or (emit and every):
             child = (child_n,) + sig
-            Lc = L + 1 if deeper else None
             if emit and every:
-                yield child_n, None, None, child, Lc
+                yield child_n, None, None, child, L + 1
             if deeper:
-                stack.append((child, Lc))
+                stack.append((child, L + 1))
         if child_n == a:
             continue
         pm = sig[0]
@@ -205,19 +204,16 @@ def _walk(min_n: int, max_n: int, a: Optional[int] = None, k: Optional[int] = No
                 pm = v
                 pmpos = p - 1
             hit = emit and (a is None or pm == a) and (k is None or p - pmpos == k)
-            if not deeper:
-                if hit:
-                    yield child_n, pm, p - pmpos, sig[:p - 1] + (child_n,) + sig[p - 1:], None
+            if not (deeper or hit):
                 continue
-            Lc = L + 1
-            for q in range(p - 1, L):
-                if sig[q] > pm:
-                    Lc = q + 1
-                    break
+            Lc = p
+            while Lc <= L and sig[Lc - 1] < pm:
+                Lc += 1
             child = sig[:p - 1] + (child_n,) + sig[p - 1:]
             if hit:
                 yield child_n, pm, p - pmpos, child, Lc
-            stack.append((child, Lc))
+            if deeper:
+                stack.append((child, Lc))
 
 
 def _outside_class(sig: tuple[int, ...], L: int, a: Optional[int]) -> bool:
@@ -246,9 +242,8 @@ def _tree_roots(max_n: int, a: Optional[int] = None) -> list:
     seed = min(_SEED_SIZE, max_n)
     if seed == max_n:
         return [(_ROOT, max_n)]
-    # walked one size deeper than the seeds so that each carries its bound
-    return [(_ROOT, seed)] + [((v, L), max_n) for n, _, _, v, L in _walk(seed, seed + 1)
-                              if n == seed and not _outside_class(v, L, a)]
+    return [(_ROOT, seed)] + [((v, L), max_n) for _, _, _, v, L in _walk(seed, seed)
+                              if not _outside_class(v, L, a)]
 
 
 def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
@@ -286,9 +281,8 @@ def _add_counts(into: dict, part: dict) -> None:
 # -- state-merged counting ---------------------------------------------------
 #
 # A node's subtree depends only on its size, its bound L and its first L
-# entries. Entry L + 1 is never read: the child at p takes the first entry
-# q in p..L + 1 above its running minimum as its bound Lc, or L + 1 if there
-# is none, so entry L + 1 only ever gives Lc = L + 1, the bound without it;
+# entries. Entry L + 1 is never read: the bound scan above _walk stops at
+# L, and entry L + 1, above the running minimum or not, gives Lc = L + 1;
 # and a child's first Lc entries are the new maximum and entries before Lc.
 # Of those the rule above reads each prefix minimum's value and, for any
 # other entry x, which prefix minima lie below x. The shape is the bytes L,
@@ -373,11 +367,9 @@ def _expand_state(shape: bytes, st: list, size: int, max_n: int, runs: list,
     for p in range(2, L + 2):
         if shape[p - 1] > i:
             i += 1
-        Lc = L + 1
-        for q in range(p, L + 1):
-            if shape[q] <= i:
-                Lc = q
-                break
+        Lc = p
+        while Lc <= L and shape[Lc] > i:
+            Lc += 1
         key = bytes((Lc,)) + shape[1:p] + b"\0" + shape[p:Lc]
         into = merged.get(key)
         # the weight and the vectors of the prefix minima left of Lc
@@ -410,11 +402,9 @@ def _count_grandchildren(shape: bytes, st: list, at: list[int], max_n: int,
             row[p + 1 - at[i]] += st[i + 1]  # run i cut at p
             total += p + 1
             continue
-        Lc = L + 1
-        for q in range(p + 1, L + 1):
-            if shape[q] <= i:
-                Lc = q
-                break
+        Lc = p + 1
+        while Lc <= L and shape[Lc] > i:
+            Lc += 1
         J = bisect_left(at, Lc) - 1  # the last prefix minimum left of Lc
         longer[i] += 1
         full[J] += 1

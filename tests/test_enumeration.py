@@ -11,6 +11,7 @@ from permpos.enumeration import (
     _count_arrays,
     _expand_state,
     _fan_out,
+    _outside_class,
     _slot_bits,
     _tree_roots,
     _walk,
@@ -46,6 +47,16 @@ def lex_members(sizes, a=None, k=None):
             elif cls is not None and (a is None or cls.a == a) and (k is None or cls.k == k):
                 out[(n, cls.a, cls.k, p.values)] += 1
     return out
+
+
+def longest_132_free_prefix(v):
+    """The bound L of a node from its definition: the length of its longest
+    prefix that avoids 132, ended by the first m whose entry is the 2 of a
+    132."""
+    for m in range(2, len(v)):
+        if any(v[i] < v[m] < v[j] for i, j in combinations(range(m), 2)):
+            return m
+    return len(v)
 
 
 def members_below(roots):
@@ -548,21 +559,17 @@ class TestWalk:
         assert walked == lex_members(range(2, 9))
 
     def test_bounds_are_the_longest_132_free_prefixes(self, tables8):
-        # the bound L of a node is the length of its longest prefix that
-        # avoids 132: the first m whose entry is the 2 of a 132 ends it
-        def longest_132_free_prefix(v):
-            for m in range(2, len(v)):
-                if any(v[i] < v[m] < v[j] for i, j in combinations(range(m), 2)):
-                    return m
-            return len(v)
-
+        # every member carries its bound, those of the last size included,
+        # and so do the members of a filtered walk
         nodes = 0
-        for _, _, _, v, L in _walk(1, 9):
-            if L is not None:
-                nodes += 1
-                assert L == longest_132_free_prefix(v), v
+        for _, _, _, v, L in _walk(1, 8):
+            nodes += 1
+            assert L == longest_132_free_prefix(v), v
         # every avoider of size 2..8 is a node with a bound
         assert nodes == sum(tables8[n].total for n in range(2, 9))
+        for walk in (_walk(3, 9, 2), _walk(2, 9, 1, 1)):
+            for _, _, _, v, L in walk:
+                assert L == longest_132_free_prefix(v), v
 
     @pytest.mark.parametrize("a,k", [(1, 1), (2, None), (2, 3)])
     def test_filters_match_lex_generator(self, a, k):
@@ -589,8 +596,8 @@ class TestWalk:
         # the walk filtered to a = 2 does not expand a node whose bound L is
         # at most the index of 2; the unfiltered walk below each such
         # size-7 node with 2 before 1 must meet no class-2 member
-        pruned = [(v, L) for n, _, _, v, L in _walk(7, 8)
-                  if n == 7 and v.index(2) < v.index(1) and L <= v.index(2)]
+        pruned = [(v, L) for _, _, _, v, L in _walk(7, 7)
+                  if v.index(2) < v.index(1) and L <= v.index(2)]
         assert pruned
         below = [m for node in pruned for m in _walk(8, 10, root=node)]
         assert below
@@ -599,6 +606,19 @@ class TestWalk:
     def test_roots_up_to_the_seed_size_are_the_tree_root(self, tables8):
         for n in range(1, _SEED_SIZE + 1):
             assert _tree_roots(n) == [(enumeration._ROOT, n)]
+
+    @pytest.mark.parametrize("a", [None, 1, 2, 3])
+    def test_roots_past_the_seed_size_are_the_seed_avoiders(self, a):
+        # the tree root walked to the seed size, then every size-7 avoider
+        # a walk for class a would enter, each once, with its bound
+        seeds = [(p.values, longest_132_free_prefix(p.values))
+                 for p in generate_avoiders(_SEED_SIZE)]
+        want = sorted(node for node in seeds if not _outside_class(*node, a))
+        for n in (8, 9, 11):
+            roots = _tree_roots(n, a)
+            assert roots[0] == (enumeration._ROOT, _SEED_SIZE)
+            assert all(top == n for _, top in roots[1:])
+            assert sorted(node for node, _ in roots[1:]) == want, (n, a)
 
     def test_thm3_at_the_seed_size_keeps_its_reports(self, tables8, monkeypatch):
         # the same thm3 reports as with every size-7 node listed as a root
@@ -610,7 +630,7 @@ class TestWalk:
         alone = reports()
         monkeypatch.setattr(verify, "_tree_roots", lambda max_n, a=None: [
             (enumeration._ROOT, max_n)] + [
-            ((v, L), max_n) for n, _, _, v, L in _walk(max_n, max_n + 1) if n == max_n])
+            ((v, L), max_n) for _, _, _, v, L in _walk(max_n, max_n)])
         assert reports() == alone
         assert all(r["pass"] for r in alone)
 

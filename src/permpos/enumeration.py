@@ -34,7 +34,8 @@ Both sweeps cut the tree at size min(_SEED_SIZE, max_n), whatever the
 worker count, and :func:`_fan_out`, the one parallel helper, runs a
 module-level worker over chunks of the nodes or count states of that size.
 Parts merge by addition, so the worker count chooses where the work runs,
-never what is computed.
+never what is computed. The pool module is loaded only when a stage runs on
+more than one worker, so a serial run never imports :mod:`multiprocessing`.
 
 Class counts are exact Python integers end to end; tables can be persisted
 as JSON-lines with decimal-string counts so no width limit is ever hit.
@@ -48,7 +49,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from multiprocessing import Pool
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -257,9 +257,10 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
     ``roots`` as given, so an iterable is never listed. Otherwise the roots
     are listed and cut into about _CHUNKS_PER_WORKER chunks per worker, so
     no worker idles on a long tail, and run in one Pool; ``worker`` must
-    then pickle, as a module-level function or a partial of one. Each chunk
-    is a run of neighbouring roots, so sorted count shapes that share a
-    prefix, and merge below, stay in one chunk. Chunks are disjoint, so
+    then pickle, as a module-level function or a partial of one. The pool
+    module is loaded on the first fan-out to more than one worker. Each
+    chunk is a run of neighbouring roots, so sorted count shapes that share
+    a prefix, and merge below, stay in one chunk. Chunks are disjoint, so
     callers that merge the parts by addition get the same result for every
     worker count.
     """
@@ -269,6 +270,7 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
     nchunks = min(len(roots), workers * _CHUNKS_PER_WORKER)
     cuts = [len(roots) * i // nchunks for i in range(nchunks + 1)]
     chunks = [roots[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    from multiprocessing import Pool  # here, so a serial run never loads it
     with Pool(workers) as pool:
         return list(pool.imap_unordered(worker, chunks))
 

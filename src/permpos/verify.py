@@ -200,9 +200,14 @@ def _explicit_codec_check(max_n: int, not1: dict[tuple[int, int], int]
     run (a permutation of 1..n in class (2, k), avoiding 1324, not ending
     in 1), so the images lie in the class; and number as many as the walk
     counted. An injective map into a finite set with as many images as the
-    set has members is onto it: the images are the walked members."""
+    set has members is onto it: the images are the walked members.
+
+    A tuple of target size n has one marked component of size >= 4 and
+    k - 1 primitives of size >= 2, with sizes summing to n + k - 1, so a
+    primitive has size at most n - 3. The primitive pool therefore holds
+    sizes 2..max_n - 3 and the marked pool sizes 4..max_n."""
     prims: dict[int, list[tuple[int, ...]]] = {}
-    for m, _, _, v, _ in _walk(2, max_n - 1, 1, 1):
+    for m, _, _, v, _ in _walk(2, max_n - 3, 1, 1):
         prims.setdefault(m, []).append(v)
     marked: dict[int, list[tuple[int, ...]]] = {}  # class-(2, 1) members not ending in 1
     for m, _, _, v, _ in _walk(4, max_n, 2, 1):

@@ -1,6 +1,9 @@
 import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -640,6 +643,24 @@ class TestWalk:
         parts = _fan_out(members_below, _tree_roots(9), 2)
         assert len(parts) > 1
         assert sum(parts, Counter()) == lex_members(range(2, 10))
+
+    def test_only_a_fan_out_loads_the_pool_module(self):
+        # a fresh interpreter, so no earlier test has loaded the module: a
+        # serial verify never imports multiprocessing, a two-worker count does
+        script = (
+            "import contextlib, io, sys\n"
+            "from permpos import cli\n"
+            "from permpos.enumeration import count_tables\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['verify', '--suite', 'all', '--max-n', '8', '--threads', '1'])\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "count_tables(9, workers=2)\n"
+            "print('multiprocessing' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(enumeration.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_partition_does_not_depend_on_the_worker_count(self, monkeypatch):
         # the worker count chooses where the roots run, never which roots

@@ -51,7 +51,7 @@ from functools import partial
 from itertools import islice
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .permutations import (
     PATTERN_1324,
@@ -90,12 +90,21 @@ def classify(p: Permutation) -> Optional[PositionalClass]:
     """
     if _word_contains_1324(p.values):
         raise DomainError(f"{p!r} does not avoid 1324")
-    n = len(p)
-    if n <= 1 or p.values[0] == n:
+    cls = _class_raw(p.values)
+    return None if cls is None else PositionalClass(*cls)
+
+
+def _class_raw(values: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(a, k) of a permutation of 1..n given by its values, or None if it
+    starts with its maximum (or n <= 1): a is the smallest value left of n
+    and k its distance to n. Runs no 1324 scan; the class checks outside
+    the generating tree and the codec's decoder read this one."""
+    n = len(values)
+    if n <= 1 or values[0] == n:
         return None
-    pos_n = p.values.index(n)
-    a = min(p.values[:pos_n])
-    return PositionalClass(a, pos_n - p.values.index(a))
+    top = values.index(n)
+    a = min(values[:top])
+    return a, top - values.index(a)
 
 
 # -- lexicographic backtracking generator -----------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import ge
 from typing import Sequence
 
-from .enumeration import PositionalClass, classify
+from .enumeration import PositionalClass, _class_raw, classify
 from .permutations import (
     DomainError,
     Permutation,
@@ -46,28 +46,19 @@ from .permutations import (
 
 
 def is_primitive(p: Permutation) -> bool:
-    """True iff n >= 2, p avoids 1324, and 1 sits immediately left of n."""
-    n = len(p)
-    if n < 2:
-        return False
-    vals = p.values
-    if vals.index(n) - vals.index(1) != 1:
-        return False
-    return not _word_contains_1324(vals)
+    """True iff n >= 2, p avoids 1324, and 1 sits immediately left of n:
+    p is in class (1, 1)."""
+    return _class_raw(p.values) == (1, 1) and not _word_contains_1324(p.values)
 
 
 def is_marked_component(p: Permutation) -> bool:
     """True iff p qualifies as the marked component of a tuple: its 2 sits
     immediately left of its maximum, its 1 is right of the maximum but not
-    last, and it avoids 1324. The smallest such size is 4 (e.g. 2413)."""
-    n = len(p)
+    last, and it avoids 1324: p is in class (2, 1) and does not end in 1.
+    The smallest such size is 4 (e.g. 2413)."""
     vals = p.values
-    if n < 4 or vals[-1] == 1:
-        return False
-    # class (2, 1): 2 adjacent-left of the maximum, and 1 right of it
-    if not vals.index(2) + 1 == vals.index(n) < vals.index(1):
-        return False
-    return not _word_contains_1324(vals)
+    return (_class_raw(vals) == (2, 1) and vals[-1] != 1
+            and not _word_contains_1324(vals))
 
 
 # -- raw helpers on value sequences ------------------------------------------
@@ -104,9 +95,11 @@ def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int
     class.
 
     With low = 2, t's 1 is a mark and not a cut (the marked-tuple encoding
-    of a class-(2, k) avoider): it joins the factor of its right neighbour,
-    just before it, and the rest of that factor is raised by one. Returns
-    (factors, index of the factor holding the 1), or (factors, -1)."""
+    of a class-(2, k) avoider, whose 1 is right of its maximum): it joins
+    the factor of its right neighbour, just before it, and the rest of that
+    factor is raised by one. A 1 between the 2 and the maximum breaks theta
+    and raises DomainError. Returns (factors, index of the factor holding
+    the 1), or (factors, -1)."""
     n = len(t)
     try:
         i = t.index(low)
@@ -121,8 +114,6 @@ def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int
     if j == i + 1:
         return [list(t)], (0 if low > 1 else -1)  # t is its own single factor
     cuts = list(t[i:j + 1])
-    if i < one < j:
-        del cuts[one - i]
     if any(map(ge, cuts, cuts[1:])):
         raise DomainError(f"{tuple(t)}: segment between {low} and the maximum not increasing")
     k = len(cuts) - 1
@@ -148,9 +139,6 @@ def _factorize_raw(t: Sequence[int], low: int = 1) -> tuple[list[list[int]], int
     place(t[:i])
     for r in range(k):
         factors[r] += (cuts[r] - base[r], cuts[r + 1] - base[r])
-    if i < one < j:  # a 1 among the cuts goes before its neighbour, a cut
-        f = factors[marked]
-        f.insert(len(f) - (1 if one == j - 1 else 2), 1)
     place(t[j + 1:])
     return factors, marked
 
@@ -170,11 +158,12 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
     other value raised by one. A component that lacks its 1, its 2 (when
     marked) or its maximum raises DomainError, as any other invalid one."""
     try:
-        # The k = 1 fast path; keep it. The loop below gives the same
-        # results and error types on every lone component of size <= 8, but
-        # 40,705 of the 81,056 a = 2 codec members of size <= 10 come here,
-        # and without it _codec_worker(_tree_roots(10, 2)) took a median
-        # 0.74-0.92 s against 0.63-0.85 s (2-core Xeon, Python 3.11).
+        # The k = 1 fast path; keep it, and keep its class-(2, 1) test
+        # inline. The loop below gives the same results and error types on
+        # every lone component of size <= 8, but 238,045 of the 483,848
+        # codec members of size <= 11 come here, and without it
+        # _codec_worker(_tree_roots(10, 2)) took a median 0.74-0.92 s
+        # against 0.63-0.85 s (2-core Xeon, Python 3.11).
         if len(comps) == 1 and marked_idx == 0:
             c = comps[0]
             if not c.index(2) + 1 == c.index(len(c)) < c.index(1) < len(c) - 1:

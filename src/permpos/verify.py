@@ -51,7 +51,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dominoes import _cell_words, _from_domino_raw, _tagged_dominoes, _tags, _to_domino_raw
-from .enumeration import _add_counts, _fan_out, _split_workers, _tree_roots, _walk, count_tables
+from .enumeration import (_add_counts, _class_raw, _fan_out, _split_workers, _tree_roots,
+                          _walk, count_tables)
 from .genfun import (
     IdentityReport,
     Tables,
@@ -115,17 +116,15 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
     for size, _, k, parent, _ in _walk(2, acc_max - 1, 1):
         key = (size + 1, k)
         j = size - 1 - parent.index(size)  # entries right of the maximum
-        # the mirror: rc(parent) has its 1 k places left of its maximum, at
-        # index k + j, so it is in class (1, k) with n - 2 - k - j entries
-        # right of its maximum; its gaps and the parent's add up to n - k,
-        # and the gap sum to (n - k)/2 a_{n-1,k}
+        # the mirror: rc(parent) is in class (1, k) with its maximum at index
+        # k + j, so with n - 2 - k - j entries right of it; its gaps and the
+        # parent's add up to n - k, and the gap sum to (n - k)/2 a_{n-1,k}
         rc = _reverse_complement_raw(parent)
-        top = rc.index(size)
         children = _expand_raw(parent)
         gap_sums[key] = gap_sums.get(key, 0) + len(children)
         # contraction is a function, so a child that two parents share fails
         # it for one of them: distinct children per parent are distinct overall
-        if (top - rc.index(1) != k or top != k + j or len(children) != j + 1
+        if (_class_raw(rc) != (1, k) or rc.index(size) != k + j or len(children) != j + 1
                 or len(set(children)) != len(children)
                 or any(_contract_raw(child) != parent for child in children)):
             faults.add(key)
@@ -230,8 +229,7 @@ def _explicit_codec_check(max_n: int, not1: dict[tuple[int, int], int]
                             return n, k
                         if ((tuple(map(tuple, comps)), idx) != (combo, slot)
                                 or sorted(sigma) != perm or _word_contains_1324(sigma)
-                                or not sigma.index(2) + k == sigma.index(n) < sigma.index(1)
-                                or sigma[-1] == 1):
+                                or _class_raw(sigma) != (2, k) or sigma[-1] == 1):
                             return n, k
                         images += 1
             if images != not1.get((n, k), 0):

@@ -1,11 +1,11 @@
 import inspect
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 import permpos
-from permpos.enumeration import PositionalClass, classify, iter_class_members
+from permpos.enumeration import PositionalClass, _class_raw, classify, iter_class_members
 from permpos.permutations import (
     DomainError,
     PATTERN_1324,
@@ -51,6 +51,37 @@ def test_only_trusted_constructors_and_the_codec_take_validate():
                and not (isinstance(obj, type) and issubclass(obj, Exception))
                and "validate" in inspect.signature(obj).parameters}
     assert flagged == {"Permutation", "GriddedDomino", "decode_tuple", "encode_perm"}
+
+
+def has_1324(v):
+    """Oracle: some inversion v[b] > v[c] has a smaller value before it and
+    a larger one after it."""
+    return any(min(v[:b], default=v[c]) < v[c] < v[b] < max(v[c + 1:], default=0)
+               for b, c in combinations(range(len(v)), 2))
+
+
+def test_class_tests_match_their_definitions():
+    # _class_raw and the three class tests that read it, against the
+    # definitions in their docstrings on every permutation of size <= 8
+    seen = Counter()
+    for n in range(9):
+        for v in permutations(range(1, n + 1)):
+            top = v.index(n) if n else 0
+            # the smallest value left of n, and its distance to n
+            a = next((x for x in range(1, n) if v.index(x) < top), None)
+            cls = None if a is None else (a, top - v.index(a))
+            assert _class_raw(v) == cls, v
+            p = Permutation(v)
+            avoider = not has_1324(v)
+            want = (PositionalClass(*cls) if cls else None) if avoider else DomainError
+            got = _outcome(classify, p)
+            assert got == want and type(got) is type(want), v
+            assert is_primitive(p) == (n >= 2 and avoider and v.index(1) + 1 == top), v
+            marked = n >= 2 and avoider and v.index(2) + 1 == top < v.index(1) < n - 1
+            assert is_marked_component(p) == marked, v
+            seen[cls, avoider, is_primitive(p), marked] += 1
+    assert seen[None, True, False, False] and seen[(1, 1), True, True, False]
+    assert seen[(2, 1), True, False, True] and seen[(2, 1), False, False, False]
 
 
 class TestIsPrimitive:
@@ -424,11 +455,23 @@ class TestFlatCodecMatchesStepByStep:
                 assert _decode_raw(comps, marked) == _ref_decode(*ref) == sig
         assert seen and 0 < raised < seen
 
+    def test_a_one_between_the_2_and_the_maximum_is_refused(self):
+        # no class-(2, k) member has its 1 there: with low cut 2 it breaks
+        # theta, whether or not the rest would factor
+        for n in range(3, 8):
+            for sig in permutations(range(1, n + 1)):
+                if sig.index(2) < sig.index(1) < sig.index(n):
+                    with pytest.raises(DomainError, match="not increasing"):
+                        _factorize_raw(sig, 2)
+
     def test_factorize_and_recompose_on_every_candidate(self):
         # every permutation of size <= 8 with 1 left of its maximum, unmarked
         # and with every entry marked: a 1 inserted before the marked entry,
-        # every value raised, is the mark the loop takes with low cut 2
-        marks = raised = 0
+        # every value raised, is the mark the loop takes with low cut 2. A 1
+        # between the 2 and the maximum, where no class-(2, k) member has
+        # it, breaks theta, and the encoder raises where the reference
+        # still returns a tuple
+        marks = raised = among = 0
         for n in range(2, 9):
             for t in permutations(range(1, n + 1)):
                 if t.index(1) > t.index(n):
@@ -446,6 +489,10 @@ class TestFlatCodecMatchesStepByStep:
                     sig = up[:mark - 1] + (1,) + up[mark - 1:]
                     ref = _outcome(_ref_encode, sig)
                     got = _outcome(_factorize_raw, sig, 2)
+                    if sig.index(2) < sig.index(1) < sig.index(n + 1):
+                        among += ref is not DomainError
+                        assert got is DomainError, (t, mark)
+                        continue
                     if ref is DomainError:
                         assert got is DomainError, (t, mark)
                         continue
@@ -460,4 +507,4 @@ class TestFlatCodecMatchesStepByStep:
                         raised += 1
                         with pytest.raises(DomainError):
                             _decode_raw(comps, marked)
-        assert 0 < raised < marks
+        assert 0 < raised < marks and among

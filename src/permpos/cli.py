@@ -23,6 +23,7 @@ import json
 import sys
 from typing import Iterable
 
+from . import verify
 from .dominoes import enumerate_dominoes, to_domino
 from .enumeration import COUNT_MAX_N, DESK_MAX_N, DESK_OPT_IN_MAX_N, count_tables
 from .genfun import (
@@ -36,7 +37,6 @@ from .genfun import (
 )
 from .permutations import parse_permutation
 from .products import factorize
-from .verify import SUITES, _check_suite_args, run_suites
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", _cmd_verify, "run verification suites")
     p.add_argument("--suite", default="all",
-                   choices=("all",) + SUITES)
+                   choices=("all",) + tuple(name for name, _, _ in verify.DECLARATIONS),
+                   help="all runs the default suites in order; a name runs that suite alone")
     p.add_argument("--max-n", type=int, default=DESK_MAX_N, dest="max_n")
     p.add_argument("--a", type=int, default=None,
                    help="restrict the conjecture suite to one a (only with "
@@ -228,11 +229,11 @@ def _cmd_series(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     _check_max_n(parser, "--max-n", args.max_n, DESK_OPT_IN_MAX_N)
-    names = SUITES if args.suite == "all" else (args.suite,)
-    _check_suite_args(names, args.max_n, args.threads, args.a)  # before any table is counted
+    names = verify.SUITES if args.suite == "all" else (args.suite,)
+    verify._check_suite_args(names, args.max_n, args.threads, args.a)  # before the tables
     tables = _tables(args.max_n, args.cache_dir, args.threads)
-    reports = run_suites(names, max_n=args.max_n, workers=args.threads,
-                         fail_fast=args.strict, conjecture_a=args.a, tables=tables)
+    reports = verify.run_suites(names, max_n=args.max_n, workers=args.threads,
+                                fail_fast=args.strict, conjecture_a=args.a, tables=tables)
     lines = []
     for r in reports:
         params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))

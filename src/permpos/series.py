@@ -47,13 +47,9 @@ class TruncatedSeries:
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
-        cs = list(map(_exact, coeffs))
-        if order is None:
-            order = len(cs) - 1
-        if len(cs) < order + 1:
-            cs += [0] * (order + 1 - len(cs))
-        return cls(order, tuple(cs[:order + 1]))
+    def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "TruncatedSeries":
+        cs = tuple(map(_exact, coeffs))
+        return cls(len(cs) - 1, cs)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":

@@ -6,7 +6,10 @@ oracle and returns IdentityReports with exact residuals. One rule,
 by cell: a difference per (n, k) cell, kept when nonzero, in cell order.
 Only the insertion accounting, the codec's witnesses and explicit check,
 and the domino bijection, which are not differences, mark a cell by hand.
-Suites:
+DECLARATIONS is the one list of suites: each entry is a name, a call on
+(max_n, tables, workers, the conjecture a values, empty unless given) and
+whether ``--suite all`` runs it. ``all`` runs the default suites, SUITES, in
+declared order; an opt-in suite runs only when it is named. The suites:
 
 * thm1       -- class-(1, k) counts: enumeration vs convolution recurrence
                 vs coefficients of x f(x)^k.
@@ -72,8 +75,6 @@ from .genfun import (
 from .permutations import DomainError, _reverse_complement_raw, _word_contains_1324
 from .products import _contract_raw, _decode_raw, _expand_raw, _factorize_raw
 from .series import TruncatedSeries
-
-SUITES = ("thm1", "thm2", "thm3", "prop1", "conjecture", "gidentity")
 
 _ACCOUNTING_MAX_N = 9   # exhaustive insert-a-1 accounting
 _EXPLICIT_MAX_N = 9     # exhaustive two-sided codec enumeration
@@ -363,13 +364,27 @@ def suite_gidentity(max_n: int, tables: Tables) -> list[IdentityReport]:
     return [g_identity_check(max_n, tables)]
 
 
+DECLARATIONS = (
+    ("thm1", lambda max_n, tables, *_: suite_thm1(max_n, tables), True),
+    ("thm2", lambda max_n, tables, *_: suite_thm2(max_n, tables), True),
+    # k <= 9 at every max_n; at 12 that leaves out class (2, 10)
+    ("thm3", lambda max_n, tables, workers, _: suite_thm3(max_n, 9, tables, workers), True),
+    ("prop1", lambda max_n, tables, workers, _: suite_prop1(max_n, tables, workers), True),
+    ("conjecture", lambda max_n, tables, _, a: suite_conjecture(max_n, tables, a or (3, 4)), True),
+    ("gidentity", lambda max_n, tables, *_: suite_gidentity(max_n, tables), True),
+)
+SUITES = tuple(name for name, _, default in DECLARATIONS if default)
+
+
 def _check_suite_args(names: Sequence[str], max_n: int, workers: int,
                       conjecture_a: Optional[int]) -> None:
     """Raise ValueError for an argument run_suites would refuse, so that a
     caller can check before it counts the tables."""
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    declared = [name for name, _, _ in DECLARATIONS]
+    if unknown := [name for name in names if name not in declared]:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {tuple(declared)}")
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     if conjecture_a is not None and not 1 <= conjecture_a <= _CONJECTURE_K_MAX:
         raise ValueError(f"conjecture a must be in 1..{_CONJECTURE_K_MAX}")
     if conjecture_a is not None and "conjecture" not in names:
@@ -380,29 +395,21 @@ def _check_suite_args(names: Sequence[str], max_n: int, workers: int,
 def run_suites(names: Sequence[str], max_n: int = 11, workers: int = 1,
                fail_fast: bool = False, conjecture_a: Optional[int] = None,
                tables: Optional[Tables] = None) -> list[IdentityReport]:
-    """Run the named suites in a fixed order and return all reports, on the
-    given tables or on tables counted fresh. A bad argument raises
-    ValueError before any suite runs."""
+    """Run the named suites in declaration order and return all reports, on
+    the given tables or on tables counted fresh. A bad argument, or tables
+    that lack a size in 1..max_n, raise ValueError before any suite runs."""
     _check_suite_args(names, max_n, workers, conjecture_a)
     if tables is None:
         tables = count_tables(max_n, workers=workers)
-    a_values = (3, 4) if conjecture_a is None else (conjecture_a,)
-    calls = {
-        "thm1": lambda: suite_thm1(max_n, tables),
-        "thm2": lambda: suite_thm2(max_n, tables),
-        # k <= 9 at every max_n; at 12 that leaves out class (2, 10)
-        "thm3": lambda: suite_thm3(max_n, 9, tables, workers=workers),
-        "prop1": lambda: suite_prop1(max_n, tables, workers=workers),
-        "conjecture": lambda: suite_conjecture(max_n, tables, a_values=a_values),
-        "gidentity": lambda: suite_gidentity(max_n, tables),
-    }
+    elif missing := [n for n in range(1, max_n + 1) if n not in tables]:
+        raise ValueError(f"the given tables lack size {missing[0]}")
     reports: list[IdentityReport] = []
-    for name in SUITES:
+    for name, call, _ in DECLARATIONS:
         if name not in names:
             continue
         start = time.monotonic()
         try:
-            batch = calls[name]()
+            batch = call(max_n, tables, workers, () if conjecture_a is None else (conjecture_a,))
         except Exception as exc:  # a defect inside one suite is that suite's FAIL
             batch = [IdentityReport(
                 identity=name, passed=False,

@@ -1,7 +1,10 @@
 import copy
+import importlib.util
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +12,7 @@ import permpos.verify
 from permpos.cli import main
 from permpos.dominoes import enumerate_dominoes, to_domino
 from permpos.enumeration import _walk, count_tables
+from permpos.genfun import IdentityReport
 from permpos.permutations import DomainError, Permutation, _word_contains_1324
 from permpos.products import _decode_raw, _expand_raw
 from permpos.series import TruncatedSeries
@@ -52,10 +56,59 @@ def test_unknown_suite_rejected(tables8):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"conjecture_a": 7}, {"conjecture_a": 0}, {"workers": -1}])
+    {"conjecture_a": 7}, {"conjecture_a": 0}, {"workers": -1},
+    {"max_n": 0}, {"max_n": 9}])  # the given tables stop at size 8
 def test_bad_arguments_raise_before_any_suite(tables8, kwargs):
     with pytest.raises(ValueError):
-        run_suites(SUITES, max_n=8, tables=tables8, **kwargs)
+        run_suites(SUITES, **{"max_n": 8, "tables": tables8, **kwargs})
+
+
+def _without_millis(dicts):
+    return [{k: v for k, v in d.items() if k != "millis"} for d in dicts]
+
+
+def _verify_json(capsys, *argv):
+    code = main(["verify", *argv, "--max-n", "8", "--format", "json"])
+    return code, _without_millis(json.loads(capsys.readouterr().out))
+
+
+def test_an_opt_in_suite_runs_only_when_named(monkeypatch, tables8, capsys):
+    code, before = _verify_json(capsys, "--suite", "all")
+    assert code == 0
+    seen = []
+
+    def probe(max_n, tables, workers, a_values):
+        seen.append((max_n, workers, a_values))
+        return [IdentityReport("probe-identity", {"max_n": max_n}, True)]
+
+    declarations = permpos.verify.DECLARATIONS
+    monkeypatch.setattr(permpos.verify, "DECLARATIONS", declarations + (("probe", probe, False),))
+    assert permpos.verify.SUITES == ("thm1", "thm2", "thm3", "prop1", "conjecture", "gidentity")
+    assert permpos.verify.SUITES == tuple(
+        name for name, _, default in permpos.verify.DECLARATIONS if default)
+    assert _verify_json(capsys, "--suite", "all") == (0, before)
+    assert not seen
+    assert [r.identity for r in run_suites(("probe",), max_n=8, tables=tables8)] == \
+        ["probe-identity"]
+    assert _verify_json(capsys, "--suite", "probe") == (
+        0, [{"identity": "probe-identity", "params": {"max_n": 8}, "pass": True, "residual": []}])
+    assert seen == [(8, 1, ()), (8, 1, ())]
+    assert main(["verify", "--suite", "probe", "--max-n", "8", "--a", "3"]) == 2
+    assert seen == [(8, 1, ()), (8, 1, ())]  # refused before any suite runs
+
+
+def test_perfbench_calls_each_suite_as_run_suites_does(tables8):
+    # perfbench/run.py keeps its own copy of the suite calls; load it as it is
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py")
+    perfbench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench)
+    calls = perfbench.suite_calls(SimpleNamespace(verify=permpos.verify), 8, tables8, 1)
+    assert sorted(calls) == sorted(SUITES)
+    for name, call in calls.items():
+        reports = run_suites((name,), max_n=8, tables=tables8)
+        assert _without_millis(r.to_json_dict() for r in call()) == \
+            _without_millis(r.to_json_dict() for r in reports), name
 
 
 def test_conjecture_a_needs_the_conjecture_suite(tables8):
@@ -659,5 +712,7 @@ def test_injected_fault_fails_its_identity_at_its_cell(monkeypatch, tables8, fau
 
 
 def test_every_identity_has_a_fault_row(tables8):
-    emitted = {r.identity for r in run_suites(SUITES, max_n=8, tables=tables8)}
+    # every declared suite, default or opt-in
+    declared = [name for name, _, _ in permpos.verify.DECLARATIONS]
+    emitted = {r.identity for r in run_suites(declared, max_n=8, tables=tables8)}
     assert emitted == {identity for _, _, identity, _ in _FAULT_ROWS}

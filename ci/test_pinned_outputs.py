@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from permpos.enumeration import count_tables
+from permpos.enumeration import _cache_paths, count_tables
 
-# (n, workers, SHA-256 of the to_jsonl() text of the tables for sizes 1..n).
+# (n, workers, SHA-256 of the record_text() of the tables for sizes 1..n).
 # Two workers split the count into contiguous runs of sorted states and sum
 # the packed parts, which must give the same text as one
 TABLES = [
@@ -64,10 +64,20 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def record_text(table):
+    """One table as the JSON-lines text the TABLES digests were taken of: a
+    total record, then one record per class, with decimal-string counts.
+    It pins the tables' content, whatever format the cache files use."""
+    records = [{"n": table.n, "total": str(table.total)}] + [
+        {"n": table.n, "a": a, "k": k, "count": str(c)}
+        for (a, k), c in sorted(table.counts.items())]
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
 @pytest.mark.parametrize("n, workers, digest", TABLES)
 def test_count_tables(n, workers, digest):
     tables = count_tables(n, workers=workers)
-    assert sha256("".join(tables[m].to_jsonl() for m in range(1, n + 1))) == digest
+    assert sha256("".join(record_text(tables[m]) for m in range(1, n + 1))) == digest
     assert n != 15 or tables[15].total == TOTAL_15
 
 
@@ -92,7 +102,7 @@ def test_cache_is_written_read_back_and_refused_once_cut(tmp_path):
     assert (code, sha256(out), len(os.listdir(tmp_path / "tcache"))) == (0, CACHED_DIGEST, 12)
     code, out = run_permpos(CACHED_SERIES + cache)  # every table read back
     assert (code, sha256(out)) == (0, CACHED_DIGEST)
-    n11 = tmp_path / "tcache" / "class-counts-n11.jsonl"
+    n11 = Path(_cache_paths(tmp_path / "tcache", 11)[10])
     n11.write_text("".join(n11.read_text().splitlines(keepends=True)[:5]))
     assert run_permpos(CACHED_SERIES + cache)[0] == 2
     assert run_permpos(CACHED_VERIFY + cache)[0] == 2

@@ -38,7 +38,9 @@ never what is computed. The pool module is loaded only when a stage runs on
 more than one worker, so a serial run never imports :mod:`multiprocessing`.
 
 Class counts are exact Python integers end to end; tables can be persisted
-as JSON-lines with decimal-string counts so no width limit is ever hit.
+as JSON-lines, one file per size: a line [n, total], then one row
+[n, a, c_1, ..., c_K] per a of bare JSON integers, which Python's json reads
+exactly at any width.
 """
 
 from __future__ import annotations
@@ -492,57 +494,72 @@ class ClassCountTable:
         return sum(self.counts.values())
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"n": self.n, "total": str(self.total)})]
-        for (a, k) in sorted(self.counts):
-            lines.append(json.dumps(
-                {"n": self.n, "a": a, "k": k, "count": str(self.counts[(a, k)])}))
-        return "\n".join(lines) + "\n"
+        """The table as cache text: a line [n, total], then a line
+        [n, a, c_1, ..., c_K] for each a with a class, in order of a, where
+        c_k is the count of class (a, k) and K the largest k of such a class."""
+        rows = [[self.n, self.total]]
+        for a in sorted({a for a, _ in self.counts}):
+            K = max(k for b, k in self.counts if b == a)
+            rows.append([self.n, a, *(self.count(a, k) for k in range(1, K + 1))])
+        return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
 
 
-def _parse_tables(texts: list[bytes], sizes: Iterable[int],
-                  names: Iterable[str]) -> list[ClassCountTable]:
-    """Parse to_jsonl texts with one json.loads: each text's non-blank
-    lines form one JSON array, and the texts an array of those. Each line
-    must hold one record, every record of a text must name its size and
-    each text needs a total record. A ValueError names the text at fault;
-    only after a failed parse is each text parsed alone, to find it."""
+_INT = {int}  # the types of a cache record's entries
+
+
+def _parse_tables(texts: list[bytes], paths: Sequence[str]) -> list[ClassCountTable]:
+    """Parse the to_jsonl texts of the sizes 1, 2, ... with one json.loads:
+    each text's non-blank lines form one JSON array, and the texts an array
+    of those. Each line must hold one record, a list of ints; every record
+    of a text must name its size and each text needs a total record. A
+    ValueError names the file at fault and its size; only after a failed
+    parse is each text parsed alone, to find it."""
+    def refuse(n: int, err: Exception) -> ValueError:
+        return ValueError(f"cache file {paths[n - 1]} (n={n}) is not a count table: {err}")
+
     lines = [list(filter(bytes.strip, text.splitlines())) for text in texts]
     try:
         parsed = json.loads(b"[[" + b"],[".join(map(b",".join, lines)) + b"]]")
         if len(parsed) != len(texts):
             raise ValueError("a text closes its own array")
     except ValueError:
-        for text_lines, name in zip(lines, names):
+        for n, text_lines in enumerate(lines, 1):
             try:
                 json.loads(b"[" + b",\n".join(text_lines) + b"]")
             except ValueError as err:
-                raise ValueError(f"{name} is not a count table: {err}") from err
+                raise refuse(n, err) from err
         raise
     tables = []
-    for records, text_lines, n, name in zip(parsed, lines, sizes, names):
+    for n, (records, text_lines) in enumerate(zip(parsed, lines), 1):
         try:
             if len(records) != len(text_lines):
                 raise ValueError("it does not hold one record per line")
             total = None
             counts: dict[tuple[int, int], int] = {}
             for rec in records:
-                if rec["n"] != n:
-                    raise ValueError(f"mixed sizes, a record of n={rec['n']}")
-                if "total" in rec:
-                    total = int(rec["total"])
-                else:
-                    counts[(rec["a"], rec["k"])] = int(rec["count"])
+                if type(rec) is not list or set(map(type, rec)) != _INT or len(rec) < 2:
+                    raise ValueError(f"the record {rec!r} is not a list of two or more ints")
+                if rec[0] != n:
+                    raise ValueError(f"mixed sizes, a record of n={rec[0]}")
+                if len(rec) == 2:
+                    total = rec[1]
+                    continue
+                a = rec[1]
+                for k, c in enumerate(islice(rec, 2, None), 1):
+                    if c:
+                        counts[(a, k)] = c
             if total is None:
                 raise ValueError("it has no total record")
-        except (KeyError, TypeError, ValueError) as err:
-            raise ValueError(f"{name} is not a count table: {err}") from err
+        except ValueError as err:
+            raise refuse(n, err) from err
         tables.append(ClassCountTable(n=n, total=total, counts=counts))
     return tables
 
 
 def _cache_paths(cache_dir: str | os.PathLike, max_n: int) -> list[str]:
-    """The cache file of each size 1..max_n, in order."""
-    stem = os.path.join(cache_dir, "class-counts-n")
+    """The cache file of each size 1..max_n, in order. The stem names the
+    format, so the files of an earlier format are a miss, not an error."""
+    stem = os.path.join(cache_dir, "class-counts-v2-n")
     return [f"{stem}{n:02d}.jsonl" for n in range(1, max_n + 1)]
 
 
@@ -566,7 +583,6 @@ def count_tables(max_n: int, workers: int = 1,
         raise ValueError("max_n must be in 1..255")
     workers = _split_workers(workers, max_n)
     if cache_dir is not None:
-        sizes = range(1, max_n + 1)
         paths = _cache_paths(cache_dir, max_n)
         texts = []
         try:
@@ -576,8 +592,7 @@ def count_tables(max_n: int, workers: int = 1,
         except FileNotFoundError:
             pass  # a size is missing: every table is recomputed
         else:
-            names = [f"cache file {path} (n={n})" for n, path in zip(sizes, paths)]
-            return dict(zip(sizes, _parse_tables(texts, sizes, names)))
+            return dict(enumerate(_parse_tables(texts, paths), 1))
 
     runs, totals = _count_arrays(max_n)
     totals[1] = 1

@@ -9,7 +9,7 @@ import pytest
 import permpos.cli
 import permpos.verify
 from permpos.cli import build_parser, main
-from permpos.enumeration import count_tables
+from permpos.enumeration import _cache_paths, count_tables
 
 
 def _pinned_argvs():
@@ -107,7 +107,8 @@ def test_count_and_series_accept_fifteen(capsys, monkeypatch):
 
 def test_count_series_and_verify_refuse_a_cut_cache(capsys, tmp_path):
     # a cache file cut at a line boundary still parses, as a shorter table;
-    # the total-count partition finds it, here at n = 7 with residual 815
+    # the total-count partition finds it, here at n = 7, where the rows of
+    # a >= 3 hold 814 members
     count_tables(8, cache_dir=tmp_path)
     argvs = (["series", "--which", "t", "--a", "3", "--k", "3", "--order", "8"],
              ["count", "--n", "7", "--format", "csv"],
@@ -120,19 +121,20 @@ def test_count_series_and_verify_refuse_a_cut_cache(capsys, tmp_path):
     cached = [run(*argv, "--cache-dir", str(tmp_path)) for argv in argvs]
     assert cached == [run(*argv) for argv in argvs]
     assert all(code == 0 for code, _, _ in cached)
-    path = tmp_path / "class-counts-n07.jsonl"
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:11]))
+    path = Path(_cache_paths(tmp_path, 7)[6])
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
-        assert (code, out) == (2, "") and "n=7 (residual 815)" in err, argv
+        assert (code, out) == (2, "") and "n=7 (residual 814)" in err, argv
 
 
 @pytest.mark.parametrize("argv", [["count", "--n", "4"], ["verify", "--suite", "thm1", "--max-n", "4"]])
 def test_an_unusable_cache_is_refused(capsys, tmp_path, argv):
     # a directory where a cache file belongs, and a cache dir that is a file
-    (tmp_path / "dir" / "class-counts-n03.jsonl").mkdir(parents=True)
+    three = Path(_cache_paths(tmp_path / "dir", 3)[2])
+    three.mkdir(parents=True)
     (tmp_path / "file").write_text("")
-    for cache, culprit in ((tmp_path / "dir", tmp_path / "dir" / "class-counts-n03.jsonl"),
+    for cache, culprit in ((tmp_path / "dir", three),
                            (tmp_path / "file", tmp_path / "file")):
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
         assert (code, out) == (2, "") and err.startswith("error: "), (argv, cache)

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +13,7 @@ from permpos import enumeration, verify
 from permpos.enumeration import (
     _BATCH,
     _SEED_SIZE,
+    _cache_paths,
     _count_arrays,
     _expand_state,
     _fan_out,
@@ -472,39 +475,48 @@ class TestCache:
     def read_back(cache_dir, n, text):
         """Table n as count_tables(n) reads it from a cache whose size-n
         file holds text and whose smaller sizes are intact."""
-        for m, table in count_tables(n).items():
-            path = cache_dir / f"class-counts-n{m:02d}.jsonl"
-            path.write_text(text if m == n else table.to_jsonl())
+        for path, table in zip(_cache_paths(cache_dir, n), count_tables(n).values()):
+            Path(path).write_text(text if table.n == n else table.to_jsonl())
         return count_tables(n, cache_dir=cache_dir)[n]
 
+    @staticmethod
+    def refused(cache_dir, n):
+        """The start of the ValueError that refuses the size-n cache file."""
+        return re.escape(f"cache file {_cache_paths(cache_dir, n)[n - 1]} (n={n}) "
+                         "is not a count table: ")
+
     def test_jsonl_schema(self, tmp_path):
-        table = ClassCountTable(n=3, total=6, counts={(1, 1): 2, (1, 2): 1, (2, 1): 1})
+        table = ClassCountTable(n=4, total=23, counts={(1, 1): 6, (1, 3): 1, (3, 1): 4})
         text = table.to_jsonl()
-        lines = text.strip().split("\n")
-        assert lines[0] == '{"n": 3, "total": "6"}'
-        assert lines[1] == '{"n": 3, "a": 1, "k": 1, "count": "2"}'
-        assert self.read_back(tmp_path, 3, text) == table
+        assert text == "[4,23]\n[4,1,6,0,1]\n[4,3,4]\n"
+        assert self.read_back(tmp_path, 4, text) == table
 
     def test_malformed_text_raises(self, tmp_path):
-        with pytest.raises(ValueError, match=r"n=3\) is not a count table: mixed sizes"):
-            self.read_back(tmp_path, 3, '{"n": 3, "total": "6"}\n'
-                                        '{"n": 4, "a": 1, "k": 1, "count": "2"}\n')
+        with pytest.raises(ValueError, match=self.refused(tmp_path, 3) + "mixed sizes"):
+            self.read_back(tmp_path, 3, "[3,6]\n[4,1,2,1]\n")
         with pytest.raises(ValueError, match="no total"):
-            self.read_back(tmp_path, 3, '{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
+            self.read_back(tmp_path, 3, "[3,1,2,1]\n")
         with pytest.raises(ValueError, match="one record per line"):
-            self.read_back(tmp_path, 3, '{"n": 3, "total": "6"}, '
-                                        '{"n": 3, "a": 1, "k": 1, "count": "2"}\n')
+            self.read_back(tmp_path, 3, "[3,6], [3,1,2,1]\n")
         # a file cut inside a line fails; one cut at a line boundary is a
         # shorter table
         text = count_tables(5)[5].to_jsonl()
         for cut in range(1, len(text)):
-            if text[cut - 1] not in "}\n":
+            if text[cut - 1] not in "]\n":
                 with pytest.raises(ValueError):
                     self.read_back(tmp_path, 5, text[:cut])
 
+    @pytest.mark.parametrize("record", ['[3,1,"2",1]', "[3,1,1.5,1]", "[3,1,true,1]",
+                                        '[3,"6"]', "[3,1,null]", '{"n":3,"total":"6"}',
+                                        "[3]", "3"])
+    def test_a_record_that_is_not_a_list_of_ints_names_its_file(self, tmp_path, record):
+        # a count that is a string, a float or a bool among them
+        with pytest.raises(ValueError, match=self.refused(tmp_path, 3) + "the record"):
+            self.read_back(tmp_path, 3, f"[3,6]\n{record}\n")
+
     def test_blank_lines_are_skipped(self, tmp_path):
         fresh = count_tables(6, cache_dir=tmp_path)
-        victim = tmp_path / "class-counts-n05.jsonl"
+        victim = Path(_cache_paths(tmp_path, 6)[4])
         victim.write_text("\n" + victim.read_text().replace("\n", "\n \n\n"))
         assert count_tables(6, cache_dir=tmp_path) == fresh
 
@@ -513,8 +525,9 @@ class TestCache:
         count_tables(6, cache_dir=fresh)
         count_tables(6, cache_dir=gap)
         # a size is missing, so no file is parsed, not even a damaged one
-        (gap / "class-counts-n04.jsonl").unlink()
-        (gap / "class-counts-n02.jsonl").write_text("damaged")
+        paths = _cache_paths(gap, 6)
+        os.unlink(paths[3])
+        Path(paths[1]).write_text("damaged")
         count_tables(6, cache_dir=gap)
 
         def blobs(d):
@@ -523,27 +536,44 @@ class TestCache:
         assert len(blobs(fresh)) == 6
         assert blobs(gap) == blobs(fresh)
 
+    def test_an_earlier_format_is_a_miss(self, tmp_path):
+        # the files of the earlier format, one JSON object per class with
+        # decimal-string counts, are left alone and the tables recounted
+        fresh = count_tables(6, cache_dir=tmp_path / "fresh")
+        old = tmp_path / "old"
+        old.mkdir()
+        for n, table in fresh.items():
+            records = [{"n": n, "total": str(table.total)}] + [
+                {"n": n, "a": a, "k": k, "count": str(c)}
+                for (a, k), c in sorted(table.counts.items())]
+            (old / f"class-counts-n{n:02d}.jsonl").write_text(
+                "".join(json.dumps(r) + "\n" for r in records))
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        assert count_tables(6, cache_dir=old) == fresh
+        after = {p.name: p.read_bytes() for p in old.iterdir()}
+        assert after == before | {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+        assert len(after) == 12
+
     def test_records_of_another_size_name_their_file(self, tmp_path):
         count_tables(6, cache_dir=tmp_path)
-        three = tmp_path / "class-counts-n03.jsonl"
+        three = Path(_cache_paths(tmp_path, 3)[2])
         own = three.read_text()
-        four = (tmp_path / "class-counts-n04.jsonl").read_text()
+        four = Path(_cache_paths(tmp_path, 4)[3]).read_text()
         # the whole file of another size, then one stray record among its own
         for text in (four, own + four.splitlines(keepends=True)[1]):
             three.write_text(text)
-            with pytest.raises(ValueError, match=r"class-counts-n03\.jsonl \(n=3\) .*"
-                                                 r"mixed sizes, a record of n=4"):
+            with pytest.raises(ValueError, match=self.refused(tmp_path, 3) +
+                               "mixed sizes, a record of n=4"):
                 count_tables(6, cache_dir=tmp_path)
 
     def test_line_cut_mid_record_names_its_file(self, tmp_path):
         count_tables(6, cache_dir=tmp_path)
-        victim = tmp_path / "class-counts-n05.jsonl"
+        victim = Path(_cache_paths(tmp_path, 6)[4])
         lines = victim.read_text().splitlines(keepends=True)
         for cut in (lines[:2] + [lines[2][:9]] + lines[3:],  # inside a line
-                    lines[:-1] + [lines[-1][:-6]]):  # the file's end
+                    lines[:-1] + [lines[-1][:-3]]):  # the file's end
             victim.write_text("".join(cut))
-            with pytest.raises(ValueError, match=r"class-counts-n05\.jsonl \(n=5\) "
-                                                 r"is not a count table"):
+            with pytest.raises(ValueError, match=self.refused(tmp_path, 5)):
                 count_tables(6, cache_dir=tmp_path)
 
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 import permpos.verify
 from permpos.cli import main
 from permpos.dominoes import enumerate_dominoes, to_domino
-from permpos.enumeration import _walk, count_tables
+from permpos.enumeration import _cache_paths, _walk, count_tables
 from permpos.genfun import IdentityReport
 from permpos.permutations import DomainError, Permutation, _word_contains_1324
 from permpos.products import _decode_raw, _expand_raw
@@ -137,17 +137,16 @@ def test_corrupted_counts_are_detected(broken_tables):
 
 def test_tampered_cache_fails_total_count_partition(tmp_path):
     count_tables(8, cache_dir=tmp_path)
-    victim = tmp_path / "class-counts-n07.jsonl"
+    victim = Path(_cache_paths(tmp_path, 8)[6])
     lines = victim.read_text().splitlines(keepends=True)
-    head = json.loads(lines[0])
-    head["total"] = str(int(head["total"]) + 1)
+    n, total = json.loads(lines[0])
     last = json.loads(lines[-1])
-    # a raised total, then the last class row dropped, as a cut at a line
+    # a raised total, then the last row dropped, as a cut at a line
     # boundary leaves it: both files still parse
     for text, residual in (
-            ("".join([json.dumps(head) + "\n"] + lines[1:]),
+            ("".join([json.dumps([n, total + 1]) + "\n"] + lines[1:]),
              [(7, 0, 1), (8, 0, -1), (7, 1, 1)]),
-            ("".join(lines[:-1]), [(7, 0, int(last["count"]))])):
+            ("".join(lines[:-1]), [(7, 0, sum(last[2:]))])):
         victim.write_text(text)
         [report] = run_suites(("gidentity",), max_n=8,
                               tables=count_tables(8, cache_dir=tmp_path))

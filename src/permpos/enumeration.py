@@ -511,7 +511,8 @@ def _parse_tables(texts: list[bytes], paths: Sequence[str]) -> list[ClassCountTa
     """Parse the to_jsonl texts of the sizes 1, 2, ... with one json.loads:
     each text's non-blank lines form one JSON array, and the texts an array
     of those. Each line must hold one record, a list of ints; every record
-    of a text must name its size and each text needs a total record. A
+    of a text must name its size, and each text needs one total record and
+    its class records in increasing order of a, so no a has two. A
     ValueError names the file at fault and its size; only after a failed
     parse is each text parsed alone, to find it."""
     def refuse(n: int, err: Exception) -> ValueError:
@@ -536,15 +537,21 @@ def _parse_tables(texts: list[bytes], paths: Sequence[str]) -> list[ClassCountTa
                 raise ValueError("it does not hold one record per line")
             total = None
             counts: dict[tuple[int, int], int] = {}
+            last_a = 0  # the a of the last class record read
             for rec in records:
                 if type(rec) is not list or set(map(type, rec)) != _INT or len(rec) < 2:
                     raise ValueError(f"the record {rec!r} is not a list of two or more ints")
                 if rec[0] != n:
                     raise ValueError(f"mixed sizes, a record of n={rec[0]}")
                 if len(rec) == 2:
+                    if total is not None:
+                        raise ValueError("it has a second total record")
                     total = rec[1]
                     continue
                 a = rec[1]
+                if a <= last_a:
+                    raise ValueError(f"a record of a={a} follows one of a={last_a}")
+                last_a = a
                 for k, c in enumerate(islice(rec, 2, None), 1):
                     if c:
                         counts[(a, k)] = c

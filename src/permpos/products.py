@@ -161,8 +161,8 @@ def _decode_raw(comps: Sequence[Sequence[int]], marked_idx: int = -1) -> tuple[i
         # The k = 1 fast path; keep it, and keep its class-(2, 1) test
         # inline. The loop below gives the same results and error types on
         # every lone component of size <= 8, but 238,045 of the 483,848
-        # codec members of size <= 11 come here, and without it
-        # _codec_worker(_tree_roots(10, 2)) took a median 0.74-0.92 s
+        # codec members of size <= 11 come here, and without it the codec
+        # scan to size 10 took a median 0.74-0.92 s
         # against 0.63-0.85 s (2-core Xeon, Python 3.11).
         if len(comps) == 1 and marked_idx == 0:
             c = comps[0]

@@ -172,7 +172,8 @@ def test_criterion_07_marked_tuple_codec(tables11):
     members = {v for _, _, _, v, _ in _walk(7, 7, 2, 3) if v[-1] != 1}
     assert decoded == members and len(decoded) == 30
 
-    # codec bijection for n <= 11, series formula, g2 assembly agreement
+    # codec roundtrip and tuple counts for n <= 11, two-sided for n <= 9,
+    # series formula, g2 assembly agreement
     reports = suite_thm3(11, 9, tables11, workers=2)
     by_name = {r.identity: r for r in reports}
     codec = by_name["marked-tuple-codec"]
@@ -182,7 +183,7 @@ def test_criterion_07_marked_tuple_codec(tables11):
     routes = by_name["g2-two-routes"]
     assert routes.passed and routes.params["torder"] == 9
     g2_series(9, 9)  # raises unless both assembly routes agree at N=K=9
-    report(7, "codec bijective n <= 11; 30 reference rows exact; "
+    report(7, "codec roundtrip n <= 11, bijective n <= 9; 30 reference rows exact; "
               "series and assembly routes agree")
 
 

@@ -427,6 +427,11 @@ GOLDEN = [
     ("verify", ["verify", "--suite", "thm1", "--max-n", "5"], {
         None: "5cf200d619b689e74000fe91553073a3e6e8f8f1f2067ed373ac553905331909",
         "json": "484b0f748ee203d5a46f25f8994be948ce5d2606b5b9ecd0c9be3496e132cba7"}),
+    # thm3, so that the codec report's params and residual are pinned by the
+    # default run too
+    ("verify-thm3", ["verify", "--suite", "thm3", "--max-n", "9"], {
+        None: "f3306a3f6b9c3da9d790311831cf855d895f5d9358e0f68c43927cfdca10811e",
+        "json": "7362a6065953bdd543306bb72ff5df54de7bcf3e80cabc6df081d998cde51278"}),
 ]
 
 

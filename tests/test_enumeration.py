@@ -566,6 +566,32 @@ class TestCache:
                                "mixed sizes, a record of n=4"):
                 count_tables(6, cache_dir=tmp_path)
 
+    def test_a_second_total_record_names_its_file(self, tmp_path):
+        # read in order, the later total would win: size 7 would count 5
+        # avoiders instead of 2762
+        count_tables(7, cache_dir=tmp_path)
+        victim = Path(_cache_paths(tmp_path, 7)[6])
+        victim.write_text(victim.read_text() + "[7,5]\n")
+        with pytest.raises(ValueError, match=self.refused(tmp_path, 7) +
+                           "it has a second total record"):
+            count_tables(7, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("at,row,prev", [(3, None, 2), (None, "[7,2,1]\n", 6)],
+                             ids=["repeated", "appended"])
+    def test_a_second_row_of_one_a_names_its_file(self, tmp_path, at, row, prev):
+        # the row of a = 2 again next to itself, or one with other cells
+        # after the last row, of a = 6: read in order, the later row's cells
+        # would win
+        count_tables(7, cache_dir=tmp_path)
+        victim = Path(_cache_paths(tmp_path, 7)[6])
+        lines = victim.read_text().splitlines(keepends=True)
+        assert lines[2].startswith("[7,2,") and lines[-1].startswith("[7,6,")
+        lines.insert(len(lines) if at is None else at, row or lines[2])
+        victim.write_text("".join(lines))
+        with pytest.raises(ValueError, match=self.refused(tmp_path, 7) +
+                           re.escape(f"a record of a=2 follows one of a={prev}")):
+            count_tables(7, cache_dir=tmp_path)
+
     def test_line_cut_mid_record_names_its_file(self, tmp_path):
         count_tables(6, cache_dir=tmp_path)
         victim = Path(_cache_paths(tmp_path, 6)[4])

@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -11,15 +12,13 @@ import pytest
 import permpos.verify
 from permpos.cli import main
 from permpos.dominoes import enumerate_dominoes, to_domino
-from permpos.enumeration import _cache_paths, _walk, count_tables
+from permpos.enumeration import _cache_paths, _class_raw, _walk, count_tables
 from permpos.genfun import IdentityReport
 from permpos.permutations import DomainError, Permutation, _word_contains_1324
 from permpos.products import _decode_raw, _expand_raw
 from permpos.series import TruncatedSeries
 from permpos.verify import (
     SUITES,
-    _codec_scan,
-    _explicit_codec_check,
     run_suites,
     suite_gidentity,
     suite_prop1,
@@ -205,8 +204,7 @@ def test_codec_failures_do_not_depend_on_worker_count(monkeypatch):
     # with every roundtrip broken, far more than ten members fail; each part
     # keeps its smallest failures, so one worker and two (the tree split at
     # n = 9; the forked workers see the patch) report the same ten members,
-    # smallest first; the explicit check decodes with the same decoder, so
-    # it names its first class, (4, 1), after them
+    # smallest first
     real = permpos.verify._decode_raw
 
     def mismatch(comps, idx):
@@ -222,77 +220,135 @@ def test_codec_failures_do_not_depend_on_worker_count(monkeypatch):
     assert runs[0] == runs[1]
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
                       key=lambda v: (len(v), v))[:10]
-    assert runs[0]["residual"] == [[len(v), 0, "1"] for v in smallest] + [[4, 1, "1"]]
+    assert runs[0]["residual"] == [[len(v), 0, "1"] for v in smallest]
 
 
-def _not1_counts(max_n):
-    # the codec scan's count of the a = 2 members not ending in 1, by (n, k)
-    return _codec_scan(_walk(3, max_n, 2))[0]
+def _first_member(n, k, want=None):
+    # the walk's first class-(2, k) member of size n that does not end in 1
+    # and whose encoding passes want, if given
+    return next(v for _, _, _, v, _ in _walk(n, n, 2, k) if v[-1] != 1 and (
+        want is None or want(*permpos.verify._factorize_raw(v, 2))))
 
 
-def test_explicit_codec_check_names_the_first_disagreeing_class(monkeypatch, tables8):
-    not1 = _not1_counts(8)
-    assert _explicit_codec_check(8, not1) is None
-
-    # a decoder that sends every tuple of size 7 with three components to
-    # the image of the first one, which re-encodes to the first tuple only;
-    # only the explicit check's calls, whose components come as a tuple
-    # from itertools.product, are broken, and the codec scan's, with a list
-    # from the encoder, are not
+def test_decoder_that_merges_tuples_fails_the_scan(monkeypatch, tables8):
+    # a decoder that sends every size-7 tuple with three components to the
+    # image of the first one it decodes: every other size-7, k = 3 member
+    # fails its roundtrip
     real = permpos.verify._decode_raw
     first = {}
 
     def broken(comps, marked_idx=-1):
         sigma = real(comps, marked_idx)
-        if isinstance(comps, tuple) and len(comps) == 3 and len(sigma) == 7:
+        if len(comps) == 3 and len(sigma) == 7:
             return first.setdefault("image", sigma)
         return sigma
 
     monkeypatch.setattr(permpos.verify, "_decode_raw", broken)
-    assert _explicit_codec_check(8, not1) == (7, 3)
     codec = _codec_report(suite_thm3(8, 8, tables8))
     assert not codec.passed
-    assert codec.residual == [(7, 3, Fraction(1))]
-
-    # one member more than the tuples decode to
-    monkeypatch.undo()
-    assert _explicit_codec_check(8, {**not1, (6, 2): not1[(6, 2)] + 1}) == (6, 2)
+    assert codec.residual == [(7, 0, Fraction(1))] * 10
 
 
-def test_explicit_codec_check_decodes_a_class_the_counts_leave_out():
-    # a cell missing from the counts is still decoded, and its tuples then
-    # outnumber the members counted there, none
-    not1 = _not1_counts(8)
-    for cell in ((4, 1), (6, 2), (8, 5)):
-        assert _explicit_codec_check(8, {key: c for key, c in not1.items() if key != cell}) == cell
+def _walk_changed(monkeypatch, change):
+    # verify's walk passes the a = 2 members of each root through change
+    real = permpos.verify._walk
+    monkeypatch.setattr(permpos.verify, "_walk", lambda *args, **kwargs: (
+        change(real(*args, **kwargs)) if args[2:3] == (2,) else real(*args, **kwargs)))
 
 
-def test_explicit_codec_check_tests_the_class_of_each_image(monkeypatch, tables8):
-    # the decoder and the encoder agree on one size-7, k = 3 tuple, whose
-    # image contains 1324 (2 5 4 6); decoding stays injective, the image
-    # count is unchanged, and only the class test names (7, 3)
+def test_codec_counts_see_one_member_twice(monkeypatch, tables8):
+    # one (6, 2) member walked twice round-trips twice: only the tuple count
+    # and the class count see one member more than the tuples
+    member = _first_member(6, 2)
+    _walk_changed(monkeypatch, lambda walk: (
+        node for node in walk for _ in range(2 if node[3] == member else 1)))
+    codec = _codec_report(suite_thm3(8, 8, tables8))
+    assert codec.residual == [(6, 2, Fraction(1)), (6, 2, Fraction(1))]
+
+
+@pytest.mark.parametrize("cell", [(6, 2), (8, 5)], ids=["6-2", "8-5"])
+def test_codec_counts_see_a_class_the_walk_leaves_out(monkeypatch, tables8, cell):
+    # the walk leaves out the members of one class that do not end in 1: the
+    # tuple count and the class count both miss them
+    left_out = sum(1 for _, _, _, v, _ in _walk(cell[0], cell[0], 2, cell[1]) if v[-1] != 1)
+    _walk_changed(monkeypatch, lambda walk: (
+        node for node in walk if (node[0], node[2]) != cell or node[3][-1] == 1))
+    codec = _codec_report(suite_thm3(8, 8, tables8))
+    assert codec.residual == [(*cell, Fraction(-left_out))] * 2
+
+
+def test_decoded_image_outside_the_class_fails_the_scan(monkeypatch, tables8):
+    # the decoder sends one size-7, k = 3 member's encoding to a
+    # permutation that contains 1324 (2 5 4 6): that member alone fails
     outsider = (2, 3, 5, 7, 1, 4, 6)
     assert _word_contains_1324(outsider)
-    member = next(v for _, _, _, v, _ in _walk(7, 7, 2, 3) if v[-1] != 1)
+    member = _first_member(7, 3)
     comps, slot = permpos.verify._factorize_raw(member, 2)
-    combo = tuple(map(tuple, comps))
-    real_decode = permpos.verify._decode_raw
-    real_encode = permpos.verify._factorize_raw
+    real = permpos.verify._decode_raw
 
-    def decode(comps, marked_idx=-1):
-        if isinstance(comps, tuple) and (comps, marked_idx) == (combo, slot):
-            return outsider
-        return real_decode(comps, marked_idx)
-
-    def encode(values, low=1):
-        if tuple(values) == outsider and low == 2:
-            return [list(c) for c in combo], slot
-        return real_encode(values, low)
+    def decode(comps_, marked_idx=-1):
+        return outsider if (comps_, marked_idx) == (comps, slot) else real(comps_, marked_idx)
 
     monkeypatch.setattr(permpos.verify, "_decode_raw", decode)
+    assert _codec_report(suite_thm3(8, 8, tables8)).residual == [(7, 0, Fraction(1))]
+
+
+def _encode_as(monkeypatch, member, change):
+    # the encoder sends member to change(its encoding) and the decoder sends
+    # that back to member: the roundtrip holds, no count moves, and only the
+    # check that each encoding is a valid marked tuple can see it
+    real_encode = permpos.verify._factorize_raw
+    real_decode = permpos.verify._decode_raw
+    bad = change(*real_encode(member, 2))
+
+    def encode(values, low=1):
+        if low == 2 and tuple(values) == member:
+            return [list(c) for c in bad[0]], bad[1]
+        return real_encode(values, low)
+
+    def decode(comps, marked_idx=-1):
+        return member if (comps, marked_idx) == bad else real_decode(comps, marked_idx)
+
     monkeypatch.setattr(permpos.verify, "_factorize_raw", encode)
-    assert _explicit_codec_check(8, _not1_counts(8)) == (7, 3)
-    assert _codec_report(suite_thm3(8, 8, tables8)).residual == [(7, 3, Fraction(1))]
+    monkeypatch.setattr(permpos.verify, "_decode_raw", decode)
+
+
+def _a_1324_primitive(size):
+    # the first permutation of 1..size in class (1, 1) that contains 1324
+    return next(list(p) for p in itertools.permutations(range(1, size + 1))
+                if _class_raw(p) == (1, 1) and _word_contains_1324(p))
+
+
+@pytest.mark.parametrize("n,k,want,change", [
+    (7, 3, None, lambda comps, idx: (comps, (idx + 1) % len(comps))),  # a primitive marked
+    # the marked component traded for a primitive of its size, none marked
+    (7, 3, None, lambda comps, idx: ([[1, len(c), *range(2, len(c))] if i == idx else c
+                                      for i, c in enumerate(comps)], -1)),
+    # a size-3 primitive traded for 1 3 3, which is in class (1, 1)
+    (7, 3, lambda comps, idx: [1, 3, 2] in comps,
+     lambda comps, idx: ([[1, 3, 3] if c == [1, 3, 2] else c for c in comps], idx)),
+    # the encoding of a size-8, k = 2 member: its sizes add up to 7 + 3 - 1
+    (7, 3, None, lambda comps, idx: permpos.verify._factorize_raw(_first_member(8, 2), 2)),
+    (7, 3, None, lambda comps, idx: ([[1, len(c) + 1, *range(2, len(c) + 1)] if i != idx else c
+                                      for i, c in enumerate(comps)], idx)),  # target size 9
+    # the marked component of size 4 last, as its 1 is then last
+    (7, 3, lambda comps, idx: len(comps[idx]) == 4,
+     lambda comps, idx: ([c[:c.index(1)] + c[c.index(1) + 1:] + [1] if i == idx else c
+                          for i, c in enumerate(comps)], idx)),
+    # a size-5 primitive traded for one of its size that contains 1324
+    (8, 2, lambda comps, idx: len(comps[1 - idx]) == 5,
+     lambda comps, idx: ([_a_1324_primitive(5) if i != idx else c
+                          for i, c in enumerate(comps)], idx)),
+], ids=["mark-moved", "unmarked", "not-a-permutation", "two-components",
+        "wrong-size", "marked-ends-in-1", "contains-1324"])
+def test_encoding_that_is_no_marked_tuple_fails_the_codec(monkeypatch, tables8, n, k, want,
+                                                          change):
+    # at max_n = n, as a valid tuple of a larger target size is the
+    # encoding of a member the scan would then walk
+    _encode_as(monkeypatch, _first_member(n, k, want), change)
+    reports = suite_thm3(n, n, tables8)
+    assert [r.passed for r in reports] == [True, True, False]
+    assert _codec_report(reports).residual == [(n, 0, Fraction(1))]
 
 
 @pytest.mark.parametrize("suite,bound", [
@@ -300,9 +356,9 @@ def test_explicit_codec_check_tests_the_class_of_each_image(monkeypatch, tables8
     (lambda tables: suite_thm3(9, 9, tables), 2 << 20),
 ], ids=["thm2", "thm3"])
 def test_exhaustive_checks_hold_no_member_sets(suite, bound):
-    # the accounting and the explicit codec check run to n = 9 over every
-    # member without holding them; holding the members in per-(n, k) sets
-    # peaks at 2.4 and 3.0 MiB here, above these bounds
+    # the accounting and the codec scan run to n = 9 over every member
+    # without holding them; holding the members in per-(n, k) sets peaks at
+    # 2.4 and 3.0 MiB here, above these bounds
     tables = count_tables(9)
     tracemalloc.start()
     try:
@@ -315,37 +371,33 @@ def test_exhaustive_checks_hold_no_member_sets(suite, bound):
 
 
 def test_codec_image_outside_the_domain_is_a_disagreement(monkeypatch):
-    # reversing every size-7, k = 3 image of the explicit check (its
-    # components come as a tuple) gives permutations the encoder rejects;
-    # that is a codec disagreement at (7, 3), not a thm3 crash
+    # reversing every size-7, k = 3 image gives permutations outside the
+    # class: each member's roundtrip fails, a codec disagreement, not a thm3
+    # crash
     real = permpos.verify._decode_raw
 
     def reversed_image(comps, marked_idx=-1):
         sigma = real(comps, marked_idx)
-        if isinstance(comps, tuple) and len(comps) == 3 and len(sigma) == 7:
-            return sigma[::-1]
-        return sigma
+        return sigma[::-1] if len(comps) == 3 and len(sigma) == 7 else sigma
 
     monkeypatch.setattr(permpos.verify, "_decode_raw", reversed_image)
     reports = run_suites(["thm3"], max_n=8)
     assert [r.identity for r in reports] == [
         "a2-series-expansion", "g2-two-routes", "marked-tuple-codec"]
     assert reports[0].passed and reports[1].passed
-    assert _codec_report(reports).residual == [(7, 3, Fraction(1))]
+    assert _codec_report(reports).residual == [(7, 0, Fraction(1))] * 10
 
 
 def test_codec_image_that_is_no_permutation_is_a_disagreement(monkeypatch):
-    # a decoder that returns () fails every member of the scan, and the
-    # explicit check at its first class, (4, 1), where the encoder rejects
-    # the empty image as outside the domain; thm3 is no suite error
+    # a decoder that returns () fails every member of the scan; thm3 is no
+    # suite error
     monkeypatch.setattr(permpos.verify, "_decode_raw", lambda comps, marked_idx=-1: ())
     reports = run_suites(["thm3"], max_n=7)
     assert [(r.identity, r.passed) for r in reports] == [
         ("a2-series-expansion", True), ("g2-two-routes", True), ("marked-tuple-codec", False)]
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 7, 2) if v[-1] != 1),
                       key=lambda v: (len(v), v))[:10]
-    assert _codec_report(reports).residual == [
-        (len(v), 0, Fraction(1)) for v in smallest] + [(4, 1, Fraction(1))]
+    assert _codec_report(reports).residual == [(len(v), 0, Fraction(1)) for v in smallest]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -368,11 +420,11 @@ def test_codec_scan_defect_is_the_suite_failure(monkeypatch, workers):
 
 
 def _encoder_defect_fails_the_codec(monkeypatch, workers, fault):
-    # an encoder whose every tuple the decoder rejects: every member fails
-    # marked-tuple-codec, whose residual names the ten smallest whatever the
-    # worker count, then the explicit check's first class, (4, 1), as it
-    # encodes with the same encoder; thm3 is no suite error. Only the
-    # encoder's calls, with low cut 2, pass through fault(comps, marked index)
+    # an encoder whose every tuple the decoder rejects, and which is no
+    # valid marked tuple: every member fails marked-tuple-codec, whose
+    # residual names the ten smallest whatever the worker count; thm3 is no
+    # suite error. Only the encoder's calls, with low cut 2, pass through
+    # fault(comps, marked index)
     real = permpos.verify._factorize_raw
 
     def broken(values, low=1):
@@ -388,8 +440,7 @@ def _encoder_defect_fails_the_codec(monkeypatch, workers, fault):
         ("a2-series-expansion", True), ("g2-two-routes", True), ("marked-tuple-codec", False)]
     smallest = sorted((v for _, _, _, v, _ in _walk(3, 9, 2) if v[-1] != 1),
                       key=lambda v: (len(v), v))[:10]
-    assert _codec_report(reports).residual == [
-        (len(v), 0, Fraction(1)) for v in smallest] + [(4, 1, Fraction(1))]
+    assert _codec_report(reports).residual == [(len(v), 0, Fraction(1)) for v in smallest]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -667,6 +718,13 @@ def _table_total(monkeypatch, tables):
     tables[7].total += 1
 
 
+def _encoding_is_no_tuple(monkeypatch, tables):
+    # one size-7, k = 3 member encodes to its components reversed, which
+    # decode back to it; no component is then in its class
+    _encode_as(monkeypatch, _first_member(7, 3),
+               lambda comps, idx: ([c[::-1] for c in comps], idx))
+
+
 def _to_domino_reversed(monkeypatch, tables):
     # one primitive with four points whose domino does not map back to it
     _wrap(monkeypatch, "_to_domino_raw",
@@ -684,6 +742,7 @@ _FAULT_ROWS = [
     (_f_power_off, "thm3", "marked-tuple-codec", [(8, 2, -2)]),
     (_table_cell, "thm3", "marked-tuple-codec", [(7, 3, -1)]),
     (_a1_table_cell, "thm3", "marked-tuple-codec", [(7, 3, -1)]),
+    (_encoding_is_no_tuple, "thm3", "marked-tuple-codec", [(7, 0, 1)]),
     (_closed_form_off, "prop1", "primitive-count-three-way", [(6, 0, -1)]),
     (_f_series_off, "prop1", "primitive-count-three-way", [(6, 1, 1)]),
     (_walk_swaps_two_labels, "thm2", "a2-insertion-accounting", [(7, 2, 1), (7, 3, 1)]),

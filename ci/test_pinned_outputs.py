@@ -1,7 +1,8 @@
 """Pinned outputs, run with ``python -m pytest -q ci``: SHA-256 digests, each
 taken before a refactor that had to keep it, of the count tables to n = 15, of
-verify at max-n 11 and 12 and of the series at order 14, and a count-table
-cache written, read back and refused once cut. Tier-1 stops below these."""
+verify at max-n 11 and 12 and of the series at orders 14 and 15, and a
+count-table cache written, read back and refused once cut. Tier-1 stops below
+these."""
 
 import hashlib
 import json
@@ -36,14 +37,17 @@ VERIFY = [(["verify", "--suite", "all", "--max-n", n, "--threads", t, "--format"
     ("11", "2", "8a831df92752baaa561058ea0045592b30ccee28fc0e0066427412d3dcaab05d")]]
 
 # (argv, SHA-256 of stdout): f, the closed forms of t for a = 1 and 2, and the
-# g1 and g2 grids to t^13, the last column that reaches x^14
-SERIES = [(["series", "--which", *which.split(), "--order", "14", "--format", "json"], d)
-          for which, d in [
-    ("f", "de538176c194415b1c9218131dcf2f7fba98b4b3d73e55341067d11cd176d262"),
-    ("t --a 1 --k 5", "2da291c3ec351c969793889a8621902fb4e72b188e4e04632a8c10e10e92fd5b"),
-    ("t --a 2 --k 3", "48e46b4cdc509085db30133b4bb0d08001ac5e2bbe0834cb029fa59075e5cea4"),
-    ("g1", "5ff1ad5602e5d6048e5cb3b1e7dbf1613aed64670ffae5c1c5a203ffa933453a"),
-    ("g2", "991be6d5936c22d1ff1adae965d228e942e794ef2829b0fab8ee706f97253d12")]]
+# g1 and g2 grids to t^(order - 1), the last column that reaches x^order; at
+# order 15, the CLI's top, the two series that halve: g2 and t for a = 2
+SERIES = [(["series", "--which", *which.split(), "--order", order, "--format", "json"], d)
+          for which, order, d in [
+    ("f", "14", "de538176c194415b1c9218131dcf2f7fba98b4b3d73e55341067d11cd176d262"),
+    ("t --a 1 --k 5", "14", "2da291c3ec351c969793889a8621902fb4e72b188e4e04632a8c10e10e92fd5b"),
+    ("t --a 2 --k 3", "14", "48e46b4cdc509085db30133b4bb0d08001ac5e2bbe0834cb029fa59075e5cea4"),
+    ("g1", "14", "5ff1ad5602e5d6048e5cb3b1e7dbf1613aed64670ffae5c1c5a203ffa933453a"),
+    ("g2", "14", "991be6d5936c22d1ff1adae965d228e942e794ef2829b0fab8ee706f97253d12"),
+    ("g2", "15", "a367743c2aa3a1e9221ba7df8a411544052a1ffb5ab0291fe09db4453273b884"),
+    ("t --a 2 --k 3", "15", "8d8b5f49ec3b6be699241741ca17031bf01a36c3fcec8f0ac55e8660bc346b5e")]]
 
 # t(3, 4) counts its tables to order 12; each takes --cache-dir
 CACHED_SERIES = ["series", "--which", "t", "--a", "3", "--k", "4", "--order", "12",

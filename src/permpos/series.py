@@ -1,12 +1,13 @@
-"""Exact truncated formal power series over arbitrary-precision rationals.
+"""Exact truncated formal power series with integer coefficients.
 
-All arithmetic is on univariate series in x. It never rounds: every
-constructor and operation stores an integral coefficient as an int and any
-other as a fractions.Fraction, so integer series such as the generating
-functions stay in int arithmetic. Operations on operands of different
-orders truncate to the smaller order rather than silently padding. The
-derivative drops the order by one; a shift (multiplication by a power of
-x) raises it, exactly.
+All arithmetic is on univariate series in x. Every generating function
+here has integer coefficients, so a series holds ints only: a coefficient
+of any other type (a Fraction, a float, a bool) is refused with TypeError,
+and no operation normalises a coefficient. The one division, ``halve``, is
+exact and raises ArithmeticError on an odd coefficient. Operations on
+operands of different orders truncate to the smaller order rather than
+silently padding. The derivative drops the order by one; a shift
+(multiplication by a power of x) raises it, exactly.
 
 A bivariate series in (x, t) is only a coefficient grid. It is built from
 its t^k columns, each a univariate series, so it carries no arithmetic of
@@ -16,28 +17,23 @@ its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-from .permutations import DomainError
-
-Scalar = Union[int, Fraction]  # an int when integral, else a Fraction
+from operator import add, mul, sub
+from typing import Iterable, Sequence
 
 
-def _exact(c: Scalar) -> Scalar:
-    """c as an int if it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = c if type(c) is Fraction else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _check_ints(coeffs: Iterable[int]) -> None:
+    """Raise TypeError unless every coefficient's type is int."""
+    if set(map(type, coeffs)) - {int}:
+        bad = next(c for c in coeffs if type(c) is not int)
+        raise TypeError(f"coefficients must be ints, got {type(bad).__name__} {bad!r}")
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """c_0 + c_1 x + ... + c_N x^N with exact rational coefficients."""
+    """c_0 + c_1 x + ... + c_N x^N with int coefficients."""
 
     order: int
-    coeffs: tuple[Scalar, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if self.order < 0:
@@ -45,10 +41,11 @@ class TruncatedSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
+        _check_ints(self.coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Scalar]) -> "TruncatedSeries":
-        cs = tuple(map(_exact, coeffs))
+    def from_coeffs(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
+        cs = tuple(coeffs)
         return cls(len(cs) - 1, cs)
 
     @classmethod
@@ -60,13 +57,14 @@ class TruncatedSeries:
         return cls.monomial(0, order)
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: Scalar = 1) -> "TruncatedSeries":
+    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
+        _check_ints((coeff,))
         cs = [0] * (order + 1)
         if 0 <= exponent <= order:
-            cs[exponent] = _exact(coeff)
+            cs[exponent] = coeff
         return cls(order, tuple(cs))
 
-    def coeff(self, n: int) -> Scalar:
+    def coeff(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
@@ -76,58 +74,59 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return TruncatedSeries(order, self.coeffs[:order + 1])
 
+    # map stops at the shorter tuple, which truncates to the smaller order
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(order, tuple(map(
-            _exact, (self.coeffs[i] + other.coeffs[i] for i in range(order + 1)))))
+        return TruncatedSeries(min(self.order, other.order),
+                               tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(order, tuple(map(
-            _exact, (self.coeffs[i] - other.coeffs[i] for i in range(order + 1)))))
+        return TruncatedSeries(min(self.order, other.order),
+                               tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = [0] * (order + 1)
-        for i in range(min(len(a) - 1, order) + 1):
+        for i in range(order + 1):
             ai = a[i]
             if ai == 0:
                 continue
-            for j in range(min(len(b) - 1, order - i) + 1):
+            for j in range(order - i + 1):
                 if b[j]:
                     out[i + j] += ai * b[j]
-        return TruncatedSeries(order, tuple(map(_exact, out)))
+        return TruncatedSeries(order, tuple(out))
 
-    def scale(self, c: Scalar) -> "TruncatedSeries":
-        c = _exact(c)
-        return TruncatedSeries(self.order, tuple(map(_exact, (c * x for x in self.coeffs))))
+    def scale(self, c: int) -> "TruncatedSeries":
+        _check_ints((c,))
+        return TruncatedSeries(self.order, tuple([c * x for x in self.coeffs]))
+
+    def halve(self) -> "TruncatedSeries":
+        """The series divided by 2, exactly; raises ArithmeticError if a
+        coefficient is odd."""
+        for n, c in enumerate(self.coeffs):
+            if c & 1:
+                raise ArithmeticError(f"coefficient of x^{n} is odd: {c}")
+        return TruncatedSeries(self.order, tuple(c >> 1 for c in self.coeffs))
 
     def dx(self) -> "TruncatedSeries":
         """Formal derivative; the output order drops by one."""
         if self.order == 0:
             return TruncatedSeries.zero(0)
-        return TruncatedSeries(self.order - 1, tuple(map(
-            _exact, (i * self.coeffs[i] for i in range(1, self.order + 1)))))
+        return TruncatedSeries(self.order - 1,
+                               tuple(map(mul, range(1, self.order + 1), self.coeffs[1:])))
 
     def shift(self, exponent: int) -> "TruncatedSeries":
         """Multiply by x^exponent; the output order rises by exponent."""
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        return TruncatedSeries(self.order + exponent,
-                               (0,) * exponent + tuple(map(_exact, self.coeffs)))
+        return TruncatedSeries(self.order + exponent, (0,) * exponent + self.coeffs)
 
     def integer_coeffs(self) -> tuple[int, ...]:
-        """Coefficients as ints; raises if any is not an integer."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise DomainError(f"coefficient of x^{i} is not an integer: {c}")
-            out.append(c.numerator)
-        return tuple(out)
+        """The coefficients, every one an int."""
+        return self.coeffs
 
     def to_text(self) -> str:
-        """"c0 + c1*x + c2*x^2 + ..." with exact rationals "p/q"."""
+        """The text "c0 + c1*x + c2*x^2 + ..."."""
         parts = [str(self.coeffs[0])]
         for i in range(1, self.order + 1):
             var = "x" if i == 1 else f"x^{i}"
@@ -141,7 +140,7 @@ class BivariateSeries:
 
     xorder: int
     torder: int
-    coeffs: tuple[tuple[Scalar, ...], ...]  # [n][k]
+    coeffs: tuple[tuple[int, ...], ...]  # [n][k]
 
     def __post_init__(self):
         if self.xorder < 0 or self.torder < 0:
@@ -149,6 +148,8 @@ class BivariateSeries:
         if len(self.coeffs) != self.xorder + 1 or any(
                 len(row) != self.torder + 1 for row in self.coeffs):
             raise ValueError("coefficient matrix does not match orders")
+        for row in self.coeffs:
+            _check_ints(row)
 
     @classmethod
     def from_columns(cls, columns: Sequence[TruncatedSeries], xorder: int) -> "BivariateSeries":
@@ -156,21 +157,12 @@ class BivariateSeries:
         return cls(xorder, len(columns) - 1, tuple(
             tuple(col.coeff(n) for col in columns) for n in range(xorder + 1)))
 
-    def coeff(self, n: int, k: int) -> Scalar:
+    def coeff(self, n: int, k: int) -> int:
         if not (0 <= n <= self.xorder and 0 <= k <= self.torder):
             raise ValueError(f"coefficient ({n},{k}) beyond truncation "
                              f"({self.xorder},{self.torder})")
         return self.coeffs[n][k]
 
     def integer_coeffs(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for n, row in enumerate(self.coeffs):
-            ints = []
-            for k, c in enumerate(row):
-                if c.denominator != 1:
-                    raise DomainError(
-                        f"coefficient of x^{n} t^{k} is not an integer: {c}")
-                ints.append(c.numerator)
-            out.append(tuple(ints))
-        return tuple(out)
-
+        """The coefficient grid, every entry an int."""
+        return self.coeffs

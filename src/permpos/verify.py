@@ -96,8 +96,8 @@ def _witness_order(values: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def suite_thm1(max_n: int, tables: Tables) -> list[IdentityReport]:
     start = time.monotonic()
     residual = _nonzero(
-        (n, k, Fraction((primitive_count_closed_form(n) if k == 1 else a_nk_recurrence(n, k))
-                        - tables[n].count(1, k)))
+        (n, k, (primitive_count_closed_form(n) if k == 1 else a_nk_recurrence(n, k))
+         - tables[n].count(1, k))
         for n in range(2, max_n + 1) for k in range(1, n))
     reports = [_report("a1-recurrence", {"max_n": max_n}, residual, start)]
 
@@ -135,7 +135,7 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
                 or len(set(children)) != len(children)
                 or any(_contract_raw(child) != parent for child in children)):
             faults.add(key)
-    residual = [(n, k, Fraction(gap_sums.get((n, k), 0) - tables[n].count(2, k) or 1))
+    residual = [(n, k, gap_sums.get((n, k), 0) - tables[n].count(2, k) or 1)
                 for n in range(3, acc_max + 1) for k in range(1, n - 1)
                 if (n, k) in faults or gap_sums.get((n, k), 0) != tables[n].count(2, k)]
     reports.append(_report("a2-insertion-accounting",
@@ -228,21 +228,20 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
 
     # each part kept its smallest failures, so these are the same for every
     # worker count
-    residual = [(len(v), 0, Fraction(1))
-                for v in sorted(failures, key=_witness_order)[:_MAX_WITNESSES]]
+    residual = [(len(v), 0, 1) for v in sorted(failures, key=_witness_order)[:_MAX_WITNESSES]]
     # trailing-1 members correspond to class-(1, k) members one size down
-    residual += _nonzero((n, k, Fraction(c - tables[n - 1].count(1, k)))
+    residual += _nonzero((n, k, c - tables[n - 1].count(1, k))
                          for (n, k), c in sorted(last1.items()))
     # tuple counts, the counting half of the scan's two-sided codec check: k
     # slots for the marked component, primitives elsewhere; from k = 2, as
     # at k = 1 the count is a21 itself
     a21 = TruncatedSeries.from_coeffs([not1.get((m, 1), 0) for m in range(max_n + 1)])
     tuple_counts = {k: (f_power(k - 1, max_n) * a21).scale(k) for k in range(2, max_n)}
-    residual += _nonzero((n, k, Fraction(not1.get((n, k), 0)) - tuple_counts[k].coeff(n))
+    residual += _nonzero((n, k, not1.get((n, k), 0) - tuple_counts[k].coeff(n))
                          for k in range(2, max_n) for n in range(3, max_n + 1))
     # sweep totals must partition the enumerated class counts
     residual += _nonzero(
-        (n, k, Fraction(not1.get((n, k), 0) + last1.get((n, k), 0) - tables[n].count(2, k)))
+        (n, k, not1.get((n, k), 0) + last1.get((n, k), 0) - tables[n].count(2, k))
         for n in range(3, max_n + 1) for k in range(1, n - 1))
 
     reports.append(_report("marked-tuple-codec",
@@ -288,7 +287,7 @@ def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityRe
             _domino_worker, roots, _split_workers(workers, max_n)):
         _add_counts(domino_counts, part_counts)
         _add_counts(mapped, part_mapped)
-    residual = [(p, 0, Fraction(1)) for p in range(max_points + 1)
+    residual = [(p, 0, 1) for p in range(max_points + 1)
                 if not mapped[p] == domino_counts[p] == tables[p + 2].count(1, 1)]
     reports = [_report("primitive-domino-bijection",
                        {"max_points": max_points}, residual, start)]
@@ -298,9 +297,9 @@ def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityRe
     brute = {n: tables[n].count(1, 1) for n in range(2, max_n + 1)}
     # by n, then by route: the closed form, f and the dominoes, where mapped
     residual = _nonzero(cell for n, b in brute.items() for cell in (
-        (n, 0, Fraction(b - primitive_count_closed_form(n))),
+        (n, 0, b - primitive_count_closed_form(n)),
         (n, 1, f.coeff(n - 1) - b),
-        (n, 2, Fraction(domino_counts.get(n - 2, b) - b))))
+        (n, 2, domino_counts.get(n - 2, b) - b)))
     reports.append(_report("primitive-count-three-way",
                            {"max_n": max_n, "max_points": max_points},
                            residual, start))

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -126,7 +125,7 @@ class TestG2AndT2k:
         # the tuple expansion at k = 1 is T21 = x^2 (x f)' / 2 itself
         for order in range(1, 16):
             xf = f_series(order).shift(1).truncate(order)
-            t21 = xf.dx().shift(2).truncate(order).scale(Fraction(1, 2))
+            t21 = xf.dx().shift(2).truncate(order).halve()
             assert t2k_series(1, order) == t21, order
 
     def test_t2k_against_enumeration(self, tables8):
@@ -141,7 +140,7 @@ class TestG2AndT2k:
         order = 14
         f = f_series(order)
         t20 = TruncatedSeries.monomial(2, order)
-        t21 = f.shift(1).truncate(order).dx().shift(2).truncate(order).scale(Fraction(1, 2))
+        t21 = f.shift(1).truncate(order).dx().shift(2).truncate(order).halve()
         for k in range(order + 1):
             assert t1k_series(k, order) == f_power(k, order).shift(1).truncate(order), k
             direct = t20 if k == 0 else f_power(k, order) * t20 + \
@@ -250,32 +249,30 @@ class TestConjectureAndGIdentity:
         # the top total and one class count off by one together keep the
         # partition identity; only the OEIS A061552 comparison sees it
         import copy
-        from fractions import Fraction
         bad = copy.deepcopy(tables8)
         bad[8].total += 1
         bad[8].counts[(1, 1)] += 1
         r = g_identity_check(8, bad)
         assert not r.passed
-        assert r.residual == [(8, 1, Fraction(1))]
+        assert r.residual == [(8, 1, 1)]
         assert r.to_json_dict()["params"] == {"order": 8}
         # a total off by one alone also breaks the partition at n and n + 1
         bad = copy.deepcopy(tables8)
         bad[6].total += 1
         assert g_identity_check(8, bad).residual == [
-            (6, 0, Fraction(1)), (7, 0, Fraction(-1)), (6, 1, Fraction(1))]
+            (6, 0, 1), (7, 0, -1), (6, 1, 1)]
 
 
 class TestIntegrality:
     def test_assembled_series_are_integral(self):
-        # halves appear along the way, never in the assembled coefficients
+        # each halving is exact, or it raises
         for k in range(0, 10):
             t2k_series(k, 11).integer_coeffs()
         g2_series(9, 9).integer_coeffs()
         g1_series(9, 9).integer_coeffs()
 
     def test_integer_series_hold_ints(self, tables11):
-        # an integral coefficient is stored as an int, so these series take
-        # no Fraction arithmetic
+        # a series refuses any coefficient but an int
         rows = [f_series(14).coeffs, f_power(5, 14).coeffs, t2k_series(3, 11).coeffs,
                 t_ak_bruteforce(3, 4, 11, tables11).coeffs]
         rows += g1_series(11, 10).coeffs + g2_series(11, 10).coeffs

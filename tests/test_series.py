@@ -4,26 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permpos.permutations import DomainError
 from permpos.series import BivariateSeries, TruncatedSeries
 
-F = Fraction
-
-small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+small_ints = st.integers(min_value=-6, max_value=6)
 
 
 def series(coeffs):
     return TruncatedSeries.from_coeffs(coeffs)
 
 
-series_strategy = st.lists(small_fracs, min_size=1, max_size=8).map(series)
+series_strategy = st.lists(small_ints, min_size=1, max_size=8).map(series)
 
 
 class TestUnivariate:
     def test_mul_example(self):
         s = series([0, 1, 2, 0])  # x + 2x^2
         x = TruncatedSeries.monomial(1, 3)
-        assert (s * x).coeffs == (F(0), F(0), F(1), F(2))
+        assert (s * x).coeffs == (0, 0, 1, 2)
 
     def test_order_mixing_truncates_to_min(self):
         a = series([1, 1, 1])
@@ -40,31 +37,37 @@ class TestUnivariate:
 
     def test_shift(self):
         s = series([1, 2])
-        assert s.shift(2).coeffs == (F(0), F(0), F(1), F(2))
+        assert s.shift(2).coeffs == (0, 0, 1, 2)
         assert s.shift(2).order == 3
 
     def test_integer_extraction(self):
         assert series([1, 2]).integer_coeffs() == (1, 2)
-        with pytest.raises(DomainError):
-            series([F(1, 2)]).integer_coeffs()
+
+    def test_non_int_coefficients_are_refused(self):
+        for bad in (Fraction(1, 2), Fraction(3), 1.0, True):
+            with pytest.raises(TypeError):
+                TruncatedSeries(1, (0, bad))
+            with pytest.raises(TypeError):
+                series([1, bad])
+            with pytest.raises(TypeError):
+                TruncatedSeries.monomial(1, 2, bad)
+            with pytest.raises(TypeError):
+                series([1, 2]).scale(bad)
+            with pytest.raises(TypeError):
+                BivariateSeries(1, 0, ((0,), (bad,)))
+
+    def test_halve(self):
+        assert series([0, 2, -4, 6]).halve() == series([0, 1, -2, 3])
+        with pytest.raises(ArithmeticError, match="x\\^2 is odd: -3"):
+            series([0, 2, -3, 6]).halve()
 
     def test_coeff_bounds(self):
         with pytest.raises(ValueError):
             series([1]).coeff(1)
 
     def test_text_form(self):
-        s = series([F(1, 2), 0, 3])
-        assert s.to_text() == "1/2 + 0*x + 3*x^2"
-
-    def test_integral_coefficients_are_ints(self):
-        half = series([F(1, 2), 0, F(3, 1)])
-        assert [type(c) for c in half.coeffs] == [F, int, int]
-        x2 = TruncatedSeries.monomial(2, 2, F(1, 2))
-        results = [half + half, half - half.scale(3), half.scale(4), half * series([2, 0, 0]),
-                   x2.dx(), half.scale(2).shift(1), TruncatedSeries.monomial(1, 2, F(6, 3))]
-        for s in results:
-            assert all(type(c) is int for c in s.coeffs), s
-        assert (half + half).coeffs == (1, 0, 6)
+        s = series([-1, 0, 3])
+        assert s.to_text() == "-1 + 0*x + 3*x^2"
 
     @given(series_strategy, series_strategy, series_strategy)
     def test_ring_laws(self, a, b, c):
@@ -91,8 +94,7 @@ class TestBivariate:
         x_plus_2x2 = series([0, 1, 2])
         x2 = TruncatedSeries.monomial(2, 3)
         b = BivariateSeries.from_columns([TruncatedSeries.zero(2), x_plus_2x2, x2], 2)
-        assert b == BivariateSeries(2, 2, ((F(0), F(0), F(0)), (F(0), F(1), F(0)),
-                                           (F(0), F(2), F(1))))
+        assert b == BivariateSeries(2, 2, ((0, 0, 0), (0, 1, 0), (0, 2, 1)))
         assert BivariateSeries.from_columns([x2], 3).coeff(2, 0) == 1
         with pytest.raises(ValueError):
             BivariateSeries.from_columns([x_plus_2x2], 3)  # a column too short
@@ -100,6 +102,4 @@ class TestBivariate:
             BivariateSeries.from_columns([], 2)
 
     def test_integer_extraction(self):
-        b = BivariateSeries(0, 0, ((F(1, 2),),))
-        with pytest.raises(DomainError):
-            b.integer_coeffs()
+        assert BivariateSeries(1, 0, ((1,), (2,))).integer_coeffs() == ((1,), (2,))

@@ -286,11 +286,6 @@ def _fan_out(worker: Callable[[Iterable], object], roots: Iterable,
         return list(pool.imap_unordered(worker, chunks))
 
 
-def _add_counts(into: dict, part: dict) -> None:
-    for key, c in part.items():
-        into[key] = into.get(key, 0) + c
-
-
 # -- state-merged counting ---------------------------------------------------
 #
 # A node's subtree depends only on its size, its bound L and its first L
@@ -505,6 +500,7 @@ class ClassCountTable:
 
 
 _INT = {int}  # the types of a cache record's entries
+_MINUS = ord("-")  # a negative entry's sign; an int needle makes `in` a memchr
 
 
 def _parse_tables(texts: list[bytes], paths: Sequence[str]) -> list[ClassCountTable]:
@@ -512,7 +508,8 @@ def _parse_tables(texts: list[bytes], paths: Sequence[str]) -> list[ClassCountTa
     each text's non-blank lines form one JSON array, and the texts an array
     of those. Each line must hold one record, a list of ints; every record
     of a text must name its size, and each text needs one total record and
-    its class records in increasing order of a, so no a has two. A
+    its class records in increasing order of a, so no a has two. No entry
+    may be negative, and the row of a holds at most n - a counts. A
     ValueError names the file at fault and its size; only after a failed
     parse is each text parsed alone, to find it."""
     def refuse(n: int, err: Exception) -> ValueError:
@@ -552,11 +549,15 @@ def _parse_tables(texts: list[bytes], paths: Sequence[str]) -> list[ClassCountTa
                 if a <= last_a:
                     raise ValueError(f"a record of a={a} follows one of a={last_a}")
                 last_a = a
+                if a + len(rec) > n + 2:  # a + k <= n for every class
+                    raise ValueError(f"a record of a={a} has more than {n - a} counts")
                 for k, c in enumerate(islice(rec, 2, None), 1):
                     if c:
                         counts[(a, k)] = c
             if total is None:
                 raise ValueError("it has no total record")
+            if _MINUS in texts[n - 1]:  # the records hold only ints, so it is a sign
+                raise ValueError("it has a negative entry")
         except ValueError as err:
             raise refuse(n, err) from err
         tables.append(ClassCountTable(n=n, total=total, counts=counts))

@@ -27,6 +27,12 @@ the encoder all run that loop. The encoder runs it on the member itself,
 cut from its 2, so no reduced copy is made: the 1 goes to the factor of
 its right neighbour, whose other entries are raised by one. The decoder
 assembles every component in one pass too.
+
+This module states the codec's domain once, on bare values and without
+the codec: ``_codec_k`` gives the k of a codec member, and
+``_tuple_target`` the (n, k) of a valid marked tuple, whose marked
+component is a codec member with k = 1. The codec's checks and verify's
+proof that it is a bijection both read them.
 """
 
 from __future__ import annotations
@@ -34,31 +40,54 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import ge
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .enumeration import PositionalClass, _class_raw, classify
-from .permutations import (
-    DomainError,
-    Permutation,
-    _word_contains_1324,
-    parse_permutation,
-)
+from .permutations import DomainError, Permutation, _word_contains_1324, parse_permutation
 
 
 def is_primitive(p: Permutation) -> bool:
     """True iff n >= 2, p avoids 1324, and 1 sits immediately left of n:
     p is in class (1, 1)."""
-    return _class_raw(p.values) == (1, 1) and not _word_contains_1324(p.values)
+    return _is_primitive_raw(p.values)
+
+
+def _is_primitive_raw(values: Sequence[int]) -> bool:
+    return _class_raw(values) == (1, 1) and not _word_contains_1324(values)
+
+
+def _codec_k(values: Sequence[int]) -> Optional[int]:
+    """k if the permutation ``values`` is a codec member, a 1324-avoider in
+    class (2, k) that does not end in 1; None otherwise."""
+    cls = _class_raw(values)
+    if cls is None or cls[0] != 2 or values[-1] == 1 or _word_contains_1324(values):
+        return None
+    return cls[1]
 
 
 def is_marked_component(p: Permutation) -> bool:
-    """True iff p qualifies as the marked component of a tuple: its 2 sits
-    immediately left of its maximum, its 1 is right of the maximum but not
-    last, and it avoids 1324: p is in class (2, 1) and does not end in 1.
-    The smallest such size is 4 (e.g. 2413)."""
-    vals = p.values
-    return (_class_raw(vals) == (2, 1) and vals[-1] != 1
-            and not _word_contains_1324(vals))
+    """True iff p qualifies as the marked component of a tuple: it is a
+    codec member with k = 1, so its 2 sits immediately left of its
+    maximum, its 1 is right of the maximum but not last, and it avoids
+    1324. The smallest such size is 4 (e.g. 2413)."""
+    return _codec_k(p.values) == 1
+
+
+def _tuple_target(comps: Sequence[Sequence[int]], marked_idx: int) -> tuple[int, int]:
+    """(n, k) of the codec members a valid marked tuple encodes: each
+    component a permutation of 1..len, component ``marked_idx`` (from 0) a
+    codec member with k = 1, the others primitives. Raises DomainError,
+    naming the first component at fault, for any other tuple."""
+    k = len(comps)
+    if not 0 <= marked_idx < k:
+        raise DomainError(f"marked index {marked_idx + 1} out of 1..{k}")
+    for idx, c in enumerate(comps):
+        marked = idx == marked_idx
+        if sorted(c) != list(range(1, len(c) + 1)) or (
+                _codec_k(c) != 1 if marked else not _is_primitive_raw(c)):
+            raise DomainError(f"component {idx + 1} {tuple(c)} is not a valid "
+                              + ("marked component" if marked else "primitive"))
+    return sum(map(len, comps)) - k + 1, k
 
 
 # -- raw helpers on value sequences ------------------------------------------
@@ -285,20 +314,8 @@ class MarkedTuple:
     def k(self) -> int:
         return len(self.components)
 
-    @property
-    def target_size(self) -> int:
-        return sum(len(c) for c in self.components) - (self.k - 1)
-
     def validate(self) -> None:
-        if not 1 <= self.marked_index <= self.k:
-            raise DomainError(f"marked index {self.marked_index} out of 1..{self.k}")
-        for idx, comp in enumerate(self.components, start=1):
-            if idx == self.marked_index:
-                if not is_marked_component(comp):
-                    raise DomainError(f"component {idx} ({comp!r}) is not a valid "
-                                      "marked component")
-            elif not is_primitive(comp):
-                raise DomainError(f"component {idx} ({comp!r}) is not primitive")
+        _tuple_target([c.values for c in self.components], self.marked_index - 1)
 
     def to_text(self) -> str:
         parts = [("^" if i == self.marked_index else "") + c.to_text()
@@ -335,26 +352,19 @@ def decode_tuple(t: MarkedTuple, validate: bool = True) -> Permutation:
     k-tuple."""
     if validate:
         t.validate()
-    result = Permutation(
-        _decode_raw([c.values for c in t.components], t.marked_index - 1),
-        validate=False)
-    if validate:
-        cls = classify(result)
-        if cls != PositionalClass(2, t.k) or result.values[-1] == 1:
-            raise DomainError(f"decoded {result!r} is not a class-(2, {t.k}) "
-                              "avoider off the ends-with-1 case")
-    return result
+    values = _decode_raw([c.values for c in t.components], t.marked_index - 1)
+    if validate and _codec_k(values) != t.k:
+        raise DomainError(f"decoded {values} is not a class-(2, {t.k}) avoider off the "
+                          "ends-with-1 case")
+    return Permutation(values, validate=False)
 
 
 def encode_perm(p: Permutation, validate: bool = True) -> MarkedTuple:
     """Marked tuple for a class-(2, k) avoider not ending in 1; inverse of
     decode_tuple."""
-    if validate:
-        cls = classify(p)
-        if cls is None or cls.a != 2:
-            raise DomainError(f"encode_perm: {p!r} is not in a class with a = 2")
-        if p.values[-1] == 1:
-            raise DomainError(f"encode_perm: {p!r} ends with 1")
+    if validate and _codec_k(p.values) is None:
+        raise DomainError(f"encode_perm: {p!r} is not a 1324-avoider in a class with "
+                          "a = 2 that does not end in 1")
     comps, marked_idx = _factorize_raw(p.values, 2)
     t = MarkedTuple(tuple(Permutation(c, validate=False) for c in comps),
                     marked_idx + 1)

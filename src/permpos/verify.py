@@ -29,8 +29,10 @@ Every member-level check streams its members from the one generating-tree
 walk, ``enumeration._walk``, and holds no set of them: the insertion
 accounting checks each parent's children as the walk yields the parent.
 The codec is proved two-sided by counting, no tuple enumerated: to n = 9
-the scan also checks that each encoding is a valid marked tuple. The
-roundtrip makes encode injective on the members, that check puts its
+the scan also checks that each encoding is a valid marked tuple of its
+member's (n, k), by ``products._tuple_target``, which ``MarkedTuple.validate``
+reads too; a marked component is a codec member with k = 1.
+The roundtrip makes encode injective on the members, that check puts its
 images among the valid tuples, and the tuple-count residual makes the two
 equal in number; so encode is a bijection and decode its inverse on every
 valid tuple. The codec sweep at large n is the expensive part; it walks
@@ -55,13 +57,14 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
+from . import products
 from .dominoes import _cell_words, _from_domino_raw, _tagged_dominoes, _tags, _to_domino_raw
-from .enumeration import (_add_counts, _class_raw, _fan_out, _split_workers, _tree_roots,
-                          _walk, count_tables)
+from .enumeration import _class_raw, _fan_out, _split_workers, _tree_roots, _walk, count_tables
 from .genfun import (
     IdentityReport,
     Tables,
@@ -78,7 +81,7 @@ from .genfun import (
     t2k_series,
     t_ak_bruteforce,
 )
-from .permutations import DomainError, _reverse_complement_raw, _word_contains_1324
+from .permutations import DomainError, _reverse_complement_raw
 from .products import _contract_raw, _decode_raw, _expand_raw, _factorize_raw
 from .series import TruncatedSeries
 
@@ -146,18 +149,6 @@ def suite_thm2(max_n: int, tables: Tables) -> list[IdentityReport]:
 # -- marked-tuple codec ---------------------------------------------------
 
 
-def _is_marked_tuple(comps: Sequence[Sequence[int]], idx: int, n: int, k: int) -> bool:
-    """True iff (comps, idx) is a valid marked k-tuple of target size n, by
-    the class test and the 1324 scan, not the codec: k components of sizes
-    adding up to n + k - 1, each a 1324-avoiding permutation of 1..len,
-    component idx in class (2, 1) and not ending in 1, the others in (1, 1)."""
-    return (len(comps) == k and 0 <= idx < k and sum(map(len, comps)) == n + k - 1
-            and all(sorted(c) == list(range(1, len(c) + 1)) and not _word_contains_1324(c)
-                    and _class_raw(c) == ((2, 1) if i == idx else (1, 1))
-                    for i, c in enumerate(comps))
-            and comps[idx][-1] != 1)
-
-
 def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional[int]]],
                 tuple_max_n: int):
     """Roundtrip-check every a=2 member, and to size tuple_max_n check that
@@ -167,20 +158,17 @@ def _codec_scan(members: Iterable[tuple[int, int, int, tuple[int, ...], Optional
     tuple check puts its images among the valid tuples, and suite_thm3's
     tuple counts make the two equal in number: so encode is a bijection to
     tuple_max_n, and decode its inverse on every valid tuple."""
-    not1: dict[tuple[int, int], int] = {}
-    last1: dict[tuple[int, int], int] = {}
-    failures: list[tuple[int, ...]] = []
+    not1, last1, failures = Counter(), Counter(), []
     for n, _, k, values, _ in members:
-        key = (n, k)
         if values[-1] == 1:
-            last1[key] = last1.get(key, 0) + 1
+            last1[n, k] += 1
             continue
-        not1[key] = not1.get(key, 0) + 1
+        not1[n, k] += 1
         try:
             comps, idx = _factorize_raw(values, 2)
             ok = (_decode_raw(comps, idx) == values
-                  and (n > tuple_max_n or _is_marked_tuple(comps, idx, n, k)))
-        except DomainError:  # a codec that rejects a member fails on it
+                  and (n > tuple_max_n or products._tuple_target(comps, idx) == (n, k)))
+        except DomainError:  # a codec or tuple rule that rejects a member fails on it
             ok = False
         if not ok:
             # keep the smallest failures, whatever order the walk visits them
@@ -215,15 +203,13 @@ def suite_thm3(max_n: int, max_k: int, tables: Tables,
                            residual, start))
 
     start = time.monotonic()
-    not1: dict[tuple[int, int], int] = {}
-    last1: dict[tuple[int, int], int] = {}
-    failures: list[tuple[int, ...]] = []
+    not1, last1, failures = Counter(), Counter(), []
     tuple_max_n = min(max_n, _EXPLICIT_MAX_N)
     workers = _split_workers(workers, max_n)
     for part_not1, part_last1, part_failures in _fan_out(
             partial(_codec_worker, tuple_max_n), _tree_roots(max_n, 2), workers):
-        _add_counts(not1, part_not1)
-        _add_counts(last1, part_last1)
+        not1.update(part_not1)
+        last1.update(part_last1)
         failures.extend(part_failures)
 
     # each part kept its smallest failures, so these are the same for every
@@ -253,8 +239,7 @@ def _domino_worker(roots):
     """({p: dominoes generated}, {p: dominoes mapped}) over the column-tag
     vectors ``roots``; a _fan_out worker. Dominoes under different tags
     differ, so the images counted per tag vector add up."""
-    generated: dict[int, int] = {}
-    mapped: dict[int, int] = {}
+    generated, mapped = Counter(), Counter()
     for cols in roots:
         p = len(cols)
         images: set[bytes] = set()
@@ -270,23 +255,24 @@ def _domino_worker(roots):
             # short of the dominoes
             if _to_domino_raw(sigma) == (cols, bw, tw):
                 images.add(bytes(sigma))
-        generated[p] = generated.get(p, 0) + count
-        mapped[p] = mapped.get(p, 0) + len(images)
+        generated[p] += count
+        mapped[p] += len(images)
     return generated, mapped
 
 
 def suite_prop1(max_n: int, tables: Tables, workers: int = 1) -> list[IdentityReport]:
     start = time.monotonic()
     max_points = min(max_n - 2, _DOMINO_MAX_POINTS)
-    for size in range(max_points + 1):
-        _cell_words(size)  # built once here, and shared by forked workers
-    domino_counts: dict[int, int] = {}
-    mapped: dict[int, int] = {}
+    # the cell words of every size to max_points, built once here and shared
+    # by forked workers; at max_n = 1 there are none
+    if max_points >= 0:
+        _cell_words(max_points)
+    domino_counts, mapped = Counter(), Counter()
     roots = [_tags(p, mask) for p in range(max_points, -1, -1) for mask in range(1 << p)]
     for part_counts, part_mapped in _fan_out(
             _domino_worker, roots, _split_workers(workers, max_n)):
-        _add_counts(domino_counts, part_counts)
-        _add_counts(mapped, part_mapped)
+        domino_counts.update(part_counts)
+        mapped.update(part_mapped)
     residual = [(p, 0, 1) for p in range(max_points + 1)
                 if not mapped[p] == domino_counts[p] == tables[p + 2].count(1, 1)]
     reports = [_report("primitive-domino-bijection",

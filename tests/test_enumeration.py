@@ -592,6 +592,39 @@ class TestCache:
                            re.escape(f"a record of a=2 follows one of a={prev}")):
             count_tables(7, cache_dir=tmp_path)
 
+    @pytest.mark.parametrize("at,row", [
+        (1, "[7,1,-132,306,146,48,10,1]\n"),  # would read count(1, 1) = -132
+        (0, "[7,-5]\n"),  # would read total -5
+    ], ids=["class-row", "total"])
+    def test_a_negative_entry_names_its_file(self, tmp_path, at, row):
+        count_tables(7, cache_dir=tmp_path)
+        victim = Path(_cache_paths(tmp_path, 7)[6])
+        lines = victim.read_text().splitlines(keepends=True)
+        lines[at] = row
+        victim.write_text("".join(lines))
+        with pytest.raises(ValueError, match=self.refused(tmp_path, 7) +
+                           "it has a negative entry"):
+            count_tables(7, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("at,row,a", [
+        (1, "[7,1,408,306,146,48,10,1,0,0,0,0,0,0,9]\n", 1),  # would read count(1, 13) = 9
+        (6, "[7,6,103,5]\n", 6),  # would read count(6, 2) = 5
+        # a negative count as well: the row's length refuses it first
+        (1, "[7,1,-132,0,0,0,0,0,0,0,0,0,0,0,9]\n", 1),
+    ], ids=["a-1", "a-6", "a-1-negative"])
+    def test_a_class_row_past_k_n_minus_a_names_its_file(self, tmp_path, at, row, a):
+        # a + k <= n for every class, so the row of a holds at most n - a
+        # counts; real tables reach a + k = n
+        count_tables(7, cache_dir=tmp_path)
+        victim = Path(_cache_paths(tmp_path, 7)[6])
+        lines = victim.read_text().splitlines(keepends=True)
+        assert lines[at].startswith(f"[7,{a},") and len(json.loads(lines[at])) == 9 - a
+        lines[at] = row
+        victim.write_text("".join(lines))
+        with pytest.raises(ValueError, match=self.refused(tmp_path, 7) +
+                           re.escape(f"a record of a={a} has more than {7 - a} counts")):
+            count_tables(7, cache_dir=tmp_path)
+
     def test_line_cut_mid_record_names_its_file(self, tmp_path):
         count_tables(6, cache_dir=tmp_path)
         victim = Path(_cache_paths(tmp_path, 6)[4])

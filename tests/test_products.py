@@ -17,8 +17,10 @@ from permpos.permutations import (
 from permpos.products import (
     MarkedTuple,
     PrimitiveDecomposition,
+    _codec_k,
     _decode_raw,
     _factorize_raw,
+    _tuple_target,
     contract_one,
     decode_tuple,
     encode_perm,
@@ -61,8 +63,9 @@ def has_1324(v):
 
 
 def test_class_tests_match_their_definitions():
-    # _class_raw and the three class tests that read it, against the
-    # definitions in their docstrings on every permutation of size <= 8
+    # _class_raw, the three class tests that read it and the codec-domain
+    # rule, against the definitions in their docstrings on every
+    # permutation of size <= 8
     seen = Counter()
     for n in range(9):
         for v in permutations(range(1, n + 1)):
@@ -79,9 +82,16 @@ def test_class_tests_match_their_definitions():
             assert is_primitive(p) == (n >= 2 and avoider and v.index(1) + 1 == top), v
             marked = n >= 2 and avoider and v.index(2) + 1 == top < v.index(1) < n - 1
             assert is_marked_component(p) == marked, v
+            # a codec member: a 1324-avoider with 2 left of n and 1 right of
+            # it but not last; k is the distance from 2 to n
+            member = avoider and n >= 3 and v.index(2) < top < v.index(1) < n - 1
+            assert _codec_k(v) == (top - v.index(2) if member else None), v
+            assert marked == (_codec_k(v) == 1), v
             seen[cls, avoider, is_primitive(p), marked] += 1
+            seen["member", cls] += member
     assert seen[None, True, False, False] and seen[(1, 1), True, True, False]
     assert seen[(2, 1), True, False, True] and seen[(2, 1), False, False, False]
+    assert seen["member", (2, 3)] and not seen["member", (1, 1)]
 
 
 class TestIsPrimitive:
@@ -318,7 +328,8 @@ class TestMarkedTupleCodec:
                 if p.values[-1] == 1:
                     continue
                 t = encode_perm(p)
-                assert t.target_size == n
+                assert _tuple_target([c.values for c in t.components],
+                                     t.marked_index - 1) == (n, classify(p).k)
                 assert decode_tuple(t) == p
 
 

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 import permpos.genfun
+import permpos.products
 import permpos.verify
 from permpos.cli import main
 from permpos.dominoes import enumerate_dominoes, to_domino
 from permpos.enumeration import _cache_paths, _class_raw, _walk, count_tables
 from permpos.genfun import IdentityReport
 from permpos.permutations import DomainError, Permutation, _word_contains_1324
-from permpos.products import _decode_raw, _expand_raw
+from permpos.products import _decode_raw, _expand_raw, encode_perm
 from permpos.series import TruncatedSeries
 from permpos.verify import (
     SUITES,
@@ -360,6 +361,30 @@ def test_encoding_that_is_no_marked_tuple_fails_the_codec(monkeypatch, tables8, 
     reports = suite_thm3(n, n, tables8)
     assert [r.passed for r in reports] == [True, True, False]
     assert _codec_report(reports).residual == [(n, 0, 1)]
+
+
+def test_the_library_and_the_codec_proof_read_one_tuple_rule(monkeypatch, tables8):
+    # products' tuple rule refuses one size-7, k = 3 member's encoding:
+    # encode_perm and MarkedTuple.validate refuse it, and the codec scan
+    # fails on that member alone
+    member = _first_member(7, 3)
+    encoding = permpos.verify._factorize_raw(member, 2)
+    real = permpos.products._tuple_target
+
+    def refuse(comps, marked_idx):
+        if ([list(c) for c in comps], marked_idx) == encoding:
+            raise DomainError("refused")
+        return real(comps, marked_idx)
+
+    monkeypatch.setattr(permpos.products, "_tuple_target", refuse)
+    with pytest.raises(DomainError, match="refused"):
+        encode_perm(Permutation(member))
+    with pytest.raises(DomainError, match="refused"):
+        encode_perm(Permutation(member), validate=False).validate()
+    assert permpos.verify._codec_scan(_walk(7, 7, 2, 3), 7)[2] == [member]
+    reports = suite_thm3(8, 8, tables8)
+    assert [r.passed for r in reports] == [True, True, False]
+    assert _codec_report(reports).residual == [(7, 0, 1)]
 
 
 @pytest.mark.parametrize("suite,bound", [
